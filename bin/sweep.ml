@@ -156,14 +156,13 @@ let print_dry_run ~guided ~top points =
       ranked
   end
 
-let run axes_spec store_dir resume pareto table top jobs batch lease lease_ttl
+let run axes_spec store_dir resume pareto table top jobs lease lease_ttl
     guided budget frontier_stop dry_run store_stats compact compact_full
     compact_threshold unpack =
   match Axes.of_string axes_spec with
   | Error e -> `Error (false, "bad --axes spec: " ^ e)
   | Ok axes ->
-      if batch < 1 then `Error (false, "--batch must be >= 1")
-      else if (budget <> None || frontier_stop) && not guided then
+      if (budget <> None || frontier_stop) && not guided then
         `Error (false, "--budget and --frontier-stop require --guided")
       else if guided && lease then
         `Error (false, "--guided does not compose with --lease")
@@ -216,7 +215,7 @@ let run axes_spec store_dir resume pareto table top jobs batch lease lease_ttl
             if guided then Some { Sweep.budget; frontier_stop } else None
           in
           let results, stats =
-            Sweep.run ~batch ~resume ?lease ~progress ?guided:guided_policy
+            Sweep.run ~resume ?lease ~progress ?guided:guided_policy
               ~store points
           in
           Printf.eprintf
@@ -283,15 +282,6 @@ let jobs =
      sequentially)."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let batch =
-  let doc =
-    "Lane width of config-batched simulation: missing points sharing a \
-     (simulator family, loop, scale) group run as one trace walk of up to \
-     $(docv) configuration lanes. Results and store contents are \
-     bit-identical to $(b,--batch 1) (the default)."
-  in
-  Arg.(value & opt int 1 & info [ "b"; "batch" ] ~docv:"N" ~doc)
 
 let lease =
   let doc =
@@ -405,7 +395,7 @@ let cmd =
     Term.(
       ret
         (const run $ axes_spec $ store_dir $ resume $ pareto $ table $ top
-       $ jobs $ batch $ lease $ lease_ttl $ guided $ budget $ frontier_stop
+       $ jobs $ lease $ lease_ttl $ guided $ budget $ frontier_stop
        $ dry_run $ store_stats $ compact $ compact_full $ compact_threshold
        $ unpack))
 

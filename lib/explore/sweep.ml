@@ -28,36 +28,6 @@ let meta_of_point (p : Axes.point) =
     ("sim_version", Json.String Axes.sim_version);
   ]
 
-(* Split [items] into consecutive chunks of at most [n]. *)
-let rec chunks n = function
-  | [] -> []
-  | items ->
-      let rec take k acc = function
-        | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-        | rest -> (List.rev acc, rest)
-      in
-      let hd, tl = take n [] items in
-      hd :: chunks n tl
-
-(* Group the missing points by {!Axes.batch_key} (first-seen order, so
-   the job list stays deterministic) and cut each group into lane
-   batches of at most [batch]. *)
-let batches ~batch misses =
-  let groups = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun ((p, _) as pk) ->
-      let bk = Axes.batch_key p in
-      match Hashtbl.find_opt groups bk with
-      | Some r -> r := pk :: !r
-      | None ->
-          Hashtbl.add groups bk (ref [ pk ]);
-          order := bk :: !order)
-    misses;
-  List.concat_map
-    (fun bk -> chunks batch (List.rev !(Hashtbl.find groups bk)))
-    (List.rev !order)
-
 let keyed points =
   let keyed = List.map (fun p -> (p, Axes.key p)) points in
   let seen = Hashtbl.create (List.length keyed) in
@@ -581,15 +551,13 @@ let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
       stolen = 0;
     } )
 
-let run ?jobs ?(batch = 1) ?(resume = true) ?lease ?progress ?guided ~store
-    points =
+let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
   match guided with
   | Some g ->
       if Option.is_some lease then
         invalid_arg "Sweep.run: guided sweeps do not take a lease";
       guided_run ?jobs ~resume ?progress ~store ~guided:g points
   | None ->
-  if batch < 1 then invalid_arg "Sweep.run: batch must be >= 1";
   (* Keying generates and digests traces; do it once, on this domain, so
      workers only simulate and write. *)
   let keyed = keyed points in
@@ -613,25 +581,12 @@ let run ?jobs ?(batch = 1) ?(resume = true) ?lease ?progress ?guided ~store
     | None -> ()
   in
   let compute pks =
-    if batch = 1 then
-      ignore
-        (Pool.map ?jobs
-           (fun (p, k) ->
-             Atomic.incr computed;
-             publish (p, k) (Axes.run p))
-           pks)
-    else
-      (* One pool job per lane batch: the trace is walked once for up to
-         [batch] configurations, and every lane's result is still
-         published individually the moment its batch lands. *)
-      ignore
-        (Pool.map ?jobs
-           (fun chunk ->
-             let chunk = Array.of_list chunk in
-             Atomic.fetch_and_add computed (Array.length chunk) |> ignore;
-             let results = Axes.run_batch (Array.map fst chunk) in
-             Array.iteri (fun l pk -> publish pk results.(l)) chunk)
-           (batches ~batch pks))
+    ignore
+      (Pool.map ?jobs
+         (fun (p, k) ->
+           Atomic.incr computed;
+           publish (p, k) (Axes.run p))
+         pks)
   in
   (match lease with
   | None -> compute missing

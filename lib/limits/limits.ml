@@ -273,215 +273,6 @@ let dataflow_path_packed ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
   | _ -> ());
   finish
 
-(* -- batched lanes -----------------------------------------------------------
-   N configurations' dataflow walks over one block-tiled traversal: the
-   trace is cut into [batch_block]-entry blocks, and each still-active
-   lane runs the whole block with its state hoisted into locals — the
-   [dataflow_path_packed] body verbatim, so lanes are bit-identical to
-   scalar walks while the per-entry cost stays register-resident. Each
-   lane keeps its own register availabilities, store-token table, event
-   log (metrics lanes only) and token-growth cancel state. *)
-
-module Bitset = Mfu_util.Bitset
-
-let batch_block = 4096
-
-let dataflow_batch ~metrics ~probes ~(detected : Bitset.t) ~configs
-    ~serial_waw (p : Packed.t) =
-  let nl = Array.length configs in
-  let n = p.Packed.n in
-  let lats = Array.map Packed.latency_table configs in
-  let branch_times = Array.map Config.branch_time configs in
-  let reg_avails = Array.map (fun _ -> Array.make Reg.count 0) configs in
-  let store_tokens = Array.init nl (fun _ -> Int_table.create 256) in
-  let branch_resolveds = Array.make nl 0 in
-  let finishes = Array.make nl 0 in
-  let ev_start =
-    Array.map (function Some _ -> Array.make n 0 | None -> [||]) metrics
-  in
-  let ev_comp =
-    Array.map (function Some _ -> Array.make n 0 | None -> [||]) metrics
-  in
-  let ev_why =
-    Array.map
-      (function
-        | Some _ -> Array.make n (None : Metrics.stall_cause option)
-        | None -> [||])
-      metrics
-  in
-  let tok_len_prevs = Array.make nl (-1) in
-  let boundaries_seens = Array.make nl 0 in
-  (* Runs lane [l] over entries [b0, b1); returns [true] if the lane's
-     steady-state detector fired (the lane stops without processing the
-     boundary entry, matching the scalar raise-out-of-probe point). *)
-  let run_block l b0 b1 =
-    let lat = lats.(l) in
-    let branch_time = branch_times.(l) in
-    let reg_avail = reg_avails.(l) in
-    let store_token = store_tokens.(l) in
-    let branch_resolved = ref branch_resolveds.(l) in
-    let finish = ref finishes.(l) in
-    let tok_len_prev = ref tok_len_prevs.(l) in
-    let boundaries_seen = ref boundaries_seens.(l) in
-    let metrics = metrics.(l) in
-    let ev_start = ev_start.(l)
-    and ev_comp = ev_comp.(l)
-    and ev_why = ev_why.(l) in
-    let probe = probes.(l) in
-    let fingerprint_body pr i now =
-      let fp = ref [] in
-      let push v = fp := v :: !fp in
-      push (if !finish > now then !finish - now else 0);
-      Array.iter (fun v -> push (if v > now then v - now else 0)) reg_avail;
-      let toks = ref [] in
-      Int_table.iter
-        (fun addr v ->
-          toks :=
-            (addr - pr.Steady.addr_off, if v > now then v - now else 0)
-            :: !toks)
-        store_token;
-      let toks = List.sort compare !toks in
-      push (List.length toks);
-      List.iter
-        (fun (a, v) ->
-          push a;
-          push v)
-        toks;
-      pr.Steady.fire ~pos:i ~time:now ~fp:!fp
-    in
-    let fingerprint pr i now =
-      let len = Int_table.length store_token in
-      incr boundaries_seen;
-      if !boundaries_seen > 2 && len > !tok_len_prev then
-        pr.Steady.next_pos <- max_int
-      else begin
-        tok_len_prev := len;
-        fingerprint_body pr i now
-      end
-    in
-    let stop = ref false in
-    let i = ref b0 in
-    while (not !stop) && !i < b1 do
-      (match probe with
-      | Some pr when !i = pr.Steady.next_pos ->
-          fingerprint pr !i !branch_resolved;
-          if Bitset.mem detected l then stop := true
-      | _ -> ());
-      if not !stop then begin
-        let idx = !i in
-        let fu = Array.unsafe_get p.Packed.fu idx in
-        let kind = Char.code (Bytes.unsafe_get p.Packed.kind idx) in
-        let is_branch = kind >= Packed.kind_taken in
-        let start = ref 0 in
-        let why = ref None in
-        let raise_to cause v =
-          if v > !start then begin
-            start := v;
-            why := Some cause
-          end
-        in
-        raise_to Metrics.Branch !branch_resolved;
-        for s = p.Packed.src_off.(idx) to p.Packed.src_off.(idx + 1) - 1 do
-          raise_to Metrics.Raw reg_avail.(Array.unsafe_get p.Packed.src_idx s)
-        done;
-        let forwarded =
-          if kind = Packed.kind_load then
-            Int_table.find store_token ~default:0
-              (Array.unsafe_get p.Packed.addr idx)
-          else 0
-        in
-        if forwarded <> 0 then raise_to Metrics.Memory_conflict forwarded;
-        let latency =
-          if forwarded <> 0 then 1
-          else if is_branch then branch_time
-          else Array.unsafe_get lat fu
-        in
-        let completion = ref (!start + latency) in
-        let d = Array.unsafe_get p.Packed.dest idx in
-        if d >= 0 then begin
-          if serial_waw then completion := max !completion (reg_avail.(d) + 1);
-          reg_avail.(d) <- !completion
-        end;
-        if kind = Packed.kind_store then
-          Int_table.set store_token
-            (Array.unsafe_get p.Packed.addr idx)
-            (!start + 1)
-        else if is_branch then branch_resolved := !completion;
-        (match metrics with
-        | Some m ->
-            ev_start.(idx) <- !start;
-            ev_comp.(idx) <- !completion;
-            ev_why.(idx) <- !why;
-            if Packed.shared_unit.(fu) then
-              Metrics.record_fu_busy m (Fu.of_index fu) 1
-        | None -> ());
-        if !completion > !finish then finish := !completion;
-        incr i
-      end
-    done;
-    branch_resolveds.(l) <- !branch_resolved;
-    finishes.(l) <- !finish;
-    tok_len_prevs.(l) <- !tok_len_prev;
-    boundaries_seens.(l) <- !boundaries_seen;
-    !stop
-  in
-  let act = Array.init nl (fun l -> l) in
-  let nact = ref nl in
-  let finished = Array.make nl false in
-  let b0 = ref 0 in
-  while !b0 < n && !nact > 0 do
-    let b1 = min n (!b0 + batch_block) in
-    let k = ref 0 in
-    while !k < !nact do
-      let l = act.(!k) in
-      if run_block l !b0 b1 then begin
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else incr k
-    done;
-    b0 := b1
-  done;
-  for k = 0 to !nact - 1 do
-    finished.(act.(k)) <- true
-  done;
-  Array.init nl (fun l ->
-      if not finished.(l) then { Mfu_sim.Sim_types.cycles = 0; instructions = 0 }
-      else begin
-        let finish = finishes.(l) in
-        (match metrics.(l) with
-        | Some m when finish > 0 ->
-            Metrics.record_instructions m n;
-            let counts = Array.make finish 0 in
-            let cause_at = Array.make finish None in
-            let inflight_diff = Array.make (finish + 1) 0 in
-            let ev_start = ev_start.(l)
-            and ev_comp = ev_comp.(l)
-            and ev_why = ev_why.(l) in
-            for i = n - 1 downto 0 do
-              let s = ev_start.(i) in
-              counts.(s) <- counts.(s) + 1;
-              cause_at.(s) <- ev_why.(i);
-              inflight_diff.(s) <- inflight_diff.(s) + 1;
-              inflight_diff.(ev_comp.(i)) <- inflight_diff.(ev_comp.(i)) - 1
-            done;
-            let carry = ref Metrics.Drain in
-            for c = finish - 1 downto 0 do
-              if counts.(c) > 0 then begin
-                Metrics.record_issue ~width:counts.(c) m 1;
-                match cause_at.(c) with Some k -> carry := k | None -> ()
-              end
-              else Metrics.record_stall m !carry 1
-            done;
-            let inflight = ref 0 in
-            for c = 0 to finish - 1 do
-              inflight := !inflight + inflight_diff.(c);
-              Metrics.record_occupancy m !inflight
-            done
-        | _ -> ());
-        { Mfu_sim.Sim_types.cycles = finish; instructions = n }
-      end)
-
 let resource_time ~config (trace : Trace.t) =
   let counts = Array.make Fu.count 0 in
   Array.iter
@@ -526,31 +317,6 @@ let packed_path ?metrics ~accel ~config ~serial_waw (trace : Trace.t) =
 let critical_path ?metrics ?(reference = false) ?(accel = true) ~config trace =
   if reference then dataflow_path ?metrics ~config ~serial_waw:false trace
   else packed_path ?metrics ~accel ~config ~serial_waw:false trace
-
-let critical_path_batch ?metrics ?(accel = true) ~configs trace =
-  let nl = Array.length configs in
-  let metrics =
-    match metrics with Some a -> a | None -> Array.make nl None
-  in
-  if Array.length metrics <> nl then
-    invalid_arg "Limits.critical_path_batch: metrics array length";
-  let results =
-    Steady.run_batch ~metrics ~accel
-      (* a metrics walk has no boundary-snapshottable counter state (the
-         attribution is a post-pass), exactly like the scalar path *)
-      ~lane_accel:(fun l -> metrics.(l) = None)
-      trace ~nlanes:nl
-      ~walk:(fun ~metrics ~probes ~detected p ->
-        dataflow_batch ~metrics ~probes ~detected ~configs ~serial_waw:false p)
-      ~sim:(fun l ~metrics ~probe p ->
-        {
-          Mfu_sim.Sim_types.cycles =
-            dataflow_path_packed ?metrics ?probe ~config:configs.(l)
-              ~serial_waw:false p;
-          instructions = p.Packed.n;
-        })
-  in
-  Array.map (fun r -> r.Mfu_sim.Sim_types.cycles) results
 
 let analyze ?metrics ?(reference = false) ?(accel = true) ~config
     (trace : Trace.t) =

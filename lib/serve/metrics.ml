@@ -50,7 +50,7 @@ let add_lease_deferred t n = add t.lease_deferred n
 let add_lease_stolen t n = add t.lease_stolen n
 let add_rejected_points t n = add t.rejected_points n
 
-let record_compute t ~family ~seconds ~points =
+let record_compute t ~family ~seconds =
   Mutex.protect t.families_lock (fun () ->
       let f =
         match Hashtbl.find_opt t.families family with
@@ -61,7 +61,7 @@ let record_compute t ~family ~seconds ~points =
             f
       in
       f.seconds <- f.seconds +. seconds;
-      f.points <- f.points + points)
+      f.points <- f.points + 1)
 
 let families_json t =
   Mutex.protect t.families_lock (fun () ->

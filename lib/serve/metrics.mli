@@ -22,10 +22,9 @@ val add_lease_deferred : t -> int -> unit
 val add_lease_stolen : t -> int -> unit
 val add_rejected_points : t -> int -> unit
 
-val record_compute : t -> family:string -> seconds:float -> points:int -> unit
-(** Attribute a batch's wall-clock simulation time to a loop family
-    (the Livermore kernel number, or the machine-model name for
-    cross-family batches). *)
+val record_compute : t -> family:string -> seconds:float -> unit
+(** Attribute one point's wall-clock simulation time to its family label
+    ({!Mfu_explore.Axes.family_key}). *)
 
 val to_json :
   t ->

@@ -5,7 +5,7 @@
     one ["point"] event per result as it lands (store hit, freshly
     computed, or settled by another client's in-flight computation), an
     ["aborted"] event for any point the server had to give up on (pool
-    draining, a failed batch, a wedged in-flight owner) so the stream
+    draining, a failed computation, a wedged in-flight owner) so the stream
     never silently omits a requested point, terminated by exactly one
     ["summary"] event. Errors are plain JSON objects with an ["error"]
     field and an HTTP error status. All construction and parsing lives

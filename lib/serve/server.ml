@@ -46,7 +46,6 @@ type config = {
   store_dir : string;
   listen : addr;
   jobs : int option;
-  batch : int;
   max_points : int;
   lease : bool;
   lease_ttl : float;
@@ -61,7 +60,6 @@ let default_config ~store_dir ~listen =
     store_dir;
     listen;
     jobs = None;
-    batch = 8;
     max_points = 4096;
     lease = true;
     lease_ttl = 60.;
@@ -107,18 +105,22 @@ type tally = {
 let release_lease st ~key =
   match st.lease with Some l -> Lease.release l ~key | None -> ()
 
+(* Simulate one point, attributing its wall time to its family on
+   [/stats]. *)
+let simulate st point =
+  let t0 = Unix.gettimeofday () in
+  let r = Axes.run point in
+  Metrics.record_compute st.metrics ~family:(Axes.family_key point)
+    ~seconds:(Unix.gettimeofday () -. t0);
+  r
+
 (* Simulate one point on the calling thread, publish it (store entry
    bytes identical to sweep.exe's), release any lease, and wake
    in-process waiters. On failure the claim is aborted so waiters can
    take over instead of hanging. *)
 let compute_single st point key =
   match
-    let t0 = Unix.gettimeofday () in
-    let r = Axes.run point in
-    Metrics.record_compute st.metrics
-      ~family:(Axes.batch_key point)
-      ~seconds:(Unix.gettimeofday () -. t0)
-      ~points:1;
+    let r = simulate st point in
     Store.put ~meta:(Sweep.meta_of_point point) st.store ~key r;
     r
   with
@@ -201,15 +203,13 @@ let process st ~emit keyed =
             | Lease.Held _ -> false)
           owned
   in
-  (* Pass 4: compute what is ours as lane batches on the pool, best
-     predicted machines first: the surrogate's Pareto-optimality
-     ranking decides service order, so a client streaming a large
-     query sees the interesting corners of the design space land
-     early instead of axis-enumeration order. Ranking prices points
-     from memoized calibration runs, so the reorder costs a few exact
-     reference simulations on the first query per context and nothing
-     after. Each point publishes and streams the moment its batch
-     lands. *)
+  (* Pass 4: compute what is ours on the pool, best predicted machines
+     first: the surrogate's Pareto-optimality ranking decides service
+     order, so a client streaming a large query sees the interesting
+     corners of the design space land early instead of axis-enumeration
+     order. Ranking prices points from memoized calibration runs, so the
+     reorder costs a few exact reference simulations on the first query
+     per context and nothing after. *)
   let mine =
     if st.cfg.guided && List.compare_length_with mine 1 > 0 then begin
       let order = Hashtbl.create (List.length mine) in
@@ -223,52 +223,58 @@ let process st ~emit keyed =
     end
     else mine
   in
-  let batches = Sweep.batches ~batch:st.cfg.batch mine in
+  (* One pool job per 8 consecutive ranked points, which simulates them
+     and then publishes and streams them: a job per point measured slower
+     on a cold table7 query, the time outside simulation growing. *)
+  let rec chunks_of_8 = function
+    | [] -> []
+    | pks ->
+        let rec take k acc = function
+          | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
+          | rest -> (List.rev acc, rest)
+        in
+        let chunk, rest = take 8 [] pks in
+        chunk :: chunks_of_8 rest
+  in
+  let chunks = chunks_of_8 mine in
   (match
      Pool.try_map ?jobs:st.cfg.jobs
-       (fun group ->
-         let arr = Array.of_list group in
-         let t0 = Unix.gettimeofday () in
-         let results = Axes.run_batch (Array.map fst arr) in
-         Metrics.record_compute st.metrics
-           ~family:(Axes.batch_key (fst arr.(0)))
-           ~seconds:(Unix.gettimeofday () -. t0)
-           ~points:(Array.length arr);
-         Array.iteri
-           (fun i (p, k) ->
-             Store.put ~meta:(Sweep.meta_of_point p) st.store ~key:k
-               results.(i);
+       (fun chunk ->
+         let results = List.map (fun (p, _) -> simulate st p) chunk in
+         List.iter2
+           (fun (p, k) r ->
+             Store.put ~meta:(Sweep.meta_of_point p) st.store ~key:k r;
              release_lease st ~key:k;
              Inflight.publish st.inflight ~key:k;
-             emit_point p k results.(i) Protocol.Computed)
-           arr;
-         Array.length arr)
-       batches
+             emit_point p k r Protocol.Computed)
+           chunk results;
+         List.length chunk)
+       chunks
    with
   | results ->
       List.iter2
-        (fun group result ->
+        (fun chunk result ->
           match result with
           | Ok n -> tally.computed <- tally.computed + n
           | Error e ->
-              (* The whole batch failed before publishing anything (a
-                 partially published batch aborts retired flights,
-                 which is a no-op). Let waiters take over, and tell
-                 this client which points it lost. *)
+              (* A simulation failed, or publishing did part-way through
+                 the chunk (aborting an already published flight is a
+                 no-op). Let waiters take over, and tell this client
+                 which points it lost. *)
               let reason =
-                "batch computation failed: " ^ Printexc.to_string e
+                "chunk computation failed: " ^ Printexc.to_string e
               in
               List.iter
                 (fun (p, k) ->
                   release_lease st ~key:k;
                   Inflight.abort st.inflight ~key:k;
-                  (* Points the batch published (and streamed) before
+                  (* Points the chunk published (and streamed) before
                      failing are settled, not lost. *)
                   match Store.lookup st.store ~key:k with
                   | `Hit _ -> tally.computed <- tally.computed + 1
                   | `Miss | `Corrupt -> emit_abort p k reason)
-                group)
-        batches results
+                chunk)
+        chunks results
   | exception Pool.Draining ->
       List.iter
         (fun (p, k) ->

@@ -20,8 +20,9 @@
     Scheduling: per query, store hits stream immediately; misses are
     claimed in the {!Inflight} table (one owner computes, concurrent
     requesters wait and are counted as dedups), owned points are
-    chunked into lane batches ({!Mfu_explore.Sweep.batches}) and run on
-    the {!Mfu_util.Pool} domains, and every computed result is
+    ordered by {!Mfu_explore.Axes.rank} and cut into chunks of 8
+    consecutive points, each chunk one job on the {!Mfu_util.Pool}
+    domains, and every computed result is
     published to the store with {!Mfu_explore.Sweep.meta_of_point} —
     byte-identical to what [sweep.exe] writes — before waiters are
     woken. With leases enabled, keys owned by another process settle by
@@ -47,7 +48,6 @@ type config = {
   store_dir : string;
   listen : addr;
   jobs : int option;  (** pool workers; [None] = pool default *)
-  batch : int;  (** lane width handed to {!Mfu_explore.Axes.run_batch} *)
   max_points : int;  (** admission cap per query *)
   lease : bool;  (** cross-process work claims next to the store *)
   lease_ttl : float;
@@ -67,7 +67,7 @@ type config = {
 }
 
 val default_config : store_dir:string -> listen:addr -> config
-(** [batch = 8], [max_points = 4096], [lease = true],
+(** [max_points = 4096], [lease = true],
     [lease_ttl = 60.], [request_timeout = 30.],
     [queue_capacity = 256], [guided = true], [cache_entries = 8192]. *)
 

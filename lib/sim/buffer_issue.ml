@@ -658,22 +658,40 @@ module Fast = struct
   let all_issued st = all_issued_from st st.base
 end
 
-(* One lane of the cycle-stepped machine: the [Fast] state plus its own
-   clock, probe, and progress guard. The scalar fast path is a driver
-   stepped in a plain loop; the batched walker steps N drivers off a
-   shared min-wake event wheel — each driver only ever advances its own
-   [d_t] by the scalar rules, so its cycle sequence is exactly the scalar
-   run's regardless of how the wheel interleaves lanes. *)
-type driver = {
-  st : Fast.state;
-  d_policy : policy;
-  d_probe : Steady.probe option;
-  d_fp_span : int;
-  mutable d_t : int;
-  mutable d_guard : int;
-}
+(* Steady-state fingerprint, normalized by [now = t] at the top of a
+   cycle whose buffer starts exactly at the boundary (a taken-branch
+   squash lands [base] on it, with no entry of the new window issued
+   yet). Times at or before [now] are dead: every consultation compares
+   against a cycle >= [now] ([> t] for registers, [= t] for same-cycle
+   unit reuse, probed keys at completion cycles > [now] for the bus
+   ring). Live bus reservations sit at cycles in (now, now + span] and
+   are serialized as one 8-bit mask per cycle; stale ring tags at dead
+   cycles can never equal a probed key and carry no state. *)
+let fingerprint st ~span pr pos now =
+  let fp = ref [] in
+  let push v = fp := v :: !fp in
+  push (st.Fast.hi - st.Fast.base);
+  push (if st.Fast.stall_until > now then st.Fast.stall_until - now else 0);
+  push (if st.Fast.finish > now then st.Fast.finish - now else 0);
+  let mask = ref 0 in
+  Array.iteri (fun s b -> if b then mask := !mask lor (1 lsl s)) st.Fast.issued;
+  push !mask;
+  for c = now + 1 to now + span do
+    let m = ref 0 in
+    for b = 0 to 7 do
+      let key = (c * 8) + b in
+      if st.Fast.ring.(key mod Array.length st.Fast.ring) = key then
+        m := !m lor (1 lsl b)
+    done;
+    push !m
+  done;
+  Array.iter (fun v -> push (if v > now then v - now else 0)) st.Fast.reg_ready;
+  Array.iter
+    (fun v -> push (if v >= now then v - now + 1 else 0))
+    st.Fast.fu_last_used;
+  pr.Steady.fire ~pos ~time:now ~fp:!fp
 
-let make_driver ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
+let simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
     (p : Packed.t) =
   let n = p.Packed.n in
   let maxlat = Packed.max_latency config in
@@ -706,163 +724,48 @@ let make_driver ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
   (* the buffer reads [stations] entries past [base]: the final periods of
      a loop see the epilogue through it and must not be telescoped *)
   Option.iter (fun pr -> pr.Steady.lookahead <- stations) probe;
-  {
-    st;
-    d_policy = policy;
-    d_probe = probe;
-    d_fp_span = max maxlat (Config.branch_time config);
-    d_t = 0;
-    d_guard = 200 * (n + 100);
-  }
-
-(* Steady-state fingerprint, normalized by [now = t] at the top of a
-   cycle whose buffer starts exactly at the boundary (a taken-branch
-   squash lands [base] on it, with no entry of the new window issued
-   yet). Times at or before [now] are dead: every consultation compares
-   against a cycle >= [now] ([> t] for registers, [= t] for same-cycle
-   unit reuse, probed keys at completion cycles > [now] for the bus
-   ring). Live bus reservations sit at cycles in (now, now + span] and
-   are serialized as one 8-bit mask per cycle; stale ring tags at dead
-   cycles can never equal a probed key and carry no state. *)
-let driver_fingerprint d pr pos now =
-  let st = d.st in
-  let fp = ref [] in
-  let push v = fp := v :: !fp in
-  push (st.Fast.hi - st.Fast.base);
-  push (if st.Fast.stall_until > now then st.Fast.stall_until - now else 0);
-  push (if st.Fast.finish > now then st.Fast.finish - now else 0);
-  let mask = ref 0 in
-  Array.iteri (fun s b -> if b then mask := !mask lor (1 lsl s)) st.Fast.issued;
-  push !mask;
-  for c = now + 1 to now + d.d_fp_span do
-    let m = ref 0 in
-    for b = 0 to 7 do
-      let key = (c * 8) + b in
-      if st.Fast.ring.(key mod Array.length st.Fast.ring) = key then
-        m := !m lor (1 lsl b)
-    done;
-    push !m
+  let span = max maxlat (Config.branch_time config) in
+  let t = ref 0 in
+  let guard = ref (200 * (n + 100)) in
+  while not (st.Fast.hi >= n && Fast.all_issued st) do
+    if Fast.all_issued st && st.Fast.hi < n then begin
+      st.Fast.base <- st.Fast.hi;
+      st.Fast.hi <- Fast.window_end st st.Fast.base;
+      Array.fill st.Fast.issued 0 st.Fast.stations false
+    end;
+    (match probe with
+    | Some pr when st.Fast.base >= pr.Steady.next_pos ->
+        if st.Fast.base > pr.Steady.next_pos then
+          Steady.missed pr (st.Fast.base - 1);
+        if st.Fast.base = pr.Steady.next_pos then
+          fingerprint st ~span pr st.Fast.base !t
+    | _ -> ());
+    (match metrics with
+    | Some m -> Metrics.record_occupancy m (Fast.unissued_in_window st)
+    | None -> ());
+    st.Fast.wake <- max_int;
+    let issued =
+      match policy with
+      | In_order -> Fast.issue_in_order st ~t:!t
+      | Out_of_order -> Fast.issue_out_of_order st ~t:!t
+    in
+    (match metrics with
+    | Some m ->
+        if issued > 0 then Metrics.record_issue ~width:issued m 1
+        else Metrics.record_stall m (Fast.diagnose st ~t:!t) 1;
+        incr t
+    | None ->
+        if issued = 0 && st.Fast.wake > !t + 1 && st.Fast.wake < max_int then
+          t := st.Fast.wake
+        else incr t);
+    decr guard;
+    if !guard <= 0 then failwith "Buffer_issue.simulate: no progress"
   done;
-  Array.iter (fun v -> push (if v > now then v - now else 0)) st.Fast.reg_ready;
-  Array.iter
-    (fun v -> push (if v >= now then v - now + 1 else 0))
-    st.Fast.fu_last_used;
-  pr.Steady.fire ~pos ~time:now ~fp:!fp
-
-let driver_done d =
-  d.st.Fast.hi >= d.st.Fast.p.Packed.n && Fast.all_issued d.st
-
-(* One simulation cycle at [d.d_t]; the caller must have checked
-   [driver_done]. Advances [d_t] (by more than one on a wake jump). *)
-let driver_cycle d =
-  let st = d.st in
-  let metrics = st.Fast.metrics in
-  if Fast.all_issued st && st.Fast.hi < st.Fast.p.Packed.n then begin
-    st.Fast.base <- st.Fast.hi;
-    st.Fast.hi <- Fast.window_end st st.Fast.base;
-    Array.fill st.Fast.issued 0 st.Fast.stations false
-  end;
-  (match d.d_probe with
-  | Some pr when st.Fast.base >= pr.Steady.next_pos ->
-      if st.Fast.base > pr.Steady.next_pos then
-        Steady.missed pr (st.Fast.base - 1);
-      if st.Fast.base = pr.Steady.next_pos then
-        driver_fingerprint d pr st.Fast.base d.d_t
-  | _ -> ());
+  let cycles = max st.Fast.finish !t in
   (match metrics with
-  | Some m -> Metrics.record_occupancy m (Fast.unissued_in_window st)
+  | Some m -> Metrics.record_stall m Metrics.Drain (cycles - !t)
   | None -> ());
-  st.Fast.wake <- max_int;
-  let issued =
-    match d.d_policy with
-    | In_order -> Fast.issue_in_order st ~t:d.d_t
-    | Out_of_order -> Fast.issue_out_of_order st ~t:d.d_t
-  in
-  (match metrics with
-  | Some m ->
-      if issued > 0 then Metrics.record_issue ~width:issued m 1
-      else Metrics.record_stall m (Fast.diagnose st ~t:d.d_t) 1;
-      d.d_t <- d.d_t + 1
-  | None ->
-      if issued = 0 && st.Fast.wake > d.d_t + 1 && st.Fast.wake < max_int then
-        d.d_t <- st.Fast.wake
-      else d.d_t <- d.d_t + 1);
-  d.d_guard <- d.d_guard - 1;
-  if d.d_guard <= 0 then failwith "Buffer_issue.simulate: no progress"
-
-let driver_result d =
-  let cycles = max d.st.Fast.finish d.d_t in
-  (match d.st.Fast.metrics with
-  | Some m -> Metrics.record_stall m Metrics.Drain (cycles - d.d_t)
-  | None -> ());
-  { Sim_types.cycles; instructions = d.st.Fast.p.Packed.n }
-
-let simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
-    (p : Packed.t) =
-  let d = make_driver ?metrics ?probe ~alignment ~config ~policy ~stations ~bus p in
-  while not (driver_done d) do
-    driver_cycle d
-  done;
-  driver_result d
-
-(* -- batched lanes -----------------------------------------------------------
-   N lane drivers over one time-blocked traversal. Lanes never interact,
-   so each live lane is stepped through a whole [batch_block]-cycle
-   horizon at a time — its scalar cycle sequence verbatim, including its
-   own wake jumps — rather than interleaving lanes cycle by cycle off a
-   min-wake scan. The shared horizon (minimum live clock plus the block)
-   keeps lanes loosely in step over the shared packed trace. *)
-
-module Bitset = Mfu_util.Bitset
-
-let batch_block = 4096
-
-let simulate_batch ~metrics ~probes ~(detected : Bitset.t) ~lanes
-    (p : Packed.t) =
-  let nl = Array.length lanes in
-  let drivers =
-    Array.mapi
-      (fun l (config, policy, alignment, stations, bus) ->
-        if stations < 1 then
-          invalid_arg "Buffer_issue.simulate_batch: stations < 1";
-        make_driver ?metrics:metrics.(l) ?probe:probes.(l) ~alignment ~config
-          ~policy ~stations ~bus p)
-      lanes
-  in
-  let act = Array.init nl (fun l -> l) in
-  let nact = ref nl in
-  let results = Array.make nl { Sim_types.cycles = 0; instructions = 0 } in
-  while !nact > 0 do
-    let t = ref max_int in
-    for k = 0 to !nact - 1 do
-      let d = drivers.(act.(k)) in
-      if d.d_t < !t then t := d.d_t
-    done;
-    let horizon = !t + batch_block in
-    let k = ref 0 in
-    while !k < !nact do
-      let l = act.(!k) in
-      let d = drivers.(l) in
-      let stop = ref false in
-      while (not !stop) && (not (driver_done d)) && d.d_t < horizon do
-        driver_cycle d;
-        if Bitset.mem detected l then stop := true
-      done;
-      if !stop then begin
-        (* the lane's probe found a steady-state repeat: retire it; the
-           orchestrator re-simulates its splice *)
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else if driver_done d then begin
-        results.(l) <- driver_result d;
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else incr k
-    done
-  done;
-  results
+  { Sim_types.cycles; instructions = n }
 
 let simulate ?metrics ?(alignment = Dynamic) ?(reference = false)
     ?(accel = true) ~config ~policy ~stations ~bus (trace : Trace.t) =

@@ -811,84 +811,6 @@ end
 
 let rec pow2_at_least n = if n <= 1 then 1 else 2 * pow2_at_least ((n + 1) / 2)
 
-(* One lane of the cycle-stepped machine: the [Fast] state plus its own
-   clock, probe, and progress guard, so the scalar loop and the batched
-   min-wake wheel step the same code. See {!Buffer_issue.driver}. *)
-type driver = {
-  st : Fast.state;
-  d_probe : Steady.probe option;
-  d_can_skip : bool;
-  d_maxlat : int;
-  mutable d_t : int;
-  mutable d_guard : int;
-}
-
-let make_driver ?metrics ?probe ~branches ~config ~issue_units ~ruu_size ~bus
-    (p : Packed.t) =
-  let maxprod = p.Packed.max_srcs + 1 in
-  let st =
-    {
-      Fast.p;
-      lat = Packed.latency_table config;
-      branch_time = Config.branch_time config;
-      issue_units;
-      ruu_size;
-      metrics;
-      bus;
-      s_uid = Array.make ruu_size (-1);
-      s_issue_cycle = Array.make ruu_size 0;
-      s_fu = Array.make ruu_size 0;
-      s_dest = Array.make ruu_size (-1);
-      s_needs_bus = Array.make ruu_size false;
-      s_dispatched = Array.make ruu_size false;
-      s_completion = Array.make ruu_size 0;
-      s_ready = Array.make ruu_size max_int;
-      s_rpart = Array.make ruu_size 0;
-      s_bank = Array.make ruu_size 0;
-      s_nprod = Array.make ruu_size 0;
-      s_prod_slot = Array.make (ruu_size * maxprod) 0;
-      s_prod_uid = Array.make (ruu_size * maxprod) 0;
-      maxprod;
-      head = 0;
-      count = 0;
-      uid_next = 0;
-      ud_head = -1;
-      ud_tail = -1;
-      ud_next = Array.make ruu_size (-1);
-      ud_prev = Array.make ruu_size (-1);
-      scan_min = 0;
-      latest_writer = Array.make Reg.count (-1);
-      mem_writer = Int_table.create 256;
-      (* power of two >= the live-key span (max latency + 2), so ring
-         indexing is a mask *)
-      rb_tag = Array.make (pow2_at_least (Packed.max_latency config + 2)) (-1);
-      rb_val = Array.make (pow2_at_least (Packed.max_latency config + 2)) 0;
-      fu_last_used = Array.make Fu.count (-1);
-      branches;
-      counters = (match branches with Bimodal n -> Array.make n 0 | _ -> [||]);
-      stall_until = 0;
-      next = 0;
-      finish = 0;
-      wake = max_int;
-    }
-  in
-  (* the issue pass examines up to [issue_units] entries past [next] in a
-     cycle; keep that many entries' periods out of the telescoped span *)
-  Option.iter (fun pr -> pr.Steady.lookahead <- issue_units) probe;
-  {
-    st;
-    d_probe = probe;
-    (* The event skip must replay every cycle under [Bimodal]: a blocked
-       branch re-predicts (and trains its 2-bit counter) each retried
-       cycle, and can even flip to a correct prediction — and issue —
-       mid-wait, so zero-activity cycles carry predictor state. The other
-       policies are stateless per cycle. *)
-    d_can_skip = (match branches with Bimodal _ -> false | _ -> true);
-    d_maxlat = Packed.max_latency config;
-    d_t = 0;
-    d_guard = 400 * (p.Packed.n + 100);
-  }
-
 (* Steady-state fingerprint, normalized by [now = t] at the top of a
    cycle where exactly the entries before the boundary have issued.
    The ring head is kept absolute — dispatch banks are [slot mod
@@ -904,8 +826,7 @@ let make_driver ?metrics ?probe ~branches ~config ~issue_units ~ruu_size ~bus
    must not leak). [uid_next] and the undispatched list are excluded:
    generations only matter through the match bits, and the list is
    determined by window order and the dispatched flags. *)
-let driver_fingerprint d pr pos now =
-  let st = d.st in
+let fingerprint st ~maxlat pr pos now =
   let ruu_size = st.Fast.ruu_size in
   let fp = ref [] in
   let push v = fp := v :: !fp in
@@ -917,7 +838,7 @@ let driver_fingerprint d pr pos now =
     (if st.Fast.scan_min > now then
        if st.Fast.scan_min = max_int then -1 else st.Fast.scan_min - now
      else 0);
-  for c = now + 1 to now + d.d_maxlat do
+  for c = now + 1 to now + maxlat do
     push (Fast.rb_get st c)
   done;
   Array.iter
@@ -974,126 +895,106 @@ let driver_fingerprint d pr pos now =
     live;
   pr.Steady.fire ~pos ~time:now ~fp:!fp
 
-let driver_done d = d.st.Fast.next >= d.st.Fast.p.Packed.n && d.st.Fast.count = 0
-
-(* One simulation cycle at [d.d_t]; the caller must have checked
-   [driver_done]. Advances [d_t] (by more than one on an event skip). *)
-let driver_cycle d =
-  let st = d.st in
-  let metrics = st.Fast.metrics in
-  (match d.d_probe with
-  | Some pr when st.Fast.next >= pr.Steady.next_pos ->
-      if st.Fast.next > pr.Steady.next_pos then
-        Steady.missed pr (st.Fast.next - 1);
-      if st.Fast.next = pr.Steady.next_pos then
-        driver_fingerprint d pr st.Fast.next d.d_t
-  | _ -> ());
-  (match metrics with
-  | Some m -> Metrics.record_occupancy m st.Fast.count
-  | None -> ());
-  st.Fast.wake <- max_int;
-  let committed = Fast.commit_pass st ~t:d.d_t in
-  let dispatched = Fast.dispatch_pass st ~t:d.d_t in
-  let issued = Fast.issue_pass st ~t:d.d_t in
-  (match metrics with
-  | Some m ->
-      if issued > 0 then begin
-        Metrics.record_issue ~width:issued m 1;
-        Metrics.record_instructions m issued
-      end
-      else Metrics.record_stall m (Fast.diagnose st ~t:d.d_t) 1;
-      d.d_t <- d.d_t + 1
-  | None ->
-      if
-        d.d_can_skip && committed = 0 && dispatched = 0 && issued = 0
-        && st.Fast.wake > d.d_t + 1
-        && st.Fast.wake < max_int
-      then d.d_t <- st.Fast.wake
-      else d.d_t <- d.d_t + 1);
-  d.d_guard <- d.d_guard - 1;
-  if d.d_guard <= 0 then failwith "Ruu.simulate: no progress"
-
-let driver_result d =
-  let cycles = max d.st.Fast.finish d.d_t in
-  (match d.st.Fast.metrics with
-  | Some m -> Metrics.record_stall m Metrics.Drain (cycles - d.d_t)
-  | None -> ());
-  { Sim_types.cycles; instructions = d.st.Fast.p.Packed.n }
-
 let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
     ~bus (p : Packed.t) =
-  let d =
-    make_driver ?metrics ?probe ~branches ~config ~issue_units ~ruu_size ~bus p
+  let n = p.Packed.n in
+  let maxprod = p.Packed.max_srcs + 1 in
+  let st =
+    {
+      Fast.p;
+      lat = Packed.latency_table config;
+      branch_time = Config.branch_time config;
+      issue_units;
+      ruu_size;
+      metrics;
+      bus;
+      s_uid = Array.make ruu_size (-1);
+      s_issue_cycle = Array.make ruu_size 0;
+      s_fu = Array.make ruu_size 0;
+      s_dest = Array.make ruu_size (-1);
+      s_needs_bus = Array.make ruu_size false;
+      s_dispatched = Array.make ruu_size false;
+      s_completion = Array.make ruu_size 0;
+      s_ready = Array.make ruu_size max_int;
+      s_rpart = Array.make ruu_size 0;
+      s_bank = Array.make ruu_size 0;
+      s_nprod = Array.make ruu_size 0;
+      s_prod_slot = Array.make (ruu_size * maxprod) 0;
+      s_prod_uid = Array.make (ruu_size * maxprod) 0;
+      maxprod;
+      head = 0;
+      count = 0;
+      uid_next = 0;
+      ud_head = -1;
+      ud_tail = -1;
+      ud_next = Array.make ruu_size (-1);
+      ud_prev = Array.make ruu_size (-1);
+      scan_min = 0;
+      latest_writer = Array.make Reg.count (-1);
+      mem_writer = Int_table.create 256;
+      (* power of two >= the live-key span (max latency + 2), so ring
+         indexing is a mask *)
+      rb_tag = Array.make (pow2_at_least (Packed.max_latency config + 2)) (-1);
+      rb_val = Array.make (pow2_at_least (Packed.max_latency config + 2)) 0;
+      fu_last_used = Array.make Fu.count (-1);
+      branches;
+      counters = (match branches with Bimodal n -> Array.make n 0 | _ -> [||]);
+      stall_until = 0;
+      next = 0;
+      finish = 0;
+      wake = max_int;
+    }
   in
-  while not (driver_done d) do
-    driver_cycle d
+  (* the issue pass examines up to [issue_units] entries past [next] in a
+     cycle; keep that many entries' periods out of the telescoped span *)
+  Option.iter (fun pr -> pr.Steady.lookahead <- issue_units) probe;
+  (* The event skip must replay every cycle under [Bimodal]: a blocked
+     branch re-predicts (and trains its 2-bit counter) each retried
+     cycle, and can even flip to a correct prediction — and issue —
+     mid-wait, so zero-activity cycles carry predictor state. The other
+     policies are stateless per cycle. *)
+  let can_skip = match branches with Bimodal _ -> false | _ -> true in
+  let maxlat = Packed.max_latency config in
+  let t = ref 0 in
+  let guard = ref (400 * (n + 100)) in
+  while not (st.Fast.next >= n && st.Fast.count = 0) do
+    (match probe with
+    | Some pr when st.Fast.next >= pr.Steady.next_pos ->
+        if st.Fast.next > pr.Steady.next_pos then
+          Steady.missed pr (st.Fast.next - 1);
+        if st.Fast.next = pr.Steady.next_pos then
+          fingerprint st ~maxlat pr st.Fast.next !t
+    | _ -> ());
+    (match metrics with
+    | Some m -> Metrics.record_occupancy m st.Fast.count
+    | None -> ());
+    st.Fast.wake <- max_int;
+    let committed = Fast.commit_pass st ~t:!t in
+    let dispatched = Fast.dispatch_pass st ~t:!t in
+    let issued = Fast.issue_pass st ~t:!t in
+    (match metrics with
+    | Some m ->
+        if issued > 0 then begin
+          Metrics.record_issue ~width:issued m 1;
+          Metrics.record_instructions m issued
+        end
+        else Metrics.record_stall m (Fast.diagnose st ~t:!t) 1;
+        incr t
+    | None ->
+        if
+          can_skip && committed = 0 && dispatched = 0 && issued = 0
+          && st.Fast.wake > !t + 1
+          && st.Fast.wake < max_int
+        then t := st.Fast.wake
+        else incr t);
+    decr guard;
+    if !guard <= 0 then failwith "Ruu.simulate: no progress"
   done;
-  driver_result d
-
-(* -- batched lanes -----------------------------------------------------------
-   N lane drivers over one time-blocked traversal. Lanes never interact,
-   so each live lane is stepped through a whole [batch_block]-cycle
-   horizon at a time — its scalar cycle sequence verbatim, including its
-   own event skips — so per lane the run is bit-identical to
-   [simulate_packed]. The shared horizon (minimum live clock plus the
-   block) keeps lanes loosely in step over the shared packed trace. *)
-
-module Bitset = Mfu_util.Bitset
-
-let batch_block = 4096
-
-let simulate_batch ~metrics ~probes ~(detected : Bitset.t) ~lanes
-    (p : Packed.t) =
-  let nl = Array.length lanes in
-  let drivers =
-    Array.mapi
-      (fun l (config, branches, issue_units, ruu_size, bus) ->
-        if issue_units < 1 then
-          invalid_arg "Ruu.simulate_batch: issue_units < 1";
-        if ruu_size < issue_units then
-          invalid_arg "Ruu.simulate_batch: ruu_size too small";
-        (match branches with
-        | Bimodal n when n < 1 ->
-            invalid_arg "Ruu.simulate_batch: bimodal table size < 1"
-        | _ -> ());
-        make_driver ?metrics:metrics.(l) ?probe:probes.(l) ~branches ~config
-          ~issue_units ~ruu_size ~bus p)
-      lanes
-  in
-  let act = Array.init nl (fun l -> l) in
-  let nact = ref nl in
-  let results = Array.make nl { Sim_types.cycles = 0; instructions = 0 } in
-  while !nact > 0 do
-    let t = ref max_int in
-    for k = 0 to !nact - 1 do
-      let d = drivers.(act.(k)) in
-      if d.d_t < !t then t := d.d_t
-    done;
-    let horizon = !t + batch_block in
-    let k = ref 0 in
-    while !k < !nact do
-      let l = act.(!k) in
-      let d = drivers.(l) in
-      let stop = ref false in
-      while (not !stop) && (not (driver_done d)) && d.d_t < horizon do
-        driver_cycle d;
-        if Bitset.mem detected l then stop := true
-      done;
-      if !stop then begin
-        (* the lane's probe found a steady-state repeat: retire it; the
-           orchestrator re-simulates its splice *)
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else if driver_done d then begin
-        results.(l) <- driver_result d;
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else incr k
-    done
-  done;
-  results
+  let cycles = max st.Fast.finish !t in
+  (match metrics with
+  | Some m -> Metrics.record_stall m Metrics.Drain (cycles - !t)
+  | None -> ());
+  { Sim_types.cycles; instructions = n }
 
 let simulate ?metrics ?(branches = Stall) ?(reference = false) ?(accel = true)
     ~config ~issue_units ~ruu_size ~bus (trace : Trace.t) =

@@ -71,36 +71,3 @@ val simulate :
     [accel] (default [true]) enables exact steady-state fast-forward
     ({!Steady}) on the fast path; results and metrics are bit-identical
     either way. Ignored with [reference]. *)
-
-val simulate_batch :
-  metrics:Sim_types.Metrics.t option array ->
-  probes:Steady.probe option array ->
-  detected:Mfu_util.Bitset.t ->
-  lanes:
-    (Mfu_isa.Config.t * branch_handling * int * int * Sim_types.bus_model)
-    array ->
-  Mfu_exec.Packed.t ->
-  Sim_types.result array
-(** Lane-batched walk: one driver per
-    [(config, branches, issue_units, ruu_size, bus)] lane, stepped off a
-    shared event wheel keyed on the minimum next cycle across lanes. Each
-    lane advances its own clock by the scalar rules (including event
-    skips), so per lane the run is bit-identical to [simulate_packed].
-    The raw walker behind {!Steady.run_batch} — use {!Batched.ruu} for
-    the public batched entry point. See {!Single_issue.simulate_batch}
-    for the probe/[detected] contract.
-    @raise Invalid_argument under the same lane conditions as
-    {!simulate}. *)
-
-val simulate_packed :
-  ?metrics:Sim_types.Metrics.t ->
-  ?probe:Steady.probe ->
-  branches:branch_handling ->
-  config:Mfu_isa.Config.t ->
-  issue_units:int ->
-  ruu_size:int ->
-  bus:Sim_types.bus_model ->
-  Mfu_exec.Packed.t ->
-  Sim_types.result
-(** The packed fast path itself — one scalar walk, no steady-state
-    driver. Exposed for {!Batched}; prefer {!simulate}. *)

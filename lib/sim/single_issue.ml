@@ -211,168 +211,3 @@ let simulate ?metrics ?(memory = Memory_system.ideal) ?(reference = false)
     Steady.run ?metrics trace (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~memory ~config org p)
   else simulate_packed ?metrics ~memory ~config org (Packed.cached trace)
-
-
-(* -- batched lanes -----------------------------------------------------------
-   N configurations simulated over one block-tiled traversal of the same
-   packed trace: lanes advance in lock-step at block granularity (every
-   lane finishes entries [b0, b0+block) before any lane sees b0+block),
-   and within a block each lane runs the [simulate_packed] body with its
-   state hoisted into locals — per-entry cost matches the scalar fast
-   path while the packed block stays cache-hot across lanes. Lanes never
-   interact, so results and metrics are bit-identical to N independent
-   scalar runs. A lane whose probe detects a steady-state repeat is
-   retired in place (the scalar path raises [Steady.Stop] at the same
-   point); the walk ends as soon as no lanes remain. *)
-
-module Bitset = Mfu_util.Bitset
-
-let batch_block = 4096
-
-let simulate_batch ~metrics ~probes ~(detected : Bitset.t)
-    ?(memory = Memory_system.ideal) ~lanes (p : Packed.t) =
-  let nl = Array.length lanes in
-  let n = p.Packed.n in
-  let shared = Packed.shared_unit in
-  let mem_states = Array.map (fun _ -> Memory_system.create memory) lanes in
-  let reg_readys = Array.map (fun _ -> Array.make Reg.count 0) lanes in
-  let fu_frees = Array.map (fun _ -> Array.make Fu.count 0) lanes in
-  let lats = Array.map (fun (config, _) -> Packed.latency_table config) lanes in
-  let serials =
-    Array.map
-      (fun (_, org) ->
-        Array.init Fu.count (fun i -> unit_is_serial org (Fu.of_index i)))
-      lanes
-  in
-  let branch_times =
-    Array.map (fun (config, _) -> Config.branch_time config) lanes
-  in
-  let issue_frees = Array.make nl 0 in
-  let prev_completions = Array.make nl 0 in
-  let finishes = Array.make nl 0 in
-  let act = Array.init nl (fun l -> l) in
-  let nact = ref nl in
-  let results = Array.make nl { Sim_types.cycles = 0; instructions = 0 } in
-  (* Run lane [l] over entries [b0, b1). Returns [true] if the lane's
-     steady-state detector fired a match inside the block: the lane must
-     retire without processing the boundary entry, exactly as the scalar
-     path stops out of the probe. *)
-  let run_block l b0 b1 =
-    let _, org = lanes.(l) in
-    let mem_state = mem_states.(l) in
-    let reg_ready = reg_readys.(l) in
-    let fu_free = fu_frees.(l) in
-    let lat = lats.(l) in
-    let serial = serials.(l) in
-    let branch_time = branch_times.(l) in
-    let simple = org = Simple in
-    let conflict_org =
-      match org with Non_segmented | Cray_like -> true | _ -> false
-    in
-    let metrics = metrics.(l) in
-    let probe = probes.(l) in
-    let issue_free = ref issue_frees.(l) in
-    let prev_completion = ref prev_completions.(l) in
-    let finish = ref finishes.(l) in
-    (* Same push order as the scalar fingerprint. *)
-    let fingerprint pr i now =
-      let fp = ref [] in
-      let push v = fp := v :: !fp in
-      push (if !prev_completion > now then !prev_completion - now else 0);
-      push (if !finish > now then !finish - now else 0);
-      push (Memory_system.port_snapshot mem_state ~now);
-      Array.iter (fun v -> push (if v > now then v - now else 0)) reg_ready;
-      Array.iter (fun v -> push (if v > now then v - now else 0)) fu_free;
-      pr.Steady.fire ~pos:i ~time:now ~fp:!fp
-    in
-    let stop = ref false in
-    let i = ref b0 in
-    while (not !stop) && !i < b1 do
-      (match probe with
-      | Some pr when !i = pr.Steady.next_pos ->
-          fingerprint pr !i !issue_free;
-          if Bitset.mem detected l then stop := true
-      | _ -> ());
-      if not !stop then begin
-        let idx = !i in
-        let fu = Array.unsafe_get p.Packed.fu idx in
-        let kind = Char.code (Bytes.unsafe_get p.Packed.kind idx) in
-        let is_branch = kind >= Packed.kind_taken in
-        let latency =
-          if is_branch then branch_time else Array.unsafe_get lat fu
-        in
-        let t = ref !issue_free in
-        let why = ref Metrics.Drain in
-        let raise_to cause v =
-          if v > !t then begin
-            t := v;
-            why := cause
-          end
-        in
-        if simple then raise_to Metrics.Fu_busy !prev_completion
-        else begin
-          for s = p.Packed.src_off.(idx) to p.Packed.src_off.(idx + 1) - 1 do
-            raise_to Metrics.Raw reg_ready.(Array.unsafe_get p.Packed.src_idx s)
-          done;
-          let d = Array.unsafe_get p.Packed.dest idx in
-          if d >= 0 then raise_to Metrics.Waw reg_ready.(d);
-          if shared.(fu) then raise_to Metrics.Fu_busy fu_free.(fu)
-        end;
-        let addr = Array.unsafe_get p.Packed.addr idx in
-        if conflict_org && addr >= 0 && not serial.(fu) then
-          raise_to Metrics.Memory_conflict
-            (Memory_system.accept mem_state ~addr ~from_:!t);
-        let t = !t in
-        let vl = Array.unsafe_get p.Packed.vl idx in
-        let parcels = Array.unsafe_get p.Packed.parcels idx in
-        let completion = t + latency + vl - 1 in
-        let occupancy = if serial.(fu) then latency + vl - 1 else max 1 vl in
-        (match metrics with
-        | Some m ->
-            Metrics.record_stall m !why (t - !issue_free);
-            if is_branch then begin
-              Metrics.record_issue m 1;
-              Metrics.record_stall m Metrics.Branch (branch_time - 1)
-            end
-            else Metrics.record_issue m parcels;
-            Metrics.record_instructions m 1;
-            if shared.(fu) then
-              Metrics.record_fu_busy m (Fu.of_index fu) occupancy
-        | None -> ());
-        let d = Array.unsafe_get p.Packed.dest idx in
-        if d >= 0 then reg_ready.(d) <- completion;
-        if shared.(fu) then fu_free.(fu) <- t + occupancy;
-        prev_completion := completion;
-        if completion > !finish then finish := completion;
-        issue_free := t + (if is_branch then branch_time else parcels);
-        incr i
-      end
-    done;
-    issue_frees.(l) <- !issue_free;
-    prev_completions.(l) <- !prev_completion;
-    finishes.(l) <- !finish;
-    !stop
-  in
-  let b0 = ref 0 in
-  while !b0 < n && !nact > 0 do
-    let b1 = min n (!b0 + batch_block) in
-    let k = ref 0 in
-    while !k < !nact do
-      let l = act.(!k) in
-      if run_block l !b0 b1 then begin
-        decr nact;
-        act.(!k) <- act.(!nact)
-      end
-      else incr k
-    done;
-    b0 := b1
-  done;
-  for k = 0 to !nact - 1 do
-    let l = act.(k) in
-    let cycles = max finishes.(l) issue_frees.(l) in
-    (match metrics.(l) with
-    | Some m -> Metrics.record_stall m Metrics.Drain (cycles - issue_frees.(l))
-    | None -> ());
-    results.(l) <- { Sim_types.cycles; instructions = n }
-  done;
-  results

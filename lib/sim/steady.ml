@@ -27,15 +27,9 @@
 
    where M_j, M_k are metric snapshots taken by the probe. If no repeat is
    found within the probe budget the first run simply completes — the
-   fallback costs nothing beyond the fingerprints.
-
-   Detection state lives in a {!detector} record so that one trace
-   traversal can drive several probes at once: {!run_batch} attaches an
-   independent detector to each lane of a config-batched walk and settles
-   every lane — telescoped or completed — from the single shared pass. *)
+   fallback costs nothing beyond the fingerprints. *)
 
 module Packed = Mfu_exec.Packed
-module Bitset = Mfu_util.Bitset
 module Metrics = Sim_types.Metrics
 
 exception Stop
@@ -121,12 +115,9 @@ let reset_stats () =
   Atomic.set n_fallback 0;
   Atomic.set n_aperiodic 0
 
-(* One lane's detection state: the probe it feeds, the scratch metrics the
+(* Detection state: the probe it feeds, the scratch metrics the
    detection run accumulates into (snapshotted at boundaries), the
-   fingerprints seen so far, and the match once found. The fire function
-   never raises — finding a repeat records it and disables further
-   probing; the caller decides whether to abandon the walk ({!run} raises
-   {!Stop}; {!run_batch} retires the lane and keeps walking the rest). *)
+   fingerprints seen so far, and the match once found. *)
 type detector = {
   d_probe : probe;
   d_scratch : Metrics.t option;
@@ -139,6 +130,8 @@ type detector = {
   mutable d_found : match_info option;
 }
 
+(* Record the fingerprint at boundary [pos]; on a repeat worth
+   telescoping, remember it and abandon the detection run. *)
 let detector_fire det ~pos ~time ~fp =
   let pr = det.d_probe in
   let m = (pos - det.d_p_start) / det.d_p_len in
@@ -158,7 +151,7 @@ let detector_fire det ~pos ~time ~fp =
         r >= 1
         && r * c >= min_skip
         && worthwhile ~n:det.d_n ~skip:(r * c * det.d_p_len)
-      then
+      then begin
         det.d_found <-
           Some
             {
@@ -168,11 +161,12 @@ let detector_fire det ~pos ~time ~fp =
               m_snap_low = snapj;
               m_snap_high = Option.map Metrics.snapshot det.d_scratch;
               m_repeats = r;
-            }
+            };
+        raise_notrace Stop
+      end
   | None ->
       Hashtbl.add det.d_seen fp (m, time, Option.map Metrics.snapshot det.d_scratch));
-  if det.d_found <> None || m >= budget || m >= det.d_p_periods then
-    pr.next_pos <- max_int
+  if m >= budget || m >= det.d_p_periods then pr.next_pos <- max_int
   else begin
     pr.next_pos <- pr.next_pos + det.d_p_len;
     pr.addr_off <- pr.addr_off + det.d_p_stride
@@ -203,55 +197,29 @@ let make_detector ~metrics (pd : Packed.period) ~n =
   det.d_probe.fire <- (fun ~pos ~time ~fp -> detector_fire det ~pos ~time ~fp);
   det
 
-(* Settle one detection run. [completed = Some result] when the walk ran
-   to the end of the trace (no repeat worth telescoping): fold the scratch
-   counters into the caller's collector and return the result as-is.
-   [completed = None] when a repeat was found: build the splice, rerun the
-   simulator on it without a probe, and combine in closed form. [splices]
-   memoizes packed splice traces by (keep, skip, shift) so lanes of a
-   batch that detect the same match share one construction. *)
-let conclude ?splices det ~metrics ~trace ~sim ~completed =
-  match completed with
-  | Some result ->
-      Atomic.incr n_fallback;
-      Option.iter
-        (fun m ->
-          Metrics.add_scaled m
-            ~hi:(Option.get det.d_scratch)
-            ~lo:(Metrics.create ()) ~times:1)
-        metrics;
-      result
-  | None ->
-      Atomic.incr n_telescoped;
-      let info = Option.get det.d_found in
-      let c = info.m_high - info.m_low in
-      let keep = det.d_p_start + (info.m_high * det.d_p_len) in
-      let skip = info.m_repeats * c * det.d_p_len in
-      let shift = info.m_repeats * c * det.d_p_stride in
-      let packed_sp =
-        let mk () = Packed.of_trace (splice trace ~keep ~skip ~shift) in
-        match splices with
-        | None -> mk ()
-        | Some tbl -> (
-            match Hashtbl.find_opt tbl (keep, skip, shift) with
-            | Some p -> p
-            | None ->
-                let p = mk () in
-                Hashtbl.add tbl (keep, skip, shift) p;
-                p)
-      in
-      let res = sim ~metrics ~probe:None packed_sp in
-      Option.iter
-        (fun m ->
-          Metrics.add_scaled m
-            ~hi:(Option.get info.m_snap_high)
-            ~lo:(Option.get info.m_snap_low)
-            ~times:info.m_repeats)
-        metrics;
-      {
-        Sim_types.cycles = res.Sim_types.cycles + (info.m_repeats * info.m_dt);
-        instructions = res.Sim_types.instructions + skip;
-      }
+(* A repeat was found: build the splice, rerun the simulator on it without
+   a probe, and combine in closed form. *)
+let telescope det ~metrics ~trace ~sim =
+  Atomic.incr n_telescoped;
+  let info = Option.get det.d_found in
+  let c = info.m_high - info.m_low in
+  let keep = det.d_p_start + (info.m_high * det.d_p_len) in
+  let skip = info.m_repeats * c * det.d_p_len in
+  let shift = info.m_repeats * c * det.d_p_stride in
+  let res =
+    sim ~metrics ~probe:None (Packed.of_trace (splice trace ~keep ~skip ~shift))
+  in
+  Option.iter
+    (fun m ->
+      Metrics.add_scaled m
+        ~hi:(Option.get info.m_snap_high)
+        ~lo:(Option.get info.m_snap_low)
+        ~times:info.m_repeats)
+    metrics;
+  {
+    Sim_types.cycles = res.Sim_types.cycles + (info.m_repeats * info.m_dt);
+    instructions = res.Sim_types.instructions + skip;
+  }
 
 let run ?metrics trace sim =
   let packed = Packed.cached trace in
@@ -268,84 +236,17 @@ let run ?metrics trace sim =
         let det =
           make_detector ~metrics:(metrics <> None) pd ~n:(Packed.length packed)
         in
-        let pr = det.d_probe in
-        let inner = pr.fire in
-        pr.fire <-
-          (fun ~pos ~time ~fp ->
-            inner ~pos ~time ~fp;
-            if det.d_found <> None then raise_notrace Stop);
-        match sim ~metrics:det.d_scratch ~probe:(Some pr) packed with
-        | result -> conclude det ~metrics ~trace ~sim ~completed:(Some result)
-        | exception Stop -> conclude det ~metrics ~trace ~sim ~completed:None
+        match sim ~metrics:det.d_scratch ~probe:(Some det.d_probe) packed with
+        | result ->
+            (* no repeat worth telescoping: the detection run is the full
+               simulation; fold its scratch counters into the caller's *)
+            Atomic.incr n_fallback;
+            Option.iter
+              (fun m ->
+                Metrics.add_scaled m
+                  ~hi:(Option.get det.d_scratch)
+                  ~lo:(Metrics.create ()) ~times:1)
+              metrics;
+            result
+        | exception Stop -> telescope det ~metrics ~trace ~sim
       end
-
-let run_batch ?metrics ?(accel = true) ?(lane_accel = fun _ -> true) trace
-    ~nlanes ~walk ~sim =
-  let metrics =
-    match metrics with Some a -> a | None -> Array.make nlanes None
-  in
-  if Array.length metrics <> nlanes then
-    invalid_arg "Steady.run_batch: metrics array length <> nlanes";
-  if nlanes = 0 then [||]
-  else begin
-    let packed = Packed.cached trace in
-    let detected = Bitset.create nlanes in
-    let probes = Array.make nlanes None in
-    let dets = Array.make nlanes None in
-    (* Period detection is per-trace and shared: one [Packed.period] call
-       settles eligibility for every lane. Stats count per lane, so a
-       batch of N is indistinguishable from N scalar runs. *)
-    let pd =
-      if not accel then None
-      else
-        match Packed.period packed with
-        | None ->
-            for l = 0 to nlanes - 1 do
-              if lane_accel l then Atomic.incr n_aperiodic
-            done;
-            None
-        | Some pd when pd.Packed.p_periods < min_skip + 2 ->
-            for l = 0 to nlanes - 1 do
-              if lane_accel l then Atomic.incr n_fallback
-            done;
-            None
-        | Some pd -> Some pd
-    in
-    (match pd with
-    | None -> ()
-    | Some pd ->
-        let n = Packed.length packed in
-        for l = 0 to nlanes - 1 do
-          if lane_accel l then begin
-            let det = make_detector ~metrics:(metrics.(l) <> None) pd ~n in
-            let pr = det.d_probe in
-            let inner = pr.fire in
-            pr.fire <-
-              (fun ~pos ~time ~fp ->
-                inner ~pos ~time ~fp;
-                if det.d_found <> None then Bitset.set detected l);
-            dets.(l) <- Some det;
-            probes.(l) <- Some pr
-          end
-        done);
-    let walk_metrics =
-      Array.init nlanes (fun l ->
-          match dets.(l) with
-          | Some det -> det.d_scratch
-          | None -> metrics.(l))
-    in
-    let walked = walk ~metrics:walk_metrics ~probes ~detected packed in
-    if Array.length walked <> nlanes then
-      invalid_arg "Steady.run_batch: walk returned wrong number of lanes";
-    let splices = Hashtbl.create 7 in
-    Array.init nlanes (fun l ->
-        match dets.(l) with
-        | None -> walked.(l)
-        | Some det ->
-            let completed =
-              if Bitset.mem detected l then None else Some walked.(l)
-            in
-            conclude ~splices det ~metrics:metrics.(l) ~trace
-              ~sim:(fun ~metrics ~probe p -> sim l ~metrics ~probe p)
-              ~completed)
-  end

@@ -76,48 +76,3 @@ val run :
     periods when the machine state provably repeats. The splice trace is
     packed with {!Mfu_exec.Packed.of_trace} directly (never inserted in
     the pack cache). *)
-
-val run_batch :
-  ?metrics:Sim_types.Metrics.t option array ->
-  ?accel:bool ->
-  ?lane_accel:(int -> bool) ->
-  Mfu_exec.Trace.t ->
-  nlanes:int ->
-  walk:
-    (metrics:Sim_types.Metrics.t option array ->
-    probes:probe option array ->
-    detected:Mfu_util.Bitset.t ->
-    Mfu_exec.Packed.t ->
-    Sim_types.result array) ->
-  sim:
-    (int ->
-    metrics:Sim_types.Metrics.t option ->
-    probe:probe option ->
-    Mfu_exec.Packed.t ->
-    Sim_types.result) ->
-  Sim_types.result array
-(** [run_batch trace ~nlanes ~walk ~sim] drives one config-batched trace
-    traversal with an independent steady-state detector per lane, and
-    returns per-lane results bit-identical to [nlanes] scalar {!run}s.
-
-    [walk ~metrics ~probes ~detected packed] is the family's batched
-    walker: it simulates every lane over a single traversal of [packed],
-    feeding [probes.(l)] (when present) exactly as the scalar fast path
-    feeds its probe, accumulating into [metrics.(l)], and {e retiring} a
-    lane as soon as its bit appears in [detected] — that bit is set by the
-    lane's probe fire when a state repeat worth telescoping is found
-    (where the scalar path raises {!Stop}). The walker's result for a
-    detected lane is ignored; lanes that complete return their final
-    result in walk order.
-
-    [sim l] is lane [l]'s scalar packed fast path, used to re-simulate the
-    splice of a telescoped lane. Splice traces are memoized per
-    (keep, skip, shift) across lanes, so lanes that detect the same match
-    pack the splice once.
-
-    [accel] (default true) gates detection globally; [lane_accel]
-    (default all lanes) gates it per lane — an ineligible lane runs with
-    no probe and its caller metrics wired straight into the walk, exactly
-    like the scalar path with [accel:false]. [metrics] defaults to all
-    [None]. Stats count once per eligible lane, matching [nlanes] scalar
-    runs. *)

@@ -143,6 +143,61 @@ let test_keys_distinguish () =
       Alcotest.(check bool) "distinct keys" false (Axes.key p = Axes.key base))
     variants
 
+(* The serve daemon's /stats attributes compute time under these
+   labels, and consumers sum them by name: the strings are part of the
+   interface. Machine parameters and the latency configuration collapse
+   into one family; loop and scale stay apart. *)
+let test_family_key () =
+  let ruu issue_units ruu_size bus =
+    Axes.Ruu { issue_units; ruu_size; bus; branches = Mfu_sim.Ruu.Stall }
+  in
+  let point ?(config = Config.m11br5) ?(loop = 5) ?(scale = 1) machine =
+    { Axes.machine; config; loop; scale }
+  in
+  List.iter
+    (fun (want, p) -> Alcotest.(check string) want want (Axes.family_key p))
+    [
+      ("ruu loop=LL5 scale=1", point (ruu 2 10 Sim_types.N_bus));
+      ("ruu loop=LL5 scale=1", point (ruu 4 50 Sim_types.X_bar));
+      ( "ruu loop=LL5 scale=1",
+        point ~config:Config.m5br2 (ruu 1 10 Sim_types.One_bus) );
+      ("ruu loop=LL12 scale=1", point ~loop:12 (ruu 2 10 Sim_types.N_bus));
+      ("ruu loop=LL5 scale=3", point ~scale:3 (ruu 2 10 Sim_types.N_bus));
+      ( "single loop=LL5 scale=1",
+        point (Axes.Single Mfu_sim.Single_issue.Cray_like) );
+      ("dep loop=LL5 scale=1", point (Axes.Dep Mfu_sim.Dep_single.Tomasulo));
+      ( "buffer loop=LL5 scale=1",
+        point
+          (Axes.Buffer
+             {
+               policy = Mfu_sim.Buffer_issue.Out_of_order;
+               stations = 4;
+               bus = Sim_types.N_bus;
+             }) );
+    ]
+
+let mixed_spec =
+  "org=cray,simple; dep=all; policy=ooo; stations=1-2; units=1-2; size=10; \
+   config=m11br5; loops=1,5,12"
+
+let mixed_points () =
+  match Axes.of_string mixed_spec with
+  | Ok axes -> Axes.enumerate axes
+  | Error e -> Alcotest.fail e
+
+(* Surrogate ranking is a deterministic permutation: every point comes
+   back exactly once, and the order does not depend on the order the
+   points were handed in. *)
+let test_rank_is_deterministic_permutation () =
+  let points = mixed_points () in
+  let ranked = List.map fst (Axes.rank points) in
+  let keys ps = List.sort compare (List.map Axes.key ps) in
+  Alcotest.(check (list string)) "a permutation" (keys points) (keys ranked);
+  Alcotest.(check (list string))
+    "input order does not matter"
+    (List.map Axes.key ranked)
+    (List.map (fun (p, _) -> Axes.key p) (Axes.rank (List.rev points)))
+
 let test_scale_axis () =
   (* the scale axis parses, roundtrips and crosses into the enumeration *)
   (match Axes.of_string "org=cray; loops=5; scale=1,3" with
@@ -602,6 +657,31 @@ let test_sweep_resume_counts () =
       Alcotest.(check int) "resume:false recomputes all" n
         stats''.Sweep.computed)
 
+(* One scalar walk per point, whatever the worker count: a sweep over
+   every machine family writes byte-identical entries at one and at
+   three workers, each holding the engine's own numbers. *)
+let test_sweep_mixed_families_jobs_identical () =
+  let points = List.filter (fun p -> p.Axes.loop = 5) (mixed_points ()) in
+  with_store (fun seq ->
+      with_store (fun par ->
+          let results, stats = Sweep.run ~jobs:1 ~store:seq points in
+          let _, stats' = Sweep.run ~jobs:3 ~store:par points in
+          let n = List.length points in
+          Alcotest.(check int) "jobs=1 computes all" n stats.Sweep.computed;
+          Alcotest.(check int) "jobs=3 computes all" n stats'.Sweep.computed;
+          List.iter
+            (fun (p, r) ->
+              Alcotest.(check bool) "store holds the engine's numbers" true
+                (r = Axes.run p))
+            results;
+          List.iter
+            (fun p ->
+              let key = Axes.key p in
+              Alcotest.(check string) "entry bytes identical"
+                (read_file (Store.entry_path seq ~key))
+                (read_file (Store.entry_path par ~key)))
+            points))
+
 let test_sweep_heals_truncated_entry () =
   with_store (fun store ->
       let points = Axes.enumerate small_axes in
@@ -704,6 +784,9 @@ let () =
           Alcotest.test_case "spec parsing" `Quick test_spec_parsing;
           Alcotest.test_case "keys distinguish" `Quick test_keys_distinguish;
           Alcotest.test_case "scale axis" `Quick test_scale_axis;
+          Alcotest.test_case "family key labels" `Quick test_family_key;
+          Alcotest.test_case "rank is a deterministic permutation" `Quick
+            test_rank_is_deterministic_permutation;
         ] );
       ( "store",
         [
@@ -741,6 +824,8 @@ let () =
         [
           Alcotest.test_case "resume counts invocations" `Quick
             test_sweep_resume_counts;
+          Alcotest.test_case "mixed families identical across jobs" `Quick
+            test_sweep_mixed_families_jobs_identical;
           Alcotest.test_case "heals truncated entry" `Quick
             test_sweep_heals_truncated_entry;
           Alcotest.test_case "rejects duplicate keys" `Quick

@@ -61,9 +61,21 @@ let with_jobs n f =
   Pool.set_jobs (Some n);
   Fun.protect ~finally:(fun () -> Pool.set_jobs None) f
 
+(* A full snapshot is the suite's dominant cost, so each worker count's
+   first one is taken once and shared by every test that needs it. *)
+let snapshots = Hashtbl.create 2
+
+let snapshot_at jobs =
+  match Hashtbl.find_opt snapshots jobs with
+  | Some s -> s
+  | None ->
+      let s = with_jobs jobs snapshot in
+      Hashtbl.add snapshots jobs s;
+      s
+
 let test_parallel_is_bit_identical () =
-  let seq_text, seq_cells = with_jobs 1 snapshot in
-  let par_text, par_cells = with_jobs 4 snapshot in
+  let seq_text, seq_cells = snapshot_at 1 in
+  let par_text, par_cells = snapshot_at 4 in
   Alcotest.(check int) "jobs honored" 4 (with_jobs 4 Pool.current_jobs);
   Alcotest.(check string) "eight rendered tables byte-identical" seq_text
     par_text;
@@ -81,12 +93,14 @@ let test_parallel_is_bit_identical () =
    them, then running the full stall-attribution study (collectors active
    in every simulator family), then rendering them again, must produce the
    same bytes — at both worker counts. A collector that leaked into
-   simulator state or perturbed the engine would show up here. *)
+   simulator state or perturbed the engine would show up here. The
+   "before" rendering is the shared first snapshot at that worker count,
+   taken before any attribution run. *)
 let test_metrics_leave_tables_identical () =
   List.iter
     (fun jobs ->
+      let before, cells_before = snapshot_at jobs in
       with_jobs jobs (fun () ->
-          let before, cells_before = snapshot () in
           let rows = E.stall_attribution ~config:Config.m11br5 () in
           Alcotest.(check int)
             "attribution rows: 2 classes x all models"

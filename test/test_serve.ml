@@ -154,6 +154,85 @@ let test_served_results_are_exact () =
                     e.Protocol.instructions)
             points))
 
+(* Cold misses stream best-first: with one worker, the computed events
+   of a multi-loop query arrive in exactly {!Axes.rank} order, not
+   grouped by loop. *)
+let test_cold_stream_in_rank_order () =
+  let spec = "units=1-2;size=10,40;loops=1,3,5,7" in
+  with_server
+    ~configure:(fun c -> { c with Server.jobs = Some 1 })
+    (fun t ->
+      with_client t (fun c ->
+          let got = ref [] in
+          let on_event = function
+            | Protocol.Point p when p.Protocol.source = Protocol.Computed ->
+                got := p.Protocol.key :: !got
+            | Protocol.Point _ | Protocol.Aborted _ | Protocol.Summary _ -> ()
+          in
+          ignore (query_ok ~on_event c ~spec);
+          let points =
+            match Axes.of_string spec with
+            | Ok a -> Axes.enumerate a
+            | Error e -> Alcotest.fail e
+          in
+          let ranked = List.map (fun (p, _) -> Axes.key p) (Axes.rank points) in
+          Alcotest.(check int) "every point computed" (List.length points)
+            (List.length !got);
+          Alcotest.(check (list string)) "computed in rank order" ranked
+            (List.rev !got)))
+
+let points_of spec =
+  match Axes.of_string spec with
+  | Ok a -> Axes.enumerate a
+  | Error e -> Alcotest.fail e
+
+(* The keys of a query's computed events, in arrival order. *)
+let computed_keys c ~spec =
+  let got = ref [] in
+  let on_event = function
+    | Protocol.Point p when p.Protocol.source = Protocol.Computed ->
+        got := p.Protocol.key :: !got
+    | Protocol.Point _ | Protocol.Aborted _ | Protocol.Summary _ -> ()
+  in
+  let summary = query_ok ~on_event c ~spec in
+  (summary, List.rev !got)
+
+(* Only the misses are ranked: after one loop of the grid is warm, the
+   rest of a multi-loop query streams in the rank order of what is
+   still missing, and the warm points come from the store. *)
+let test_partial_warm_streams_misses_in_rank_order () =
+  let warm_spec = "units=1-2;size=10,40;loops=5" in
+  let spec = "units=1-2;size=10,40;loops=1,3,5,7" in
+  with_server
+    ~configure:(fun c -> { c with Server.jobs = Some 1 })
+    (fun t ->
+      with_client t (fun c ->
+          ignore (query_ok c ~spec:warm_spec);
+          let summary, got = computed_keys c ~spec in
+          let warm = List.map Axes.key (points_of warm_spec) in
+          let misses =
+            List.filter
+              (fun p -> not (List.mem (Axes.key p) warm))
+              (points_of spec)
+          in
+          Alcotest.(check int) "warm points from the store"
+            (List.length warm) summary.Protocol.store_hits;
+          Alcotest.(check (list string)) "misses computed in rank order"
+            (List.map (fun (p, _) -> Axes.key p) (Axes.rank misses))
+            got))
+
+(* Without the surrogate, service order is enumeration order. *)
+let test_unguided_streams_in_enumeration_order () =
+  let spec = "units=1-2;size=10,40;loops=1,3,5,7" in
+  with_server
+    ~configure:(fun c -> { c with Server.jobs = Some 1; guided = false })
+    (fun t ->
+      with_client t (fun c ->
+          let _, got = computed_keys c ~spec in
+          Alcotest.(check (list string)) "computed in enumeration order"
+            (List.map Axes.key (points_of spec))
+            got))
+
 (* The acceptance criterion: N clients requesting the same miss
    concurrently trigger exactly one simulation. Deterministically: the
    test claims the key's flight first (becoming the owner), fires N
@@ -302,6 +381,39 @@ let test_stats_endpoint () =
               Alcotest.(check (option int)) "one entry" (Some 1)
                 (Option.bind (Json.member "entries" store) Json.to_int)))
 
+(* /stats attributes compute time per {!Axes.family_key}: a cold query
+   over several families and loops reports exactly those labels, and
+   their point counts add up to what was computed. *)
+let test_stats_compute_by_family () =
+  let spec =
+    "org=cray; dep=tomasulo; units=1-2; size=10; config=m11br5; loops=1,5"
+  in
+  let points = points_of spec in
+  with_server (fun t ->
+      with_client t (fun c ->
+          let summary = query_ok c ~spec in
+          match Client.stats c with
+          | Error e -> Alcotest.failf "stats failed: %s" e
+          | Ok doc ->
+              let families =
+                match Json.member "compute_by_family" doc with
+                | Some (Json.Obj fields) -> fields
+                | _ -> Alcotest.fail "missing compute_by_family object"
+              in
+              Alcotest.(check (list string)) "family labels"
+                (List.sort_uniq compare (List.map Axes.family_key points))
+                (List.map fst families);
+              let points_of_family (name, f) =
+                match Option.bind (Json.member "points" f) Json.to_int with
+                | Some n -> n
+                | None -> Alcotest.failf "%s: missing points" name
+              in
+              Alcotest.(check int) "points add up" summary.Protocol.computed
+                (List.fold_left (fun acc f -> acc + points_of_family f) 0
+                   families);
+              Alcotest.(check int) "every point computed"
+                (List.length points) summary.Protocol.computed))
+
 let test_unix_socket () =
   let dir = temp_dir () in
   Unix.mkdir dir 0o755;
@@ -365,6 +477,39 @@ let test_store_bytes_match_sweep () =
               in
               Alcotest.(check string) "entry bytes identical" (read swept)
                 (read served_root))
+            points))
+
+(* A query long enough to span several compute chunks, the last one
+   partial, at two workers: every point is computed exactly once and
+   the store matches a plain sweep byte for byte. *)
+let test_multi_chunk_store_bytes_match_sweep () =
+  let spec = "units=1-4;size=10,20,40;bus=nbus;config=m11br5;loops=1,5,7" in
+  let points = points_of spec in
+  Alcotest.(check bool) "spans several chunks" true
+    (List.length points > 16 && List.length points mod 8 <> 0);
+  with_server (fun t ->
+      let summary = with_client t (fun c -> query_ok c ~spec) in
+      Alcotest.(check int) "all computed" (List.length points)
+        summary.Protocol.computed;
+      Alcotest.(check int) "none aborted" 0 summary.Protocol.aborted;
+      let swept = temp_dir () in
+      Fun.protect
+        ~finally:(fun () -> rm_rf swept)
+        (fun () ->
+          ignore (Sweep.run ~jobs:1 ~store:(Store.open_ swept) points);
+          let read root key =
+            let path = Store.entry_path (Store.open_ root) ~key in
+            let ic = open_in_bin path in
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () -> really_input_string ic (in_channel_length ic))
+          in
+          let served_root = Store.root (Server.store t) in
+          List.iter
+            (fun p ->
+              let key = Axes.key p in
+              Alcotest.(check string) "entry bytes identical"
+                (read swept key) (read served_root key))
             points))
 
 (* Serving straight off a packed store: sweep + compact a store before
@@ -717,6 +862,12 @@ let () =
           Alcotest.test_case "cold then warm" `Quick test_cold_then_warm;
           Alcotest.test_case "served results are exact" `Quick
             test_served_results_are_exact;
+          Alcotest.test_case "cold misses stream in rank order" `Quick
+            test_cold_stream_in_rank_order;
+          Alcotest.test_case "partially warm query ranks only misses" `Quick
+            test_partial_warm_streams_misses_in_rank_order;
+          Alcotest.test_case "unguided query streams in enumeration order"
+            `Quick test_unguided_streams_in_enumeration_order;
           Alcotest.test_case "concurrent clients dedup to one simulation"
             `Quick test_concurrent_clients_dedup;
           Alcotest.test_case "wedged owner bounded by request timeout"
@@ -729,9 +880,13 @@ let () =
             test_point_endpoint;
           Alcotest.test_case "bad spec is 400" `Quick test_bad_spec_is_400;
           Alcotest.test_case "stats endpoint" `Quick test_stats_endpoint;
+          Alcotest.test_case "stats compute by family" `Quick
+            test_stats_compute_by_family;
           Alcotest.test_case "unix-domain socket" `Quick test_unix_socket;
           Alcotest.test_case "store bytes match a plain sweep" `Quick
             test_store_bytes_match_sweep;
+          Alcotest.test_case "multi-chunk store bytes match a plain sweep"
+            `Quick test_multi_chunk_store_bytes_match_sweep;
           Alcotest.test_case "serves a packed store, caches warm hits"
             `Quick test_serve_from_packed_store;
           Alcotest.test_case "connect retry rides out a late bind" `Quick

@@ -337,6 +337,31 @@ let test_telescoping_engages_everywhere () =
       ("limits", fun t -> Limits.critical_path ~config t);
     ]
 
+(* Engagement per machine, not per family: every configuration of the
+   differential matrix, on both latency configurations, telescopes the
+   long register-only loop exactly once and still agrees with its
+   unaccelerated run. The bimodal RUU is left out: it falls back to the
+   full walk on this loop, which the differential tests already show is
+   exact. *)
+let test_every_configuration_telescopes () =
+  let t = loop_trace ~prologue:prologue3 ~periods:400 ~stride:0 regonly_body in
+  List.iter
+    (fun config ->
+      List.iter
+        (fun r ->
+          Steady.reset_stats ();
+          let fast = r.run ~accel:true t in
+          let s = Steady.stats () in
+          if s.Steady.telescoped <> 1 then
+            Alcotest.failf "%s did not telescope (tele=%d fb=%d aper=%d)"
+              r.rname s.Steady.telescoped s.fallback s.aperiodic;
+          if fast <> r.run ~accel:false t then
+            Alcotest.failf "%s: telescoped run differs from full run" r.rname)
+        (List.filter
+           (fun r -> not (String.ends_with ~suffix:"bimodal16" r.rname))
+           (runners config)))
+    diff_configs
+
 let test_instructions_preserved () =
   let t =
     loop_trace ~prologue:prologue3 ~epilogue:epilogue2 ~periods:200 ~stride:8
@@ -472,6 +497,31 @@ let test_random_loops =
         random_runners;
       true)
 
+(* The narrowest and the widest RUU the sweeps reach — one unit with a
+   one-entry window on a single bus, sixteen units with a 64-entry
+   window on a crossbar — fingerprint very different machine states;
+   both must telescope exactly. *)
+let test_random_ruu_extremes =
+  QCheck.Test.make ~name:"RUU 1-unit and 16-unit extremes: accelerated == full"
+    ~count:30 arbitrary_loop (fun trace ->
+      let config = Config.m11br5 in
+      List.iter
+        (fun (rname, issue_units, ruu_size, bus) ->
+          check_differential ~ctx:"random loop"
+            {
+              rname;
+              run =
+                (fun ?metrics ~accel t ->
+                  Ruu.simulate ?metrics ~accel ~config ~issue_units ~ruu_size
+                    ~bus t);
+            }
+            trace)
+        [
+          ("ruu:1/1/1bus/stall", 1, 1, Sim_types.One_bus);
+          ("ruu:64/16/xbar/stall", 16, 64, Sim_types.X_bar);
+        ];
+      true)
+
 let () =
   Alcotest.run "steady"
     [
@@ -494,7 +544,12 @@ let () =
             test_telescoping_engages_everywhere;
           Alcotest.test_case "instruction count" `Quick
             test_instructions_preserved;
+          Alcotest.test_case "every configuration" `Quick
+            test_every_configuration_telescopes;
         ] );
       ( "random",
-        [ QCheck_alcotest.to_alcotest ~long:false test_random_loops ] );
+        [
+          QCheck_alcotest.to_alcotest ~long:false test_random_loops;
+          QCheck_alcotest.to_alcotest ~long:false test_random_ruu_extremes;
+        ] );
     ]
