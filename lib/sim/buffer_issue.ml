@@ -721,9 +721,6 @@ let simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
     }
   in
   st.Fast.hi <- Fast.window_end st 0;
-  (* the buffer reads [stations] entries past [base]: the final periods of
-     a loop see the epilogue through it and must not be telescoped *)
-  Option.iter (fun pr -> pr.Steady.lookahead <- stations) probe;
   let span = max maxlat (Config.branch_time config) in
   let t = ref 0 in
   let guard = ref (200 * (n + 100)) in
@@ -773,7 +770,9 @@ let simulate ?metrics ?(alignment = Dynamic) ?(reference = false)
   if reference then
     simulate_reference ?metrics ~alignment ~config ~policy ~stations ~bus trace
   else if accel then
-    Steady.run ?metrics trace (fun ~metrics ~probe p ->
+    (* the buffer reads [stations] entries past [base]: the final periods
+       of a loop see the epilogue through it and must not be telescoped *)
+    Steady.run ?metrics ~lookahead:stations trace (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations
           ~bus p)
   else

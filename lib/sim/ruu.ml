@@ -338,36 +338,48 @@ let simulate_reference ?metrics ~branches ~config ~issue_units ~ruu_size ~bus
    The same machine over the struct-of-arrays {!Mfu_exec.Packed} form, with
    the boxed RUU entry records flattened into per-slot arrays.
 
-   Producer references survive slot recycling through generations: slot
-   allocation number [uid] is stored per slot, and a producer reference is
-   encoded as [uid * ruu_size + slot]. A reference whose generation no
-   longer matches denotes a committed producer; treating its completion as
-   0 is exact, because commit requires [completion <= commit cycle <=
-   consumer issue cycle < t] for every later readiness test, which compares
-   [<= t]. A still-matching generation reads the live (or
-   committed-in-place) completion directly — also what the reference's
-   retained record pointer sees. [latest_writer] needs no generations: it
-   always points at a live entry (issue sets it, commit clears it), so a
-   plain slot number is the identity.
+   Dispatch is split into wakeup and select. At issue, each producer of an
+   entry that has already dispatched is folded into the entry's running
+   operand-ready max; each still undispatched producer instead gets a
+   dependency edge on its wakeup list. When a producer dispatches it walks
+   that list once, folding its (now final) completion into every
+   dependent. An entry whose last edge resolves knows its operand-ready
+   cycle for good and is parked in a timing wheel under that cycle; at the
+   start of that cycle's dispatch pass the bucket drains into the ready
+   set, kept in window order. Select then runs the reference's arbitration
+   over the ready set only: the entries it skips are exactly those the
+   reference scan finds not operand-ready, which neither dispatch nor
+   touch the bank mask or any metric, so visit order, arbitration and
+   every [record_bus_reject] / [record_fu_busy] call are the reference's.
 
-   The per-cycle result-bus Hashtbl becomes a [max_latency + 2] ring of
-   (cycle tag, bitmap/count) pairs: a reservation for completion cycle [c]
-   is only probed while [t < c] (probes happen at [t + latency], latencies
-   >= 1), so live cycles span less than the ring and never collide; a slot
-   whose tag mismatches is simply an expired cycle and reads as empty. The
-   in-flight store map becomes an open-addressing table from address to
-   encoded producer reference.
+   The wheel and the result-bus ring are power-of-two rings of
+   [max_latency + 2] cycles. A wheel entry is parked at a completion
+   cycle in [(t, t + max_latency]] and drained at that cycle, and the
+   event skip below never jumps past a non-empty bucket, so live cycles
+   never collide. A result-bus reservation for completion cycle [c] is
+   only probed while [t < c] (probes happen at [t + latency], latencies
+   >= 1); a ring slot whose tag mismatches is an expired cycle and reads
+   as empty. The in-flight store map becomes an open-addressing table
+   from address to [uid * ruu_size + slot], where [uid] is the slot's
+   allocation number: a reference whose generation no longer matches
+   denotes a committed store, and its completion reads as 0 — exact,
+   because commit requires [completion <= commit cycle <= consumer issue
+   cycle < t] for every later readiness test, which compares [<= t].
+   [latest_writer] needs no generations: it always points at a live
+   entry (issue sets it, commit clears it).
 
    When [metrics] is [None], a cycle with no commit, no dispatch and no
    issue fast-forwards to the earliest next event: the head completion (if
-   dispatched), the operand-ready cycles of undispatched entries, a
-   waiting branch's condition-register completion, and the branch-stall
-   expiry. In such a cycle every [fu_last_used] is in the past and no
-   dispatch bank is taken, so the only same-cycle blocker is a result-bus
-   slot — which shifts with [t] and therefore pins the wake to [t + 1]
-   whenever it was the binding constraint. Cycles strictly before the
-   minimum candidate provably repeat the zero-activity cycle. Metrics runs
-   keep the per-cycle walk, making stall attribution trivially
+   dispatched), the earliest non-empty wheel bucket, a waiting branch's
+   condition-register completion, and the branch-stall expiry. Entries
+   still waiting on undispatched producers need no candidate of their
+   own: the oldest undispatched entry never waits on one, so the first
+   wakeup is always already parked. In such a cycle every
+   [fu_last_used] is in the past and no dispatch bank is taken, so a
+   non-empty ready set is held back only by result-bus slots — which
+   shift with [t] — and pins the wake to [t + 1]. Cycles strictly before
+   the minimum candidate provably repeat the zero-activity cycle. Metrics
+   runs keep the per-cycle walk, making stall attribution trivially
    identical. *)
 
 module Fast = struct
@@ -382,56 +394,36 @@ module Fast = struct
     (* per-slot entry fields; a slot is live iff it lies in
        [head, head + count) of the ring *)
     s_uid : int array;
-    s_issue_cycle : int array;
     s_fu : int array;
     s_dest : int array;
     s_needs_bus : bool array;
     s_dispatched : bool array;
     s_completion : int array;
-    (* memoized operand-ready cycle, [max_int] until knowable: a value
-       below [max_int] is final, because the maximal contributor — some
-       producer's completion [c] — cannot be committed (and its slot
-       recycled) before cycle [c] itself, so the max never moves *)
-    s_ready : int array;
-    (* partial operand-ready: the running max over the producers resolved
-       so far; [s_ready] becomes this value once the last producer
-       resolves *)
-    s_rpart : int array;
     s_bank : int array; (* [bank st slot], fixed per slot and bus model *)
-    (* count of still-unresolved producers; resolved ones are swap-removed
-       from the slot's segment of the producer arrays and folded into
-       [s_rpart], so repeat scans only probe the stragglers *)
-    s_nprod : int array;
-    (* producer references, ruu_size * maxprod each; slot and uid are kept
-       in separate arrays so the per-cycle operand scans never pay the
-       division a single [uid * ruu_size + slot] encoding would need *)
-    s_prod_slot : int array;
-    s_prod_uid : int array;
+    (* undispatched producers whose wakeup has not arrived yet *)
+    s_pending : int array;
+    (* running max of the resolved producers' completions: the final
+       operand-ready cycle once [s_pending] is 0 *)
+    s_ready : int array;
+    (* wakeup lists: edge [slot * maxprod + k] is consumer [slot]'s k-th
+       pending producer; [dep_head.(p)] starts producer [p]'s list of
+       edges, linked through [dep_next] *)
+    dep_head : int array;
+    dep_next : int array;
     maxprod : int;
+    (* timing wheel: per operand-ready cycle (masked), the parked slots
+       linked through [wh_next] *)
+    wh_head : int array;
+    wh_next : int array;
+    (* ready set: the operand-ready undispatched slots, sorted by [s_uid]
+       (window order), in [rdy.(0 .. nrdy - 1)] *)
+    rdy : int array;
+    mutable nrdy : int;
     mutable head : int;
     mutable count : int;
     mutable uid_next : int;
-    (* the undispatched entries as a doubly-linked list threaded through
-       the slots in window (= issue) order: the dispatch scan walks only
-       these, never the dispatched entries parked in the window awaiting
-       in-order commit (commits never touch the list — only dispatched
-       entries commit) *)
-    mutable ud_head : int; (* first undispatched slot, or -1 *)
-    mutable ud_tail : int;
-    ud_next : int array;
-    ud_prev : int array;
-    (* summary of the last completed dispatch scan: the earliest cycle any
-       undispatched entry could dispatch, valid while the undispatched set
-       is unchanged (readies are final, commits only remove dispatched
-       entries). 0 = unknown, the scan must run; [max_int] = nothing
-       undispatched. While [scan_min > t] the whole scan is provably a
-       no-op and is skipped. Invalidated by any issue. Entries still
-       waiting on undispatched producers contribute nothing: a producer
-       cannot dispatch before [scan_min] (induction over window order),
-       so the dependent cannot be ready before [scan_min] + 1. *)
-    mutable scan_min : int;
     latest_writer : int array; (* per register: live slot or -1 *)
-    mem_writer : Int_table.t; (* address -> encoded producer reference *)
+    mem_writer : Int_table.t; (* address -> [uid * ruu_size + slot] *)
     rb_tag : int array; (* result-bus ring: cycle tag per slot *)
     rb_val : int array; (* bitmap (banked) or use count (crossbar) *)
     fu_last_used : int array;
@@ -473,50 +465,73 @@ module Fast = struct
     st.rb_tag.(i) <- cycle;
     st.rb_val.(i) <- v
 
-  let producer_completion st ~slot ~uid =
-    if st.s_uid.(slot) = uid then st.s_completion.(slot) else 0
+  (* The loops of this module are module-level recursive functions rather
+     than local [ref]-and-[while] loops or local closures: both of those
+     heap-allocate per call, and the no-metrics simulation loop must not
+     allocate per cycle. *)
 
-  (* The scan loops of this module are module-level recursive functions
-     rather than local [ref]-and-[while] loops or local closures: both of
-     those heap-allocate per call, and the no-metrics simulation loop must
-     not allocate per cycle. *)
+  (* -- wakeup --------------------------------------------------------------- *)
 
-  (* Probe the slot's unresolved producers: each one now dispatched (or
-     already committed) is folded into the partial max and swap-removed.
-     Returns the final ready cycle once every producer has resolved,
-     [max_int] while some are still undispatched. A producer's completion
-     is final once set, so the fold computes exactly the reference's
-     max-over-producers. *)
-  let rec resolve_prods st ~islot ~base ~k ~np acc =
-    if k >= np then begin
-      st.s_nprod.(islot) <- np;
-      st.s_rpart.(islot) <- acc;
-      if np = 0 then begin
-        st.s_ready.(islot) <- acc;
-        acc
-      end
-      else max_int
+  let park st slot ~ready =
+    let b = ready land (Array.length st.wh_head - 1) in
+    st.wh_next.(slot) <- st.wh_head.(b);
+    st.wh_head.(b) <- slot
+
+  (* Insertion into the uid-sorted ready set: entries issued straight into
+     it append; woken ones shift past the few younger ready entries. *)
+  let rec ready_gap st ~uid i =
+    if i > 0 && st.s_uid.(st.rdy.(i - 1)) > uid then begin
+      st.rdy.(i) <- st.rdy.(i - 1);
+      ready_gap st ~uid (i - 1)
     end
-    else
-      let c =
-        producer_completion st
-          ~slot:st.s_prod_slot.(base + k)
-          ~uid:st.s_prod_uid.(base + k)
-      in
-      if c = max_int then resolve_prods st ~islot ~base ~k:(k + 1) ~np acc
-      else begin
-        let np = np - 1 in
-        st.s_prod_slot.(base + k) <- st.s_prod_slot.(base + np);
-        st.s_prod_uid.(base + k) <- st.s_prod_uid.(base + np);
-        resolve_prods st ~islot ~base ~k ~np (if c > acc then c else acc)
-      end
+    else i
 
-  let operand_ready_cycle st slot =
-    let r = st.s_ready.(slot) in
-    if r < max_int then r
-    else
-      resolve_prods st ~islot:slot ~base:(slot * st.maxprod) ~k:0
-        ~np:st.s_nprod.(slot) st.s_rpart.(slot)
+  let make_ready st slot =
+    st.rdy.(ready_gap st ~uid:st.s_uid.(slot) st.nrdy) <- slot;
+    st.nrdy <- st.nrdy + 1
+
+  let rec drain st slot =
+    if slot >= 0 then begin
+      let nxt = st.wh_next.(slot) in
+      make_ready st slot;
+      drain st nxt
+    end
+
+  (* A producer dispatched with completion [c] (> t): fold it into every
+     dependent; a dependent whose last edge this was is now final and is
+     parked under its operand-ready cycle. Dependents cannot have
+     committed — they have not dispatched — so every edge is live. *)
+  let rec wake_deps st ~c e =
+    if e >= 0 then begin
+      let nxt = st.dep_next.(e) in
+      let slot = e / st.maxprod in
+      if c > st.s_ready.(slot) then st.s_ready.(slot) <- c;
+      st.s_pending.(slot) <- st.s_pending.(slot) - 1;
+      if st.s_pending.(slot) = 0 then park st slot ~ready:st.s_ready.(slot);
+      wake_deps st ~c nxt
+    end
+
+  (* Consumer [slot] reads live producer [w]: a dispatched producer's
+     completion is final and folds in now; an undispatched one gets an
+     edge. *)
+  let depend st ~slot w =
+    if st.s_dispatched.(w) then begin
+      if st.s_completion.(w) > st.s_ready.(slot) then
+        st.s_ready.(slot) <- st.s_completion.(w)
+    end
+    else begin
+      let e = (slot * st.maxprod) + st.s_pending.(slot) in
+      st.dep_next.(e) <- st.dep_head.(w);
+      st.dep_head.(w) <- e;
+      st.s_pending.(slot) <- st.s_pending.(slot) + 1
+    end
+
+  let rec depend_srcs st ~slot ~s ~stop =
+    if s < stop then begin
+      let w = st.latest_writer.(st.p.Packed.src_idx.(s)) in
+      if w >= 0 then depend st ~slot w;
+      depend_srcs st ~slot ~s:(s + 1) ~stop
+    end
 
   (* -- issue stage -------------------------------------------------------- *)
 
@@ -556,18 +571,6 @@ module Fast = struct
           (if taken then min 3 (counter + 1) else max 0 (counter - 1));
         predicted_taken = taken
 
-  let rec fill_prods st ~base ~s ~stop np =
-    if s >= stop then np
-    else begin
-      let w = st.latest_writer.(st.p.Packed.src_idx.(s)) in
-      if w >= 0 then begin
-        st.s_prod_slot.(base + np) <- w;
-        st.s_prod_uid.(base + np) <- st.s_uid.(w);
-        fill_prods st ~base ~s:(s + 1) ~stop (np + 1)
-      end
-      else fill_prods st ~base ~s:(s + 1) ~stop np
-    end
-
   let rec issue_loop st ~t issued =
     if issued >= st.issue_units || st.next >= st.p.Packed.n then issued
     else
@@ -598,7 +601,6 @@ module Fast = struct
         let uid = st.uid_next in
         st.uid_next <- uid + 1;
         st.s_uid.(slot) <- uid;
-        st.s_issue_cycle.(slot) <- t;
         st.s_fu.(slot) <- st.p.Packed.fu.(i);
         st.s_dispatched.(slot) <- false;
         st.s_completion.(slot) <- max_int;
@@ -606,40 +608,26 @@ module Fast = struct
         let d = st.p.Packed.dest.(i) in
         st.s_dest.(slot) <- d;
         st.s_needs_bus.(slot) <- d >= 0;
-        let base = slot * st.maxprod in
-        let np =
-          fill_prods st ~base ~s:st.p.Packed.src_off.(i)
-            ~stop:st.p.Packed.src_off.(i + 1) 0
-        in
-        let np =
-          if Packed.is_mem st.p i then begin
-            let r =
-              Int_table.find st.mem_writer ~default:(-1) st.p.Packed.addr.(i)
-            in
-            if r >= 0 then begin
-              st.s_prod_slot.(base + np) <- r mod st.ruu_size;
-              st.s_prod_uid.(base + np) <- r / st.ruu_size;
-              np + 1
-            end
-            else np
-          end
-          else np
-        in
-        st.s_nprod.(slot) <- np;
-        st.s_rpart.(slot) <- 0;
-        st.s_ready.(slot) <- (if np = 0 then 0 else max_int);
+        st.s_pending.(slot) <- 0;
+        st.s_ready.(slot) <- 0;
+        st.dep_head.(slot) <- -1;
+        depend_srcs st ~slot ~s:st.p.Packed.src_off.(i)
+          ~stop:st.p.Packed.src_off.(i + 1);
+        (if Packed.is_mem st.p i then
+           let r =
+             Int_table.find st.mem_writer ~default:(-1) st.p.Packed.addr.(i)
+           in
+           if r >= 0 && st.s_uid.(r mod st.ruu_size) = r / st.ruu_size then
+             depend st ~slot (r mod st.ruu_size));
+        (* issue order is window order: a ready entry appends *)
+        if st.s_pending.(slot) = 0 then
+          if st.s_ready.(slot) <= t then make_ready st slot
+          else park st slot ~ready:st.s_ready.(slot);
         if d >= 0 then st.latest_writer.(d) <- slot;
         if Packed.kind st.p i = Packed.kind_store then
           Int_table.set st.mem_writer st.p.Packed.addr.(i)
             ((uid * st.ruu_size) + slot);
         st.next <- st.next + 1;
-        (* append to the undispatched list: issue order is window order *)
-        st.ud_prev.(slot) <- st.ud_tail;
-        st.ud_next.(slot) <- -1;
-        if st.ud_tail >= 0 then st.ud_next.(st.ud_tail) <- slot
-        else st.ud_head <- slot;
-        st.ud_tail <- slot;
-        st.scan_min <- 0;
         issue_loop st ~t (issued + 1)
       end
 
@@ -658,131 +646,83 @@ module Fast = struct
 
   (* -- dispatch stage ------------------------------------------------------ *)
 
-  let unlink st slot =
-    let p = st.ud_prev.(slot) and n = st.ud_next.(slot) in
-    if p >= 0 then st.ud_next.(p) <- n else st.ud_head <- n;
-    if n >= 0 then st.ud_prev.(n) <- p else st.ud_tail <- p
-
-  (* Walks the undispatched list — exactly the entries the reference scan
-     can act on, in the same window order, so the bank/bus arbitration is
-     unchanged. [min_blocked] accumulates the scan summary: the earliest
-     cycle any visited entry could dispatch. Entries still waiting on
-     undispatched producers contribute nothing — every producer sits
-     earlier in this same list (issue order is program order), so the
-     dependent cannot become ready until after some listed producer
-     dispatches, which cannot happen before [min_blocked]; and the
-     head-most entry always has every producer resolved, so the summary
-     is never vacuous while the list is non-empty. A budget-limited scan
-     leaves [scan_min = 0] (no conclusion), a natural end [min_blocked]. *)
-  let rec dispatch_loop st ~t ~total_budget ~bank_used ~slot ~min_blocked
-      dispatched =
-    if dispatched >= total_budget then begin
-      st.scan_min <- 0;
+  (* Select: the reference's arbitration over the ready set in window
+     order, stopping where the reference stops (budget spent) and
+     compacting the entries left waiting to the front. *)
+  let rec select st ~t ~total_budget ~bank_used ~i ~w dispatched =
+    if i >= st.nrdy then begin
+      st.nrdy <- w;
       dispatched
     end
-    else if slot < 0 then begin
-      st.scan_min <- min_blocked;
+    else if dispatched >= total_budget then begin
+      Array.blit st.rdy i st.rdy w (st.nrdy - i);
+      st.nrdy <- w + st.nrdy - i;
       dispatched
     end
     else begin
-      let nxt = st.ud_next.(slot) in
-      if st.s_issue_cycle.(slot) < t then begin
-        let b = st.s_bank.(slot) in
-        let bank_ok =
-          match st.bus with
-          | Sim_types.One_bus | Sim_types.N_bus -> bank_used land (1 lsl b) = 0
-          | Sim_types.X_bar -> true
-        in
-        if bank_ok then begin
-          let ready = operand_ready_cycle st slot in
-          if ready <= t then begin
-            let fu = st.s_fu.(slot) in
-            let fu_ok =
-              (not Packed.shared_unit.(fu)) || st.fu_last_used.(fu) <> t
-            in
-            let completion = t + st.lat.(fu) in
-            let bus_ok =
-              (not st.s_needs_bus.(slot))
-              || result_bus_free st ~cycle:completion ~bank:b
-            in
-            (if fu_ok && not bus_ok then
-               match st.metrics with
-               | Some m -> Metrics.record_bus_reject m
-               | None -> ());
-            if fu_ok && bus_ok then begin
-              st.s_dispatched.(slot) <- true;
-              st.s_completion.(slot) <- completion;
-              unlink st slot;
-              (match st.metrics with
-              | Some m when Packed.shared_unit.(fu) ->
-                  Metrics.record_fu_busy m (Fu.of_index fu) 1
-              | _ -> ());
-              st.fu_last_used.(fu) <- t;
-              if st.s_needs_bus.(slot) then
-                reserve_result_bus st ~cycle:completion ~bank:b;
-              if completion > st.finish then st.finish <- completion;
-              dispatch_loop st ~t ~total_budget
-                ~bank_used:(bank_used lor (1 lsl b))
-                ~slot:nxt ~min_blocked (dispatched + 1)
-            end
-            else begin
-              (* operand-ready but blocked: on a zero-dispatch cycle the
-                 unit and bank are provably free, so the binding constraint
-                 is the result bus, which shifts with [t] *)
-              lower_wake st (t + 1);
-              dispatch_loop st ~t ~total_budget ~bank_used ~slot:nxt
-                ~min_blocked:(min min_blocked (t + 1))
-                dispatched
-            end
-          end
-          else if ready < max_int then begin
-            lower_wake st ready;
-            dispatch_loop st ~t ~total_budget ~bank_used ~slot:nxt
-              ~min_blocked:(min min_blocked ready)
-              dispatched
-          end
-          else
-            dispatch_loop st ~t ~total_budget ~bank_used ~slot:nxt ~min_blocked
-              dispatched
-        end
-        else begin
-          (* bank taken this cycle: mirror the reference walker's
-             bus-reject accounting for ready entries with a free unit *)
-          (match st.metrics with
-          | Some m when operand_ready_cycle st slot <= t ->
-              let fu = st.s_fu.(slot) in
-              if (not Packed.shared_unit.(fu)) || st.fu_last_used.(fu) <> t
-              then Metrics.record_bus_reject m
-          | _ -> ());
-          dispatch_loop st ~t ~total_budget ~bank_used ~slot:nxt
-            ~min_blocked:(min min_blocked (t + 1))
-            dispatched
-        end
+      let slot = st.rdy.(i) in
+      let b = st.s_bank.(slot) in
+      let fu = st.s_fu.(slot) in
+      let fu_ok = (not Packed.shared_unit.(fu)) || st.fu_last_used.(fu) <> t in
+      let completion = t + st.lat.(fu) in
+      let bus_ok =
+        (match st.bus with
+        | Sim_types.One_bus | Sim_types.N_bus -> bank_used land (1 lsl b) = 0
+        | Sim_types.X_bar -> true)
+        && ((not st.s_needs_bus.(slot))
+           || result_bus_free st ~cycle:completion ~bank:b)
+      in
+      (* a ready entry with a free unit that the interconnect turned away
+         (bank claimed this cycle, or no write-back slot at completion) *)
+      (if fu_ok && not bus_ok then
+         match st.metrics with
+         | Some m -> Metrics.record_bus_reject m
+         | None -> ());
+      if fu_ok && bus_ok then begin
+        st.s_dispatched.(slot) <- true;
+        st.s_completion.(slot) <- completion;
+        (match st.metrics with
+        | Some m when Packed.shared_unit.(fu) ->
+            Metrics.record_fu_busy m (Fu.of_index fu) 1
+        | _ -> ());
+        st.fu_last_used.(fu) <- t;
+        if st.s_needs_bus.(slot) then
+          reserve_result_bus st ~cycle:completion ~bank:b;
+        if completion > st.finish then st.finish <- completion;
+        let e = st.dep_head.(slot) in
+        st.dep_head.(slot) <- -1;
+        wake_deps st ~c:completion e;
+        select st ~t ~total_budget
+          ~bank_used:(bank_used lor (1 lsl b))
+          ~i:(i + 1) ~w (dispatched + 1)
       end
-      else
-        (* issued this very cycle: undispatched but not yet eligible *)
-        dispatch_loop st ~t ~total_budget ~bank_used ~slot:nxt
-          ~min_blocked:(min min_blocked (t + 1))
-          dispatched
+      else begin
+        st.rdy.(w) <- slot;
+        select st ~t ~total_budget ~bank_used ~i:(i + 1) ~w:(w + 1) dispatched
+      end
     end
 
   let dispatch_pass st ~t =
-    if st.scan_min > t then begin
-      (* exact skip: the undispatched set is unchanged since the scan that
-         computed [scan_min] (skipped scans dispatch nothing, commits only
-         remove dispatched entries, any issue resets it), and no member
-         can dispatch before [scan_min] > t, so the reference scan would
-         dispatch nothing; its earliest wake candidate is [scan_min] *)
-      if st.scan_min < max_int then lower_wake st st.scan_min;
-      0
-    end
-    else begin
-      let total_budget =
-        match st.bus with Sim_types.One_bus -> 1 | _ -> st.issue_units
-      in
-      dispatch_loop st ~t ~total_budget ~bank_used:0 ~slot:st.ud_head
-        ~min_blocked:max_int 0
-    end
+    let b = t land (Array.length st.wh_head - 1) in
+    let woken = st.wh_head.(b) in
+    st.wh_head.(b) <- -1;
+    drain st woken;
+    let total_budget =
+      match st.bus with Sim_types.One_bus -> 1 | _ -> st.issue_units
+    in
+    let dispatched = select st ~t ~total_budget ~bank_used:0 ~i:0 ~w:0 0 in
+    (* on a zero-dispatch cycle a waiting ready entry is blocked only by
+       the result bus, which shifts with [t] *)
+    if st.nrdy > 0 then lower_wake st (t + 1);
+    dispatched
+
+  (* Before an event skip from [t]: the earliest non-empty wheel bucket is
+     a wake candidate, so a jump never passes a bucket. *)
+  let rec wheel_wake st ~stop c =
+    if c < stop && c < st.wake then
+      if st.wh_head.(c land (Array.length st.wh_head - 1)) >= 0 then
+        st.wake <- c
+      else wheel_wake st ~stop (c + 1)
 
   (* -- commit stage --------------------------------------------------------- *)
 
@@ -817,27 +757,30 @@ let rec pow2_at_least n = if n <= 1 then 1 else 2 * pow2_at_least ((n + 1) / 2)
    issue_units], so only states with identical slot numbering replay
    each other. Times at or before [now] are dead (commit compares
    [<= t], readiness [<= t], same-cycle unit reuse [= t], and probed
-   result-bus cycles are > [now]), so they clamp to 0. A producer
-   reference normalizes to its slot plus whether its generation still
-   matches: a mismatched (or committed, completion <= now) producer
-   reads as an immediately-resolved 0 either way. In-flight store-map
-   entries survive only while their producer is live, and are sorted
-   by translated address (the open-addressing table's physical order
-   must not leak). [uid_next] and the undispatched list are excluded:
-   generations only matter through the match bits, and the list is
-   determined by window order and the dispatched flags. *)
+   result-bus cycles are > [now]), so they clamp to 0; that also merges
+   an entry already in the ready set with one parked under cycle [now],
+   which drains into it before select runs. Each live slot contributes
+   its pending-edge count, its operand-ready max (dead once dispatched)
+   and its wakeup list as the consumers' absolute slots, [-1]-terminated
+   (an edge's operand index only numbers it, so it is left out; list
+   order is reverse issue order either way). The ready set and the
+   wheel are not serialized:
+   membership follows from the pending counts and ready cycles, the
+   ready set is sorted by window order, and drain order within a bucket
+   cannot matter. In-flight store-map entries survive only while their
+   producer is live, and are sorted by translated address (the
+   open-addressing table's physical order must not leak). [uid_next]
+   and the uids are excluded: generations only matter through that
+   liveness test and through window order. *)
 let fingerprint st ~maxlat pr pos now =
   let ruu_size = st.Fast.ruu_size in
   let fp = ref [] in
   let push v = fp := v :: !fp in
+  let after v = if v = max_int then -1 else if v > now then v - now else 0 in
   push st.Fast.head;
   push st.Fast.count;
-  push (if st.Fast.stall_until > now then st.Fast.stall_until - now else 0);
-  push (if st.Fast.finish > now then st.Fast.finish - now else 0);
-  push
-    (if st.Fast.scan_min > now then
-       if st.Fast.scan_min = max_int then -1 else st.Fast.scan_min - now
-     else 0);
+  push (after st.Fast.stall_until);
+  push (after st.Fast.finish);
   for c = now + 1 to now + maxlat do
     push (Fast.rb_get st c)
   done;
@@ -850,26 +793,21 @@ let fingerprint st ~maxlat pr pos now =
     let slot = (st.Fast.head + k) mod ruu_size in
     push st.Fast.s_dest.(slot);
     push st.Fast.s_fu.(slot);
-    push (if st.Fast.s_dispatched.(slot) then 1 else 0);
-    let c = st.Fast.s_completion.(slot) in
-    push (if c = max_int then -1 else if c > now then c - now else 0);
-    let r = st.Fast.s_ready.(slot) in
-    push (if r = max_int then -1 else if r > now then r - now else 0);
-    (* once [s_ready] is final the partial max and producers are never
-       consulted again ([nprod] is 0 by then); canonicalize the stale
-       partial to 0 *)
-    push
-      (if r = max_int && st.Fast.s_rpart.(slot) > now then
-         st.Fast.s_rpart.(slot) - now
-       else 0);
-    let np = st.Fast.s_nprod.(slot) in
-    push np;
-    let base = slot * st.Fast.maxprod in
-    for j = 0 to np - 1 do
-      let ps = st.Fast.s_prod_slot.(base + j) in
-      push ps;
-      push (if st.Fast.s_uid.(ps) = st.Fast.s_prod_uid.(base + j) then 1 else 0)
-    done
+    if st.Fast.s_dispatched.(slot) then begin
+      push 1;
+      push (after st.Fast.s_completion.(slot))
+    end
+    else begin
+      push 0;
+      push st.Fast.s_pending.(slot);
+      push (after st.Fast.s_ready.(slot));
+      let e = ref st.Fast.dep_head.(slot) in
+      while !e >= 0 do
+        push (!e / st.Fast.maxprod);
+        e := st.Fast.dep_next.(!e)
+      done;
+      push (-1)
+    end
   done;
   let live = ref [] in
   Int_table.iter
@@ -882,8 +820,7 @@ let fingerprint st ~maxlat pr pos now =
       if
         off < st.Fast.count
         && st.Fast.s_uid.(slot) = uid
-        && (st.Fast.s_completion.(slot) = max_int
-           || st.Fast.s_completion.(slot) > now)
+        && st.Fast.s_completion.(slot) > now
       then live := (addr - pr.Steady.addr_off, slot) :: !live)
     st.Fast.mem_writer;
   let live = List.sort compare !live in
@@ -899,6 +836,9 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
     ~bus (p : Packed.t) =
   let n = p.Packed.n in
   let maxprod = p.Packed.max_srcs + 1 in
+  (* power of two >= the live-cycle span (max latency + 2), so ring
+     indexing is a mask *)
+  let ring = pow2_at_least (Packed.max_latency config + 2) in
   let st =
     {
       Fast.p;
@@ -909,33 +849,28 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
       metrics;
       bus;
       s_uid = Array.make ruu_size (-1);
-      s_issue_cycle = Array.make ruu_size 0;
       s_fu = Array.make ruu_size 0;
       s_dest = Array.make ruu_size (-1);
       s_needs_bus = Array.make ruu_size false;
       s_dispatched = Array.make ruu_size false;
       s_completion = Array.make ruu_size 0;
-      s_ready = Array.make ruu_size max_int;
-      s_rpart = Array.make ruu_size 0;
       s_bank = Array.make ruu_size 0;
-      s_nprod = Array.make ruu_size 0;
-      s_prod_slot = Array.make (ruu_size * maxprod) 0;
-      s_prod_uid = Array.make (ruu_size * maxprod) 0;
+      s_pending = Array.make ruu_size 0;
+      s_ready = Array.make ruu_size 0;
+      dep_head = Array.make ruu_size (-1);
+      dep_next = Array.make (ruu_size * maxprod) (-1);
       maxprod;
+      wh_head = Array.make ring (-1);
+      wh_next = Array.make ruu_size (-1);
+      rdy = Array.make ruu_size 0;
+      nrdy = 0;
       head = 0;
       count = 0;
       uid_next = 0;
-      ud_head = -1;
-      ud_tail = -1;
-      ud_next = Array.make ruu_size (-1);
-      ud_prev = Array.make ruu_size (-1);
-      scan_min = 0;
       latest_writer = Array.make Reg.count (-1);
       mem_writer = Int_table.create 256;
-      (* power of two >= the live-key span (max latency + 2), so ring
-         indexing is a mask *)
-      rb_tag = Array.make (pow2_at_least (Packed.max_latency config + 2)) (-1);
-      rb_val = Array.make (pow2_at_least (Packed.max_latency config + 2)) 0;
+      rb_tag = Array.make ring (-1);
+      rb_val = Array.make ring 0;
       fu_last_used = Array.make Fu.count (-1);
       branches;
       counters = (match branches with Bimodal n -> Array.make n 0 | _ -> [||]);
@@ -945,9 +880,6 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
       wake = max_int;
     }
   in
-  (* the issue pass examines up to [issue_units] entries past [next] in a
-     cycle; keep that many entries' periods out of the telescoped span *)
-  Option.iter (fun pr -> pr.Steady.lookahead <- issue_units) probe;
   (* The event skip must replay every cycle under [Bimodal]: a blocked
      branch re-predicts (and trains its 2-bit counter) each retried
      cycle, and can even flip to a correct prediction — and issue —
@@ -981,11 +913,12 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
         else Metrics.record_stall m (Fast.diagnose st ~t:!t) 1;
         incr t
     | None ->
-        if
-          can_skip && committed = 0 && dispatched = 0 && issued = 0
-          && st.Fast.wake > !t + 1
-          && st.Fast.wake < max_int
-        then t := st.Fast.wake
+        if can_skip && committed = 0 && dispatched = 0 && issued = 0 then begin
+          Fast.wheel_wake st ~stop:(!t + ring) (!t + 1);
+          if st.Fast.wake > !t + 1 && st.Fast.wake < max_int then
+            t := st.Fast.wake
+          else incr t
+        end
         else incr t);
     decr guard;
     if !guard <= 0 then failwith "Ruu.simulate: no progress"
@@ -995,6 +928,18 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
   | Some m -> Metrics.record_stall m Metrics.Drain (cycles - !t)
   | None -> ());
   { Sim_types.cycles; instructions = n }
+
+(* Ring-position gate for steady-state probing: fingerprints keep the ring
+   head absolute, and each period issues [q] non-branch entries into the
+   [ruu_size]-slot ring, so two boundaries [j < k] can only match when
+   [(k - j) * q] is a multiple of [ruu_size]. *)
+let min_repeat ~ruu_size p (pd : Packed.period) =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let q = ref 0 in
+  for i = pd.Packed.p_start to pd.Packed.p_start + pd.Packed.p_len - 1 do
+    if not (Packed.is_branch p i) then incr q
+  done;
+  ruu_size / gcd !q ruu_size
 
 let simulate ?metrics ?(branches = Stall) ?(reference = false) ?(accel = true)
     ~config ~issue_units ~ruu_size ~bus (trace : Trace.t) =
@@ -1007,7 +952,10 @@ let simulate ?metrics ?(branches = Stall) ?(reference = false) ?(accel = true)
     simulate_reference ?metrics ~branches ~config ~issue_units ~ruu_size ~bus
       trace
   else if accel then
-    Steady.run ?metrics trace (fun ~metrics ~probe p ->
+    (* the issue pass examines up to [issue_units] entries past [next] in a
+       cycle *)
+    Steady.run ?metrics ~lookahead:issue_units
+      ~min_repeat:(min_repeat ~ruu_size) trace (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~branches ~config ~issue_units
           ~ruu_size ~bus p)
   else

@@ -39,7 +39,6 @@ type probe = {
   stride : int;
   mutable next_pos : int;
   mutable addr_off : int;
-  mutable lookahead : int;
   mutable fire : pos:int -> time:int -> fp:int list -> unit;
 }
 
@@ -100,20 +99,34 @@ let splice (trace : Mfu_exec.Trace.t) ~keep ~skip ~shift =
 let n_telescoped = Atomic.make 0
 let n_fallback = Atomic.make 0
 let n_aperiodic = Atomic.make 0
+let n_gated = Atomic.make 0
 
-type stats = { telescoped : int; fallback : int; aperiodic : int }
+type stats = { telescoped : int; fallback : int; aperiodic : int; gated : int }
 
 let stats () =
   {
     telescoped = Atomic.get n_telescoped;
     fallback = Atomic.get n_fallback;
     aperiodic = Atomic.get n_aperiodic;
+    gated = Atomic.get n_gated;
   }
 
 let reset_stats () =
   Atomic.set n_telescoped 0;
   Atomic.set n_fallback 0;
-  Atomic.set n_aperiodic 0
+  Atomic.set n_aperiodic 0;
+  Atomic.set n_gated 0
+
+(* Fingerprints seen so far. The polymorphic [Hashtbl.hash] reads only
+   the first 10 list cells, which consecutive fingerprints of a large
+   machine often share; this hash folds every word, so lookups stay
+   constant-time. Equality is still structural. *)
+module Fp_table = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = ( = )
+  let hash l = List.fold_left (fun h v -> (h * 31) + v) 0 l land max_int
+end)
 
 (* Detection state: the probe it feeds, the scratch metrics the
    detection run accumulates into (snapshotted at boundaries), the
@@ -121,37 +134,36 @@ let reset_stats () =
 type detector = {
   d_probe : probe;
   d_scratch : Metrics.t option;
-  d_seen : (int list, int * int * Metrics.t option) Hashtbl.t;
+  d_seen : (int * int * Metrics.t option) Fp_table.t;
   d_p_start : int;
   d_p_len : int;
   d_p_stride : int;
   d_p_periods : int;
   d_n : int;  (** packed trace length, for the [worthwhile] test *)
+  d_margin : int;  (** trailing periods kept out of the skip *)
   mutable d_found : match_info option;
 }
+
+(* How many [c]-period chunks a repeat found at boundary [m] would skip,
+   or 0 when that skip fails the tests. *)
+let repeats det ~m ~c =
+  let r = (det.d_p_periods - det.d_margin - m) / c in
+  if
+    r >= 1
+    && r * c >= min_skip
+    && worthwhile ~n:det.d_n ~skip:(r * c * det.d_p_len)
+  then r
+  else 0
 
 (* Record the fingerprint at boundary [pos]; on a repeat worth
    telescoping, remember it and abandon the detection run. *)
 let detector_fire det ~pos ~time ~fp =
   let pr = det.d_probe in
   let m = (pos - det.d_p_start) / det.d_p_len in
-  (match Hashtbl.find_opt det.d_seen fp with
+  (match Fp_table.find_opt det.d_seen fp with
   | Some (mj, tj, snapj) ->
-      let c = m - mj in
-      (* A simulator that looks [lookahead] entries past its current
-         position (an instruction buffer holding the next [stations]
-         entries) behaves generically only while that window stays inside
-         the periodic region: its final periods see the epilogue (or the
-         end of the trace) through the buffer and must be re-simulated in
-         the splice, not telescoped. Shrink the usable region by the
-         lookahead, rounded up to whole periods. *)
-      let margin = (pr.lookahead + det.d_p_len - 1) / det.d_p_len in
-      let r = (det.d_p_periods - margin - m) / c in
-      if
-        r >= 1
-        && r * c >= min_skip
-        && worthwhile ~n:det.d_n ~skip:(r * c * det.d_p_len)
-      then begin
+      let r = repeats det ~m ~c:(m - mj) in
+      if r >= 1 then begin
         det.d_found <-
           Some
             {
@@ -165,14 +177,15 @@ let detector_fire det ~pos ~time ~fp =
         raise_notrace Stop
       end
   | None ->
-      Hashtbl.add det.d_seen fp (m, time, Option.map Metrics.snapshot det.d_scratch));
+      Fp_table.add det.d_seen fp
+        (m, time, Option.map Metrics.snapshot det.d_scratch));
   if m >= budget || m >= det.d_p_periods then pr.next_pos <- max_int
   else begin
     pr.next_pos <- pr.next_pos + det.d_p_len;
     pr.addr_off <- pr.addr_off + det.d_p_stride
   end
 
-let make_detector ~metrics (pd : Packed.period) ~n =
+let make_detector ~metrics ~lookahead (pd : Packed.period) ~n =
   let det =
     {
       d_probe =
@@ -181,16 +194,23 @@ let make_detector ~metrics (pd : Packed.period) ~n =
           stride = pd.Packed.p_stride;
           next_pos = pd.Packed.p_start;
           addr_off = 0;
-          lookahead = 0;
           fire = null_fire;
         };
       d_scratch = (if metrics then Some (Metrics.create ()) else None);
-      d_seen = Hashtbl.create 97;
+      d_seen = Fp_table.create 97;
       d_p_start = pd.Packed.p_start;
       d_p_len = pd.Packed.p_len;
       d_p_stride = pd.Packed.p_stride;
       d_p_periods = pd.Packed.p_periods;
       d_n = n;
+      (* A simulator that looks [lookahead] entries past its current
+         position (an instruction buffer holding the next [stations]
+         entries) behaves generically only while that window stays inside
+         the periodic region: its final periods see the epilogue (or the
+         end of the trace) through the buffer and must be re-simulated in
+         the splice, not telescoped. Shrink the usable region by the
+         lookahead, rounded up to whole periods. *)
+      d_margin = (lookahead + pd.Packed.p_len - 1) / pd.Packed.p_len;
       d_found = None;
     }
   in
@@ -221,7 +241,7 @@ let telescope det ~metrics ~trace ~sim =
     instructions = res.Sim_types.instructions + skip;
   }
 
-let run ?metrics trace sim =
+let run ?metrics ?(lookahead = 0) ?min_repeat trace sim =
   let packed = Packed.cached trace in
   match Packed.period packed with
   | None ->
@@ -234,19 +254,29 @@ let run ?metrics trace sim =
       end
       else begin
         let det =
-          make_detector ~metrics:(metrics <> None) pd ~n:(Packed.length packed)
+          make_detector ~metrics:(metrics <> None) ~lookahead pd
+            ~n:(Packed.length packed)
         in
-        match sim ~metrics:det.d_scratch ~probe:(Some det.d_probe) packed with
-        | result ->
-            (* no repeat worth telescoping: the detection run is the full
-               simulation; fold its scratch counters into the caller's *)
-            Atomic.incr n_fallback;
-            Option.iter
-              (fun m ->
-                Metrics.add_scaled m
-                  ~hi:(Option.get det.d_scratch)
-                  ~lo:(Metrics.create ()) ~times:1)
-              metrics;
-            result
-        | exception Stop -> telescope det ~metrics ~trace ~sim
+        (* The earliest possible repeat, boundaries 0 and [c], skips at
+           least as much as any later one; if even it fails the tests,
+           no repeat can telescope and the probe would be pure cost. *)
+        let c = match min_repeat with Some f -> f packed pd | None -> 1 in
+        if c > budget || repeats det ~m:c ~c = 0 then begin
+          Atomic.incr n_gated;
+          sim ~metrics ~probe:None packed
+        end
+        else
+          match sim ~metrics:det.d_scratch ~probe:(Some det.d_probe) packed with
+          | result ->
+              (* no repeat worth telescoping: the detection run is the full
+                 simulation; fold its scratch counters into the caller's *)
+              Atomic.incr n_fallback;
+              Option.iter
+                (fun m ->
+                  Metrics.add_scaled m
+                    ~hi:(Option.get det.d_scratch)
+                    ~lo:(Metrics.create ()) ~times:1)
+                metrics;
+              result
+          | exception Stop -> telescope det ~metrics ~trace ~sim
       end

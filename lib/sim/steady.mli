@@ -28,15 +28,6 @@ type probe = {
   mutable addr_off : int;
       (** subtract from live in-flight addresses when fingerprinting the
           boundary at [next_pos] *)
-  mutable lookahead : int;
-      (** how many trace entries past its current position the simulator
-          may inspect (an instruction buffer holding the next [stations]
-          entries, a multi-entry issue stage). Defaults to 0; a simulator
-          with lookahead must set this before its first boundary. {!run}
-          keeps that many entries' worth of trailing periods out of the
-          telescoped span, because the final periods see the epilogue (or
-          the end of the trace) through the lookahead window and are not
-          translations of the steady body's behavior. *)
   mutable fire : pos:int -> time:int -> fp:int list -> unit;
       (** report the normalized state fingerprint at boundary [pos]
           (= [next_pos]) and the current cycle; may raise {!Stop}.
@@ -54,6 +45,9 @@ type stats = {
       (** runs with a detected period but no state repeat (or too few
           periods to be worth skipping) — completed in full *)
   aperiodic : int;  (** runs on traces with no detectable period *)
+  gated : int;
+      (** runs completed unprobed because no state repeat the simulator
+          allows ([?min_repeat]) could be worth telescoping *)
 }
 
 val stats : unit -> stats
@@ -64,6 +58,8 @@ val reset_stats : unit -> unit
 
 val run :
   ?metrics:Sim_types.Metrics.t ->
+  ?lookahead:int ->
+  ?min_repeat:(Mfu_exec.Packed.t -> Mfu_exec.Packed.period -> int) ->
   Mfu_exec.Trace.t ->
   (metrics:Sim_types.Metrics.t option ->
   probe:probe option ->
@@ -75,4 +71,18 @@ val run :
     [sim ~metrics ~probe:None (Packed.cached trace)], telescoping whole
     periods when the machine state provably repeats. The splice trace is
     packed with {!Mfu_exec.Packed.of_trace} directly (never inserted in
-    the pack cache). *)
+    the pack cache).
+
+    [lookahead] (default 0) is how many trace entries past its current
+    position the simulator may inspect (an instruction buffer holding
+    the next [stations] entries, a multi-entry issue stage). That many
+    entries' worth of trailing periods stay out of the telescoped span,
+    because the final periods see the epilogue (or the end of the trace)
+    through the lookahead window and are not translations of the steady
+    body's behavior.
+
+    [min_repeat packed period] (default 1) is the smallest boundary
+    distance at which the simulator's fingerprints can repeat. When even
+    a repeat at that distance from the first boundary could not be
+    telescoped, or lies beyond the probe budget, the run skips probing
+    altogether (counted as [gated]); the result is the same either way. *)

@@ -371,6 +371,83 @@ let test_differential_limits_analyze () =
         (Lazy.force fixed_traces))
     diff_configs
 
+(* -- RUU wakeup/select corner cases ------------------------------------------- *)
+
+(* Hand-built traces aimed at the RUU fast path's dependency edges,
+   timing wheel and ready set, each run against the reference on the
+   machines named with it (both latency configurations, metrics on and
+   off). *)
+let ruu_cases =
+  let open Tracegen in
+  let indep = [ imm ~d:1; fadd ~d:2 ~a:3 ~b:4; fmul ~d:5 ~a:6 ~b:7; imm ~d:0 ] in
+  [
+    (* one producer, two edges from the same consumer *)
+    ( "same register read twice",
+      [ load ~d:1 ~addr:3; fadd ~d:2 ~a:1 ~b:1; fmul ~d:3 ~a:2 ~b:2;
+        store ~v:3 ~addr:3 ],
+      [ (10, 4, Sim_types.N_bus); (10, 2, Sim_types.X_bar) ] );
+    (* on a 4-slot RUU the store's slot holds another load, still in
+       flight, when the load from the store's address issues: the store
+       map's reference no longer matches the slot's generation; on the
+       20-slot RUU the store has merely committed in place *)
+    ( "store slot recycled before the load",
+      [ store ~v:1 ~addr:5; imm ~d:1; imm ~d:2; imm ~d:3; load ~d:4 ~addr:9;
+        load ~d:2 ~addr:5; fadd ~d:3 ~a:2 ~b:2 ],
+      [ (4, 1, Sim_types.N_bus); (4, 2, Sim_types.One_bus);
+        (20, 1, Sim_types.N_bus) ] );
+    (* four ready entries, one dispatch per cycle *)
+    ( "1-bus with several ready entries",
+      indep @ indep,
+      [ (10, 4, Sim_types.One_bus); (4, 4, Sim_types.One_bus) ] );
+    (* banks are [slot mod 3] on a 7-slot ring: the wrap from slot 6 to
+       slot 0 stays in bank 0 *)
+    ( "ring size not a multiple of the banks",
+      List.concat (List.init 4 (fun _ -> indep))
+      @ [ load ~d:1 ~addr:0; fadd ~d:2 ~a:1 ~b:2; store ~v:2 ~addr:1 ],
+      [ (7, 3, Sim_types.N_bus); (5, 2, Sim_types.N_bus) ] );
+    (* six consumers of one load become ready together on two units *)
+    ( "crossbar with more ready entries than units",
+      load ~d:1 ~addr:0
+      :: List.init 6 (fun i ->
+             if i mod 2 = 0 then fadd ~d:(2 + i) ~a:1 ~b:1
+             else fmul ~d:(2 + i) ~a:1 ~b:1),
+      [ (10, 2, Sim_types.X_bar); (10, 1, Sim_types.X_bar) ] );
+    (* producers completing on one cycle, by equal latencies issued
+       together and by a load and a later add; two consumers of the pair
+       drain from one wheel bucket *)
+    ( "producers completing on the same cycle",
+      [ fadd ~d:1 ~a:5 ~b:5; fadd ~d:2 ~a:6 ~b:6; fmul ~d:3 ~a:1 ~b:2;
+        fadd ~d:4 ~a:2 ~b:1; load ~d:5 ~addr:9; imm ~d:0; imm ~d:0; imm ~d:0;
+        imm ~d:0; fadd ~d:6 ~a:7 ~b:7; fmul ~d:7 ~a:5 ~b:6 ],
+      [ (10, 2, Sim_types.N_bus); (10, 4, Sim_types.X_bar) ] );
+  ]
+
+let test_ruu_corner_cases () =
+  List.iter
+    (fun config ->
+      List.iter
+        (fun (ctx, entries, machines) ->
+          let trace = straightline (Tracegen.of_list entries) in
+          List.iter
+            (fun (ruu_size, issue_units, bus) ->
+              let r =
+                {
+                  rname =
+                    Printf.sprintf "%s/ruu:%d/%d/%s" (Config.name config)
+                      ruu_size issue_units
+                      (Sim_types.bus_model_to_string bus);
+                  run =
+                    (fun ?metrics ~reference t ->
+                      (Ruu.simulate ?metrics ~reference ~config ~issue_units
+                         ~ruu_size ~bus t)
+                        .cycles);
+                }
+              in
+              check_differential ~ctx r trace)
+            machines)
+        ruu_cases)
+    diff_configs
+
 (* -- random traces ----------------------------------------------------------- *)
 
 let entry_gen =
@@ -516,6 +593,8 @@ let () =
             test_differential_fixed;
           Alcotest.test_case "limits.analyze" `Quick
             test_differential_limits_analyze;
+          Alcotest.test_case "RUU wakeup/select corner cases" `Quick
+            test_ruu_corner_cases;
           QCheck_alcotest.to_alcotest prop_differential_random;
         ] );
       ( "regression",

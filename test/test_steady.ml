@@ -362,6 +362,51 @@ let test_every_configuration_telescopes () =
            (runners config)))
     diff_configs
 
+(* The RUU fingerprint keeps the ring head absolute, so boundaries j < k
+   can only match when (k - j) * q is a multiple of the RUU size S, where
+   q is the period's non-branch entry count: the earliest repeat is
+   c = S / gcd(q, S) periods in. When even that repeat could not be
+   telescoped, the run is gated (simulated unprobed); either way it
+   matches the unaccelerated run. LL1 at S = 50 repeats at c = 25, whose
+   best skip (2 x 25 of 98 periods) is under half the trace. *)
+let test_ruu_ring_gate () =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  List.iter
+    (fun (loop, ruu_size, c_expected, gated) ->
+      let trace = Livermore.trace (Livermore.loop loop) in
+      let p = Packed.cached trace in
+      let pd = Option.get (Packed.period p) in
+      let q = ref 0 in
+      for i = pd.Packed.p_start to pd.Packed.p_start + pd.Packed.p_len - 1 do
+        if not (Packed.is_branch p i) then incr q
+      done;
+      let where = Printf.sprintf "LL%d at S = %d" loop ruu_size in
+      Alcotest.(check int)
+        (where ^ ": earliest repeat")
+        c_expected
+        (ruu_size / gcd !q ruu_size);
+      let run accel =
+        Ruu.simulate ~accel ~config:Config.m11br5 ~issue_units:4 ~ruu_size
+          ~bus:Sim_types.N_bus trace
+      in
+      Steady.reset_stats ();
+      let fast = run true in
+      let s = Steady.stats () in
+      Alcotest.(check int) (where ^ ": gated") (Bool.to_int gated) s.Steady.gated;
+      Alcotest.(check int)
+        (where ^ ": telescoped")
+        (Bool.to_int (not gated))
+        s.Steady.telescoped;
+      if fast <> run false then
+        Alcotest.failf "%s: accelerated run differs from full run" where)
+    [
+      (1, 50, 25, true);
+      (1, 100, 50, true);
+      (9, 50, 50, true);
+      (3, 100, 50, false);
+      (12, 10, 2, false);
+    ]
+
 let test_instructions_preserved () =
   let t =
     loop_trace ~prologue:prologue3 ~epilogue:epilogue2 ~periods:200 ~stride:8
@@ -542,6 +587,7 @@ let () =
         [
           Alcotest.test_case "all five simulators" `Quick
             test_telescoping_engages_everywhere;
+          Alcotest.test_case "RUU ring-position gate" `Quick test_ruu_ring_gate;
           Alcotest.test_case "instruction count" `Quick
             test_instructions_preserved;
           Alcotest.test_case "every configuration" `Quick
