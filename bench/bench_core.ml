@@ -1,20 +1,25 @@
 (* Core-simulator throughput benchmark: cycles simulated per second, per
-   simulator family, for the packed fast path and the [~reference:true]
-   original it replaced.
+   simulator family, for the production walker and a baseline it is
+   measured against.
 
    Unlike bench/main.ml (which times whole table regenerations through the
    experiment engine), this measures the raw simulator inner loops on fixed
    workloads, so a regression in the hot paths is visible directly and not
    hidden behind trace memoization or the worker pool.
 
-   Two kinds of families are measured:
+   Two kinds of families are measured, each with its own baseline:
 
-   - paper-sized families ("single_issue", ...): the packed fast path vs
-     the [~reference:true] original, over the default Livermore workloads;
+   - paper-sized families ("single_issue", ...): the production walker vs
+     the original implementation it replaced, kept as the test-only
+     oracle (Mfu_oracle, test/oracle), over the default Livermore
+     workloads;
    - scaled families ("single_issue/scaled", ...): one ~10^6-instruction
      scaled Livermore loop, steady-state acceleration (Mfu_sim.Steady,
-     the default) vs the same packed path with [~accel:false]. Here the
+     the default) vs the same walker with [~accel:false]. Here the
      speedup column is the telescoping gain, expected in the hundreds.
+
+   The JSON report keeps the baseline's rate in its
+   [reference_cycles_per_sec] field.
 
    Usage:
      bench_core.exe [--json FILE] [--check BASELINE] [--tolerance PCT]
@@ -36,6 +41,7 @@ module Dep_single = Mfu_sim.Dep_single
 module Buffer_issue = Mfu_sim.Buffer_issue
 module Ruu = Mfu_sim.Ruu
 module Limits = Mfu_limits.Limits
+module Oracle = Mfu_oracle
 module Livermore = Mfu_loops.Livermore
 module Json = Mfu_util.Json
 
@@ -44,7 +50,7 @@ let config = Config.m11br5
 type family = {
   fname : string;
   workload : Trace.t list Lazy.t;
-  run : reference:bool -> Trace.t -> int;  (** simulated cycles *)
+  run : baseline:bool -> Trace.t -> int;  (** simulated cycles *)
 }
 
 let all_traces = lazy (List.map Livermore.trace (Livermore.all ()))
@@ -59,49 +65,64 @@ let families =
       fname = "single_issue";
       workload = all_traces;
       run =
-        (fun ~reference t ->
-          (Single_issue.simulate ~reference ~config Single_issue.Cray_like t)
-            .cycles);
+        (fun ~baseline t ->
+          if baseline then
+            (Oracle.Single_issue.simulate ~config Single_issue.Cray_like t)
+              .cycles
+          else (Single_issue.simulate ~config Single_issue.Cray_like t).cycles);
     };
     {
       fname = "dep_single";
       workload = all_traces;
       run =
-        (fun ~reference t ->
-          (Dep_single.simulate ~reference ~config Dep_single.Tomasulo t).cycles);
+        (fun ~baseline t ->
+          if baseline then
+            (Oracle.Dep_single.simulate ~config Dep_single.Tomasulo t).cycles
+          else (Dep_single.simulate ~config Dep_single.Tomasulo t).cycles);
     };
     {
       fname = "buffer_issue";
       workload = all_traces;
       run =
-        (fun ~reference t ->
-          (Buffer_issue.simulate ~reference ~config
-             ~policy:Buffer_issue.Out_of_order ~stations:8 ~bus:Sim_types.N_bus
-             t)
-            .cycles);
+        (fun ~baseline t ->
+          if baseline then
+            (Oracle.Buffer_issue.simulate ~config
+               ~policy:Buffer_issue.Out_of_order ~stations:8
+               ~bus:Sim_types.N_bus t)
+              .cycles
+          else
+            (Buffer_issue.simulate ~config ~policy:Buffer_issue.Out_of_order
+               ~stations:8 ~bus:Sim_types.N_bus t)
+              .cycles);
     };
     {
       fname = "ruu";
       workload = scalar_traces;
       run =
-        (fun ~reference t ->
-          (Ruu.simulate ~reference ~config ~issue_units:4 ~ruu_size:50
-             ~bus:Sim_types.N_bus t)
-            .cycles);
+        (fun ~baseline t ->
+          if baseline then
+            (Oracle.Ruu.simulate ~config ~issue_units:4 ~ruu_size:50
+               ~bus:Sim_types.N_bus t)
+              .cycles
+          else
+            (Ruu.simulate ~config ~issue_units:4 ~ruu_size:50
+               ~bus:Sim_types.N_bus t)
+              .cycles);
     };
     {
       fname = "limits";
       workload = all_traces;
       run =
-        (fun ~reference t -> Limits.critical_path ~reference ~config t);
+        (fun ~baseline t ->
+          if baseline then Oracle.Limits.critical_path ~config t
+          else Limits.critical_path ~config t);
     };
   ]
 
 (* Scaled families: one large periodic workload each, chosen so that the
    steady-state detector engages (see DESIGN.md, "Steady-state
-   fast-forward"). [reference] here selects the packed fast path with
-   acceleration off — both sides share the packed engine, so the speedup
-   column isolates the telescoping gain. *)
+   fast-forward"). The baseline is the same walker with acceleration
+   off, so the speedup column isolates the telescoping gain. *)
 let scaled_workload ~loop ~scale =
   lazy [ Livermore.trace (Livermore.scaled ~scale loop) ]
 
@@ -111,8 +132,8 @@ let scaled_families =
       fname = "single_issue/scaled";
       workload = scaled_workload ~loop:11 ~scale:250;
       run =
-        (fun ~reference t ->
-          (Single_issue.simulate ~accel:(not reference) ~config
+        (fun ~baseline t ->
+          (Single_issue.simulate ~accel:(not baseline) ~config
              Single_issue.Cray_like t)
             .cycles);
     };
@@ -120,8 +141,8 @@ let scaled_families =
       fname = "dep_single/scaled";
       workload = scaled_workload ~loop:12 ~scale:250;
       run =
-        (fun ~reference t ->
-          (Dep_single.simulate ~accel:(not reference) ~config
+        (fun ~baseline t ->
+          (Dep_single.simulate ~accel:(not baseline) ~config
              Dep_single.Tomasulo t)
             .cycles);
     };
@@ -129,8 +150,8 @@ let scaled_families =
       fname = "buffer_issue/scaled";
       workload = scaled_workload ~loop:11 ~scale:250;
       run =
-        (fun ~reference t ->
-          (Buffer_issue.simulate ~accel:(not reference) ~config
+        (fun ~baseline t ->
+          (Buffer_issue.simulate ~accel:(not baseline) ~config
              ~policy:Buffer_issue.Out_of_order ~stations:8 ~bus:Sim_types.N_bus
              t)
             .cycles);
@@ -139,8 +160,8 @@ let scaled_families =
       fname = "ruu/scaled";
       workload = scaled_workload ~loop:11 ~scale:250;
       run =
-        (fun ~reference t ->
-          (Ruu.simulate ~accel:(not reference) ~config ~issue_units:4
+        (fun ~baseline t ->
+          (Ruu.simulate ~accel:(not baseline) ~config ~issue_units:4
              ~ruu_size:50 ~bus:Sim_types.N_bus t)
             .cycles);
     };
@@ -150,16 +171,16 @@ let scaled_families =
       fname = "limits/scaled";
       workload = scaled_workload ~loop:3 ~scale:260;
       run =
-        (fun ~reference t ->
-          Limits.critical_path ~accel:(not reference) ~config t);
+        (fun ~baseline t ->
+          Limits.critical_path ~accel:(not baseline) ~config t);
     };
   ]
 
 let all_families = families @ scaled_families
 
 (* One pass over the workload; returns total simulated cycles. *)
-let one_pass f ~reference traces =
-  List.fold_left (fun acc t -> acc + f.run ~reference t) 0 traces
+let one_pass f ~baseline traces =
+  List.fold_left (fun acc t -> acc + f.run ~baseline t) 0 traces
 
 (* Repeat passes until at least [min_time] seconds have been measured, then
    report cycles simulated per second. The first pass of each side is run
@@ -167,7 +188,7 @@ let one_pass f ~reference traces =
    measurement is repeated [rounds] times and the best rate kept:
    external interference (the VM scheduler, GC major slices) only ever
    slows a round down, so the maximum is the most repeatable estimator of
-   the true rate. The packed and reference sides are interleaved within
+   the true rate. The production and baseline sides are interleaved within
    each round — alternating which goes first — so that slow machine-speed
    drift (frequency ramp, allocator warm-up, page-cache state) biases
    neither side of the speedup ratio. *)
@@ -177,53 +198,53 @@ type row = {
   name : string;
   cycles : int;  (** simulated cycles per workload pass *)
   packed_cps : float;
-  reference_cps : float;
+  baseline_cps : float;
 }
 
-let speedup r = r.packed_cps /. r.reference_cps
+let speedup r = r.packed_cps /. r.baseline_cps
 
 let measure_all ~min_time fams =
   List.map
     (fun f ->
       let traces = Lazy.force f.workload in
-      let cycles = one_pass f ~reference:false traces in
-      ignore (one_pass f ~reference:true traces : int);
-      let rec measure ~reference iters =
+      let cycles = one_pass f ~baseline:false traces in
+      ignore (one_pass f ~baseline:true traces : int);
+      let rec measure ~baseline iters =
         let t0 = Unix.gettimeofday () in
         for _ = 1 to iters do
-          ignore (one_pass f ~reference traces : int)
+          ignore (one_pass f ~baseline traces : int)
         done;
         let dt = Unix.gettimeofday () -. t0 in
         if dt >= min_time then float_of_int (iters * cycles) /. dt
-        else measure ~reference (max (iters * 2) (iters + 1))
+        else measure ~baseline (max (iters * 2) (iters + 1))
       in
       let packed_cps = ref 0.0 in
-      let reference_cps = ref 0.0 in
-      let side best reference =
-        let cps = measure ~reference 1 in
+      let baseline_cps = ref 0.0 in
+      let side best baseline =
+        let cps = measure ~baseline 1 in
         if cps > !best then best := cps
       in
       for round = 1 to rounds do
         if round mod 2 = 1 then begin
           side packed_cps false;
-          side reference_cps true
+          side baseline_cps true
         end
         else begin
-          side reference_cps true;
+          side baseline_cps true;
           side packed_cps false
         end
       done;
       { name = f.fname; cycles; packed_cps = !packed_cps;
-        reference_cps = !reference_cps })
+        baseline_cps = !baseline_cps })
     fams
 
 let print_rows rows =
   Printf.printf "%-14s %12s %16s %16s %9s\n" "family" "cycles/pass"
-    "packed cyc/s" "reference cyc/s" "speedup";
+    "packed cyc/s" "baseline cyc/s" "speedup";
   List.iter
     (fun r ->
       Printf.printf "%-14s %12d %16.3e %16.3e %8.2fx\n" r.name r.cycles
-        r.packed_cps r.reference_cps (speedup r))
+        r.packed_cps r.baseline_cps (speedup r))
     rows
 
 let to_json rows =
@@ -240,7 +261,7 @@ let to_json rows =
                    ("name", Json.String r.name);
                    ("cycles", Json.Int r.cycles);
                    ("cycles_per_sec", Json.Float r.packed_cps);
-                   ("reference_cycles_per_sec", Json.Float r.reference_cps);
+                   ("reference_cycles_per_sec", Json.Float r.baseline_cps);
                    ("speedup", Json.Float (speedup r));
                  ])
              rows) );

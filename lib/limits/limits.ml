@@ -14,10 +14,6 @@ type t = {
   resource : float;
 }
 
-let latency_of config (e : Trace.entry) =
-  if Trace.is_branch e then Config.branch_time config
-  else Config.latency config e.fu
-
 (* One pass over the trace computing the dataflow critical path. When
    [serial_waw] is set, writes to the same register are forced to finish in
    program order and readers observe the delayed completion.
@@ -29,108 +25,16 @@ let latency_of config (e : Trace.entry) =
    delays the next instruction to start ([Branch] for control dependences,
    [Raw] for register dependences, [Memory_conflict] for store->load token
    waits); cycles after the last start are [Drain]. The occupancy histogram
-   records the number of in-flight instructions per cycle. *)
-let dataflow_path ?metrics ~config ~serial_waw (trace : Trace.t) =
-  let reg_avail = Array.make Reg.count 0 in
-  (* Per address: cycle at which the most recent store's value token is
-     available. In a dataflow graph a store->load pair is direct token
-     passing, so a load that hits an in-flight store receives the value one
-     cycle after the store starts, not a full memory access later. Loads
-     with no in-flight producer pay the memory latency. *)
-  let store_token : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let branch_resolved = ref 0 in
-  let finish = ref 0 in
-  (* (start, completion, binding cause) per instruction, prepended — so the
-     list holds reverse trace order. Only filled when metrics is given. *)
-  let events = ref [] in
-  Array.iter
-    (fun (e : Trace.entry) ->
-      let start = ref 0 in
-      let why = ref None in
-      let raise_to cause v =
-        if v > !start then begin
-          start := v;
-          why := Some cause
-        end
-      in
-      raise_to Metrics.Branch !branch_resolved;
-      List.iter (fun r -> raise_to Metrics.Raw reg_avail.(Reg.index r)) e.srcs;
-      let forwarded =
-        match e.kind with
-        | Trace.Load a -> Hashtbl.find_opt store_token a
-        | _ -> None
-      in
-      (match forwarded with
-      | Some token -> raise_to Metrics.Memory_conflict token
-      | None -> ());
-      let latency =
-        match forwarded with
-        | Some _ -> 1 (* value arrives by token, not by memory access *)
-        | None -> latency_of config e
-      in
-      let completion = ref (!start + latency) in
-      (match e.dest with
-      | Some d ->
-          if serial_waw then
-            (* in-order completion per register: cannot finish before one
-               cycle after the previous writer of this register *)
-            completion := max !completion (reg_avail.(Reg.index d) + 1);
-          reg_avail.(Reg.index d) <- !completion
-      | None -> ());
-      (match e.kind with
-      | Trace.Store a -> Hashtbl.replace store_token a (!start + 1)
-      | Trace.Taken_branch | Trace.Untaken_branch ->
-          branch_resolved := !completion
-      | Trace.Load _ | Trace.Plain -> ());
-      (match metrics with
-      | Some m ->
-          events := (!start, !completion, !why) :: !events;
-          if Fu.is_shared_unit e.fu then Metrics.record_fu_busy m e.fu 1
-      | None -> ());
-      finish := max !finish !completion)
-    trace;
-  let finish = !finish in
-  (match metrics with
-  | Some m when finish > 0 ->
-      Metrics.record_instructions m (Array.length trace);
-      let counts = Array.make finish 0 in
-      let cause_at = Array.make finish None in
-      let inflight_diff = Array.make (finish + 1) 0 in
-      (* [events] is reverse trace order, so the unconditional [cause_at]
-         write leaves the FIRST instruction (in trace order) starting at a
-         cycle as that cycle's representative cause. *)
-      List.iter
-        (fun (s, c, why) ->
-          counts.(s) <- counts.(s) + 1;
-          cause_at.(s) <- why;
-          inflight_diff.(s) <- inflight_diff.(s) + 1;
-          inflight_diff.(c) <- inflight_diff.(c) - 1)
-        !events;
-      (* walk cycles top-down carrying the cause of the nearest later start;
-         cycles above the last start drain the pipeline *)
-      let carry = ref Metrics.Drain in
-      for c = finish - 1 downto 0 do
-        if counts.(c) > 0 then begin
-          Metrics.record_issue ~width:counts.(c) m 1;
-          match cause_at.(c) with Some k -> carry := k | None -> ()
-        end
-        else Metrics.record_stall m !carry 1
-      done;
-      let inflight = ref 0 in
-      for c = 0 to finish - 1 do
-        inflight := !inflight + inflight_diff.(c);
-        Metrics.record_occupancy m !inflight
-      done
-  | _ -> ());
-  finish
+   records the number of in-flight instructions per cycle.
 
-(* Packed twin of [dataflow_path]: the same walk over the struct-of-arrays
-   form, with the store->load token map as an open-addressing table (tokens
-   are always >= 1, so 0 doubles as "no in-flight producer") and the
-   per-instruction event log in flat arrays instead of a prepended list.
-   The metrics post-pass scans the arrays in reverse trace order, which is
-   exactly the order [List.iter] visits the reference's reversed list. *)
-let dataflow_path_packed ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
+   This is the packed twin of the test suite's entry-record oracle
+   (test/oracle/limits.ml): the store->load token map is an open-addressing
+   table (tokens are always >= 1, so 0 doubles as "no in-flight producer")
+   and the per-instruction event log lives in flat arrays instead of a
+   prepended list. The metrics post-pass scans the arrays in reverse trace
+   order, which is exactly the order [List.iter] visits the oracle's
+   reversed list. *)
+let dataflow_path ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
   let n = p.Packed.n in
   let lat = Packed.latency_table config in
   let branch_time = Config.branch_time config in
@@ -302,37 +206,33 @@ let resource_time ~config (trace : Trace.t) =
 (* Metrics runs never accelerate: the stall attribution is a post-pass
    over per-instruction event arrays, which has no incremental counter
    state the steady-state driver could snapshot at boundaries. *)
-let packed_path ?metrics ~accel ~config ~serial_waw (trace : Trace.t) =
+let path_length ?metrics ~accel ~config ~serial_waw (trace : Trace.t) =
   if accel && metrics = None then
     (Steady.run trace (fun ~metrics ~probe p ->
          {
            Mfu_sim.Sim_types.cycles =
-             dataflow_path_packed ?metrics ?probe ~config ~serial_waw p;
+             dataflow_path ?metrics ?probe ~config ~serial_waw p;
            instructions = p.Packed.n;
          }))
       .Mfu_sim.Sim_types.cycles
   else
-    dataflow_path_packed ?metrics ~config ~serial_waw (Packed.cached trace)
+    dataflow_path ?metrics ~config ~serial_waw (Packed.cached trace)
 
-let critical_path ?metrics ?(reference = false) ?(accel = true) ~config trace =
-  if reference then dataflow_path ?metrics ~config ~serial_waw:false trace
-  else packed_path ?metrics ~accel ~config ~serial_waw:false trace
+let critical_path ?metrics ?(accel = true) ~config trace =
+  path_length ?metrics ~accel ~config ~serial_waw:false trace
 
-let analyze ?metrics ?(reference = false) ?(accel = true) ~config
-    (trace : Trace.t) =
+let analyze ?metrics ?(accel = true) ~config (trace : Trace.t) =
   let n = Array.length trace in
   if n = 0 then
     { instructions = 0; pseudo_dataflow = 0.; serial_dataflow = 0.; resource = 0. }
   else
-    let path ?metrics ~serial_waw trace =
-      if reference then dataflow_path ?metrics ~config ~serial_waw trace
-      else packed_path ?metrics ~accel ~config ~serial_waw trace
-    in
     let rate time = float_of_int n /. float_of_int (max 1 time) in
     {
       instructions = n;
-      pseudo_dataflow = rate (path ?metrics ~serial_waw:false trace);
-      serial_dataflow = rate (path ?metrics:None ~serial_waw:true trace);
+      pseudo_dataflow =
+        rate (path_length ?metrics ~accel ~config ~serial_waw:false trace);
+      serial_dataflow =
+        rate (path_length ~accel ~config ~serial_waw:true trace);
       resource = rate (resource_time ~config trace);
     }
 

@@ -29,7 +29,6 @@ type t = {
 
 val analyze :
   ?metrics:Mfu_sim.Sim_types.Metrics.t ->
-  ?reference:bool ->
   ?accel:bool ->
   config:Mfu_isa.Config.t ->
   Mfu_exec.Trace.t ->
@@ -49,18 +48,12 @@ val analyze :
     dataflow analogue of a buffer fill). The returned limits are
     unchanged.
 
-    [reference] (default [false]) selects the original entry-record walk
-    instead of the {!Mfu_exec.Packed} fast path; both produce
-    byte-identical limits and metrics — the flag exists for the
-    differential test suite and as the benchmark baseline.
-
     [accel] (default [true]) enables exact steady-state fast-forward
-    ({!Mfu_sim.Steady}) on metrics-free fast-path walks (the stall
-    attribution is a post-pass with no boundary-snapshottable state, so
-    metrics runs always walk in full); results are bit-identical either
-    way. The store-token table is append-only under a non-zero address
+    ({!Mfu_sim.Steady}) on metrics-free walks (the stall attribution is a
+    post-pass with no boundary-snapshottable state, so metrics runs always
+    walk in full); results are bit-identical either way. The store-token table is append-only under a non-zero address
     stride, so telescoping engages on store-free or zero-stride loops
-    and falls back otherwise. Ignored with [reference]. *)
+    and falls back otherwise. *)
 
 val actual : t -> float
 (** [min pseudo_dataflow resource] — the paper's "Pure" actual limit. *)
@@ -70,7 +63,6 @@ val actual_serial : t -> float
 
 val critical_path :
   ?metrics:Mfu_sim.Sim_types.Metrics.t ->
-  ?reference:bool ->
   ?accel:bool ->
   config:Mfu_isa.Config.t ->
   Mfu_exec.Trace.t ->
@@ -78,3 +70,7 @@ val critical_path :
 (** Length in cycles of the pseudo-dataflow critical path (the denominator
     of the pseudo-dataflow limit). [metrics] instruments the walk exactly
     as in {!analyze}. *)
+
+val resource_time : config:Mfu_isa.Config.t -> Mfu_exec.Trace.t -> int
+(** Cycles the busiest shared functional unit needs for the trace (the
+    denominator of the resource limit). *)

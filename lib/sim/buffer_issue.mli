@@ -44,7 +44,6 @@ val alignment_to_string : alignment -> string
 val simulate :
   ?metrics:Sim_types.Metrics.t ->
   ?alignment:alignment ->
-  ?reference:bool ->
   ?accel:bool ->
   config:Mfu_isa.Config.t ->
   policy:policy ->
@@ -64,12 +63,5 @@ val simulate :
     occupancy histogram records the number of unissued buffer entries at
     the start of every cycle. The result is unchanged.
 
-    [reference] (default [false]) selects the original
-    Hashtbl-and-hazard-list implementation instead of the
-    {!Mfu_exec.Packed} fast path; both produce byte-identical results and
-    metrics — the flag exists for the differential test suite and as the
-    benchmark baseline.
-
     [accel] (default [true]) enables exact steady-state fast-forward
-    ({!Steady}) on the fast path; results and metrics are bit-identical
-    either way. Ignored with [reference]. *)
+    ({!Steady}); results and metrics are bit-identical either way. *)

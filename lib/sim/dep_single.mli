@@ -28,7 +28,6 @@ val scheme_to_string : scheme -> string
 
 val simulate :
   ?metrics:Sim_types.Metrics.t ->
-  ?reference:bool ->
   ?accel:bool ->
   config:Mfu_isa.Config.t ->
   scheme ->
@@ -42,11 +41,5 @@ val simulate :
     bus waits happen downstream of the issue stage in these schemes and do
     not appear as issue stalls. The result is unchanged.
 
-    [reference] (default [false]) selects the original Hashtbl
-    implementation instead of the {!Mfu_exec.Packed} fast path; both
-    produce byte-identical results and metrics — the flag exists for the
-    differential test suite and as the benchmark baseline.
-
     [accel] (default [true]) enables exact steady-state fast-forward
-    ({!Steady}) on the fast path; results and metrics are bit-identical
-    either way. Ignored with [reference]. *)
+    ({!Steady}); results and metrics are bit-identical either way. *)

@@ -42,7 +42,6 @@ val branch_handling_to_string : branch_handling -> string
 val simulate :
   ?metrics:Sim_types.Metrics.t ->
   ?branches:branch_handling ->
-  ?reference:bool ->
   ?accel:bool ->
   config:Mfu_isa.Config.t ->
   issue_units:int ->
@@ -63,11 +62,5 @@ val simulate :
     occupancy histogram records the RUU fill at the start of every cycle.
     The result is unchanged.
 
-    [reference] (default [false]) selects the original entry-record
-    implementation instead of the {!Mfu_exec.Packed} fast path; both
-    produce byte-identical results and metrics — the flag exists for the
-    differential test suite and as the benchmark baseline.
-
     [accel] (default [true]) enables exact steady-state fast-forward
-    ({!Steady}) on the fast path; results and metrics are bit-identical
-    either way. Ignored with [reference]. *)
+    ({!Steady}); results and metrics are bit-identical either way. *)

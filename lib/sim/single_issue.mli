@@ -24,10 +24,13 @@ val all_organizations : organization list
 
 val organization_to_string : organization -> string
 
+val unit_is_serial : organization -> Mfu_isa.Fu.kind -> bool
+(** Whether the organization's copy of a unit serves one request at a
+    time ([true]) or is pipelined ([false]). *)
+
 val simulate :
   ?metrics:Sim_types.Metrics.t ->
   ?memory:Memory_system.t ->
-  ?reference:bool ->
   ?accel:bool ->
   config:Mfu_isa.Config.t ->
   organization ->
@@ -49,15 +52,10 @@ val simulate :
     are [Branch], and the completion tail after the last issue is [Drain].
     The result is unchanged.
 
-    [reference] (default [false]) selects the original entry-record
-    implementation instead of the {!Mfu_exec.Packed} fast path; both
-    produce byte-identical results and metrics — the flag exists for the
-    differential test suite and as the benchmark baseline.
-
     [accel] (default [true]) enables exact steady-state fast-forward
-    ({!Steady}) on the fast path: once the machine state provably repeats
+    ({!Steady}): once the machine state provably repeats
     across loop iterations, the remaining periods are telescoped in
     closed form. Results and metrics are bit-identical either way.
     Acceleration engages only under the [Ideal] memory model ([Banked]
     bank residues are not invariant under the address translation the
-    telescoping uses) and is ignored with [reference]. *)
+    telescoping uses). *)

@@ -7,7 +7,9 @@
    flattened cell values (exact float equality, not a tolerance).
 
    Plus shape snapshots: Table 1 and Table 2 must have exactly the cell
-   labels / row keys of the paper's published tables in Paper_data. *)
+   labels / row keys of the paper's published tables in Paper_data, and
+   Tables 3-8 must stay as close to the paper's cells as EXPERIMENTS.md
+   records. *)
 
 module E = Mfu.Experiments
 module R = Mfu.Reporting
@@ -17,8 +19,8 @@ module Table = Mfu_util.Table
 module Livermore = Mfu_loops.Livermore
 module Config = Mfu_isa.Config
 
-(* One full pass over Tables 1-8: the rendered text plus the exact cell
-   values of the tables that have flatteners. *)
+(* One full pass over Tables 1-8: the rendered text plus the labelled,
+   exact cell values of the tables that have flatteners. *)
 let snapshot () =
   let buf = Buffer.create (1 lsl 16) in
   let add t =
@@ -29,15 +31,13 @@ let snapshot () =
   let t2 = E.table2 () in
   add (R.render_table1 t1);
   add (R.render_table2 t2);
-  let flat = ref (List.map snd (R.flatten_measured_table1 t1)) in
+  let flat = ref (R.flatten_measured_table1 t1) in
   List.iter
     (fun (n, compute, render) ->
       let t = compute () in
       add (render t);
       flat :=
-        !flat
-        @ List.map snd
-            (R.flatten_measured_buffer ~name:(Printf.sprintf "t%d" n) t))
+        !flat @ R.flatten_measured_buffer ~name:(Printf.sprintf "t%d" n) t)
     [
       (3, E.table3, R.render_buffer_table ~title:"Table 3");
       (4, E.table4, R.render_buffer_table ~title:"Table 4");
@@ -48,9 +48,7 @@ let snapshot () =
     (fun (n, compute, render) ->
       let t = compute () in
       add (render t);
-      flat :=
-        !flat
-        @ List.map snd (R.flatten_measured_ruu ~name:(Printf.sprintf "t%d" n) t))
+      flat := !flat @ R.flatten_measured_ruu ~name:(Printf.sprintf "t%d" n) t)
     [
       (7, E.table7, R.render_ruu_table ~title:"Table 7");
       (8, E.table8, R.render_ruu_table ~title:"Table 8");
@@ -84,7 +82,7 @@ let test_parallel_is_bit_identical () =
   (* Exact equality, element by element: the pool must not reorder cells or
      perturb a single bit of any float. *)
   List.iteri
-    (fun i (a, b) ->
+    (fun i ((_, a), (_, b)) ->
       if Int64.bits_of_float a <> Int64.bits_of_float b then
         Alcotest.failf "cell %d differs: %.17g (seq) vs %.17g (par)" i a b)
     (List.combine seq_cells par_cells)
@@ -112,7 +110,7 @@ let test_metrics_leave_tables_identical () =
                jobs)
             before after;
           List.iteri
-            (fun i (a, b) ->
+            (fun i ((_, a), (_, b)) ->
               if Int64.bits_of_float a <> Int64.bits_of_float b then
                 Alcotest.failf "cell %d differs after metrics run: %.17g vs %.17g"
                   i a b)
@@ -154,6 +152,38 @@ let test_table2_shape () =
       Alcotest.(check int) "8 rows per class" 8 (List.length t.E.lim_rows))
     measured
 
+(* Fidelity floors for Tables 3-8: EXPERIMENTS.md's summary pearson and
+   rank agreement minus a 0.02 margin, and the level within the +-30% band
+   of Table 1's test. Measured on the cells of the shared sequential
+   snapshot, so they cost no extra simulation. *)
+let fidelity =
+  [
+    (3, P.flatten_buffer ~name:"t3" P.table3, 64, 0.946, 0.93);
+    (4, P.flatten_buffer ~name:"t4" P.table4, 64, 0.926, 0.93);
+    (5, P.flatten_buffer ~name:"t5" P.table5, 64, 0.964, 0.96);
+    (6, P.flatten_buffer ~name:"t6" P.table6, 64, 0.949, 0.94);
+    (7, P.flatten_ruu ~name:"t7" P.table7, 192, 0.809, 0.88);
+    (8, P.flatten_ruu ~name:"t8" P.table8, 192, 0.962, 0.92);
+  ]
+
+let test_fidelity_floor (n, paper, cells, pearson, rank) () =
+  let _, measured = snapshot_at 1 in
+  let c = R.compare_cells ~paper ~measured in
+  Alcotest.(check int)
+    (Printf.sprintf "all %d cells join" cells)
+    cells c.R.cells;
+  let check what v floor =
+    Alcotest.(check bool)
+      (Printf.sprintf "table %d %s %.3f >= %.3f" n what v floor)
+      true (v >= floor)
+  in
+  check "pearson" c.R.pearson (pearson -. 0.02);
+  check "rank agreement" c.R.rank_agreement (rank -. 0.02);
+  Alcotest.(check bool)
+    (Printf.sprintf "table %d level x%.2f within 30%%" n c.R.mean_ratio)
+    true
+    (c.R.mean_ratio > 0.7 && c.R.mean_ratio < 1.3)
+
 let () =
   Alcotest.run "golden_tables"
     [
@@ -171,4 +201,11 @@ let () =
           Alcotest.test_case "table 2 keys vs Paper_data" `Quick
             test_table2_shape;
         ] );
+      ( "fidelity",
+        List.map
+          (fun ((n, _, _, _, _) as floor) ->
+            Alcotest.test_case
+              (Printf.sprintf "table %d shape vs paper floors" n)
+              `Slow (test_fidelity_floor floor))
+          fidelity );
     ]

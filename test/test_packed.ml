@@ -1,8 +1,9 @@
 (* The packed fast core's contract: for every simulator and every machine
-   configuration, the {!Mfu_exec.Packed} fast path is byte-identical to
-   the original implementation (kept behind [~reference:true]) — same
-   cycle counts AND same metrics, on hand-built corner cases, the
-   Livermore loops, and QCheck-random traces.
+   configuration, the production walker over the {!Mfu_exec.Packed} form
+   is byte-identical to the original implementation, kept as a test-only
+   oracle in the [Mfu_oracle] library (test/oracle) — same cycle counts
+   AND same metrics, on hand-built corner cases, the Livermore loops, and
+   QCheck-random traces.
 
    Also covers the new supporting structures ({!Mfu_util.Bitset},
    {!Mfu_util.Int_table}, the packed form itself) and the memory-growth
@@ -23,6 +24,7 @@ module Memory_system = Mfu_sim.Memory_system
 module Sim_types = Mfu_sim.Sim_types
 module Metrics = Sim_types.Metrics
 module Limits = Mfu_limits.Limits
+module Oracle = Mfu_oracle
 module Livermore = Mfu_loops.Livermore
 module Bitset = Mfu_util.Bitset
 module Int_table = Mfu_util.Int_table
@@ -147,9 +149,11 @@ let prop_int_table_model =
 
 (* -- the differential matrix ------------------------------------------------ *)
 
+(* One machine, run by the production walker ([fast]) and by the oracle. *)
 type runner = {
   rname : string;
-  run : ?metrics:Metrics.t -> reference:bool -> Trace.t -> int;
+  fast : ?metrics:Metrics.t -> Trace.t -> int;
+  oracle : ?metrics:Metrics.t -> Trace.t -> int;
 }
 
 let runners config =
@@ -159,9 +163,11 @@ let runners config =
       (fun (n, org) ->
         {
           rname = lbl "single:%s" n;
-          run =
-            (fun ?metrics ~reference t ->
-              (Si.simulate ?metrics ~reference ~config org t).cycles);
+          fast =
+            (fun ?metrics t -> (Si.simulate ?metrics ~config org t).cycles);
+          oracle =
+            (fun ?metrics t ->
+              (Oracle.Single_issue.simulate ?metrics ~config org t).cycles);
         })
       [
         ("Simple", Si.Simple);
@@ -172,10 +178,15 @@ let runners config =
     @ [
         {
           rname = lbl "single:CRAY-like+banks";
-          run =
-            (fun ?metrics ~reference t ->
-              (Si.simulate ?metrics ~memory:Memory_system.cray1_banks
-                 ~reference ~config Si.Cray_like t)
+          fast =
+            (fun ?metrics t ->
+              (Si.simulate ?metrics ~memory:Memory_system.cray1_banks ~config
+                 Si.Cray_like t)
+                .cycles);
+          oracle =
+            (fun ?metrics t ->
+              (Oracle.Single_issue.simulate ?metrics
+                 ~memory:Memory_system.cray1_banks ~config Si.Cray_like t)
                 .cycles);
         };
       ]
@@ -185,9 +196,11 @@ let runners config =
       (fun (n, scheme) ->
         {
           rname = lbl "dep:%s" n;
-          run =
-            (fun ?metrics ~reference t ->
-              (Dep.simulate ?metrics ~reference ~config scheme t).cycles);
+          fast =
+            (fun ?metrics t -> (Dep.simulate ?metrics ~config scheme t).cycles);
+          oracle =
+            (fun ?metrics t ->
+              (Oracle.Dep_single.simulate ?metrics ~config scheme t).cycles);
         })
       [ ("Scoreboard", Dep.Scoreboard); ("Tomasulo", Dep.Tomasulo) ]
   in
@@ -211,10 +224,15 @@ let runners config =
                       rname =
                         lbl "buffer:%s/%d/%s/%s" pn stations bn
                           (Bi.alignment_to_string alignment);
-                      run =
-                        (fun ?metrics ~reference t ->
-                          (Bi.simulate ?metrics ~alignment ~reference ~config
-                             ~policy ~stations ~bus t)
+                      fast =
+                        (fun ?metrics t ->
+                          (Bi.simulate ?metrics ~alignment ~config ~policy
+                             ~stations ~bus t)
+                            .cycles);
+                      oracle =
+                        (fun ?metrics t ->
+                          (Oracle.Buffer_issue.simulate ?metrics ~alignment
+                             ~config ~policy ~stations ~bus t)
                             .cycles);
                     })
                   [ Bi.Dynamic; Bi.Static ])
@@ -231,9 +249,14 @@ let runners config =
               (fun (bn, bus) ->
                 {
                   rname = lbl "ruu:%d/%d/%s" ruu_size issue_units bn;
-                  run =
-                    (fun ?metrics ~reference t ->
-                      (Ruu.simulate ?metrics ~reference ~config ~issue_units
+                  fast =
+                    (fun ?metrics t ->
+                      (Ruu.simulate ?metrics ~config ~issue_units ~ruu_size
+                         ~bus t)
+                        .cycles);
+                  oracle =
+                    (fun ?metrics t ->
+                      (Oracle.Ruu.simulate ?metrics ~config ~issue_units
                          ~ruu_size ~bus t)
                         .cycles);
                 })
@@ -244,10 +267,15 @@ let runners config =
         (fun (bn, branches) ->
           {
             rname = lbl "ruu:50/4/nbus/%s" bn;
-            run =
-              (fun ?metrics ~reference t ->
-                (Ruu.simulate ?metrics ~branches ~reference ~config
-                   ~issue_units:4 ~ruu_size:50 ~bus:Sim_types.N_bus t)
+            fast =
+              (fun ?metrics t ->
+                (Ruu.simulate ?metrics ~branches ~config ~issue_units:4
+                   ~ruu_size:50 ~bus:Sim_types.N_bus t)
+                  .cycles);
+            oracle =
+              (fun ?metrics t ->
+                (Oracle.Ruu.simulate ?metrics ~branches ~config ~issue_units:4
+                   ~ruu_size:50 ~bus:Sim_types.N_bus t)
                   .cycles);
           })
         [
@@ -260,9 +288,9 @@ let runners config =
     [
       {
         rname = lbl "limits:critical-path";
-        run =
-          (fun ?metrics ~reference t ->
-            Limits.critical_path ?metrics ~reference ~config t);
+        fast = (fun ?metrics t -> Limits.critical_path ?metrics ~config t);
+        oracle =
+          (fun ?metrics t -> Oracle.Limits.critical_path ?metrics ~config t);
       };
     ]
   in
@@ -316,7 +344,7 @@ let trim a =
 let check_metrics_equal ~where (a : Metrics.t) (b : Metrics.t) =
   let chk name va vb =
     if va <> vb then
-      Alcotest.failf "%s: %s differs (reference %d, packed %d)" where name va
+      Alcotest.failf "%s: %s differs (oracle %d, packed %d)" where name va
         vb
   in
   chk "total_cycles" a.total_cycles b.total_cycles;
@@ -332,14 +360,13 @@ let check_metrics_equal ~where (a : Metrics.t) (b : Metrics.t) =
 
 let check_differential ~ctx (r : runner) trace =
   let where = Printf.sprintf "%s on %s" r.rname ctx in
-  let ref_plain = r.run ~reference:true trace in
-  let fast_plain = r.run ~reference:false trace in
+  let ref_plain = r.oracle trace in
+  let fast_plain = r.fast trace in
   if ref_plain <> fast_plain then
-    Alcotest.failf "%s: reference %d cycles, packed %d" where ref_plain
-      fast_plain;
+    Alcotest.failf "%s: oracle %d cycles, packed %d" where ref_plain fast_plain;
   let mr = Metrics.create () and mf = Metrics.create () in
-  let ref_m = r.run ~metrics:mr ~reference:true trace in
-  let fast_m = r.run ~metrics:mf ~reference:false trace in
+  let ref_m = r.oracle ~metrics:mr trace in
+  let fast_m = r.fast ~metrics:mf trace in
   if ref_m <> ref_plain || fast_m <> fast_plain then
     Alcotest.failf "%s: metrics changed a result" where;
   check_metrics_equal ~where mr mf
@@ -363,8 +390,8 @@ let test_differential_limits_analyze () =
     (fun config ->
       List.iter
         (fun (ctx, trace) ->
-          let a = Limits.analyze ~reference:true ~config trace in
-          let b = Limits.analyze ~reference:false ~config trace in
+          let a = Oracle.Limits.analyze ~config trace in
+          let b = Limits.analyze ~config trace in
           if a <> b then
             Alcotest.failf "limits.analyze on %s/%s: records differ"
               (Config.name config) ctx)
@@ -374,7 +401,7 @@ let test_differential_limits_analyze () =
 (* -- RUU wakeup/select corner cases ------------------------------------------- *)
 
 (* Hand-built traces aimed at the RUU fast path's dependency edges,
-   timing wheel and ready set, each run against the reference on the
+   timing wheel and ready set, each run against the oracle on the
    machines named with it (both latency configurations, metrics on and
    off). *)
 let ruu_cases =
@@ -436,9 +463,14 @@ let test_ruu_corner_cases () =
                     Printf.sprintf "%s/ruu:%d/%d/%s" (Config.name config)
                       ruu_size issue_units
                       (Sim_types.bus_model_to_string bus);
-                  run =
-                    (fun ?metrics ~reference t ->
-                      (Ruu.simulate ?metrics ~reference ~config ~issue_units
+                  fast =
+                    (fun ?metrics t ->
+                      (Ruu.simulate ?metrics ~config ~issue_units ~ruu_size
+                         ~bus t)
+                        .cycles);
+                  oracle =
+                    (fun ?metrics t ->
+                      (Oracle.Ruu.simulate ?metrics ~config ~issue_units
                          ~ruu_size ~bus t)
                         .cycles);
                 }
@@ -502,8 +534,8 @@ let prop_differential_random =
       List.iter (fun r -> check_differential ~ctx:"random" r t) random_runners;
       List.iter
         (fun config ->
-          let a = Limits.analyze ~reference:true ~config t in
-          let b = Limits.analyze ~reference:false ~config t in
+          let a = Oracle.Limits.analyze ~config t in
+          let b = Limits.analyze ~config t in
           if a <> b then Alcotest.failf "limits.analyze differs on random")
         diff_configs;
       true)
@@ -512,8 +544,8 @@ let prop_differential_random =
 
 (* A long synthetic workload: loop iterations of mixed latencies, memory
    traffic over a bounded address set, and a taken branch per iteration.
-   Simulated time is O(n), so the cycle-keyed Hashtbls of the reference
-   paths grow without bound while the fast paths' rings and address tables
+   Simulated time is O(n), so the cycle-keyed Hashtbls of the oracles
+   grow without bound while the fast paths' rings and address tables
    stay O(machine). *)
 let big_trace n =
   let block i =
@@ -541,7 +573,7 @@ let test_large_trace_regression () =
   in
   let ruu_ref, _ =
     measure (fun () ->
-        (Ruu.simulate ~reference:true ~config:Config.m11br5 ~issue_units:4
+        (Oracle.Ruu.simulate ~config:Config.m11br5 ~issue_units:4
            ~ruu_size:50 ~bus:Sim_types.N_bus t)
           .cycles)
   in
@@ -557,7 +589,7 @@ let test_large_trace_regression () =
       ruu_bytes (ruu_bytes /. n);
   let buf_ref, _ =
     measure (fun () ->
-        (Bi.simulate ~reference:true ~config:Config.m11br5
+        (Oracle.Buffer_issue.simulate ~config:Config.m11br5
            ~policy:Bi.Out_of_order ~stations:8 ~bus:Sim_types.N_bus t)
           .cycles)
   in

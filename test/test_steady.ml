@@ -1,7 +1,7 @@
 (* Exact steady-state fast-forward ({!Mfu_sim.Steady}): the accelerated
    default path must be bit-identical — cycles, instruction counts, and
    every metrics counter — to the un-accelerated packed fast path (and,
-   transitively via test_packed, to the [~reference:true] oracles), on
+   transitively via test_packed, to the [Mfu_oracle] walkers), on
    synthetic periodic traces, the Livermore loops, and QCheck-random
    loop shapes; and it must actually engage (telescope) on loop traces
    long enough to be worth skipping. *)
