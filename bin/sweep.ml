@@ -225,6 +225,8 @@ let run axes_spec store_dir resume pareto table top jobs lease lease_ttl
             (Unix.gettimeofday () -. t0)
             stats.Sweep.computed stats.Sweep.reused stats.Sweep.quarantined
             (Store.root store);
+          Printf.eprintf "[steady] %s\n%!"
+            (Mfu_sim.Steady.stats_summary (Mfu_sim.Steady.stats ()));
           if guided then
             Printf.eprintf "[sweep] guided: %d inferred, %d pruned\n%!"
               stats.Sweep.inferred stats.Sweep.pruned;

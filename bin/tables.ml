@@ -135,7 +135,9 @@ let run table ablations compare csv metrics metrics_json model_error jobs scale
     if ablations then run_ablations ();
     if metrics || metrics_json <> None then
       run_metrics ~csv ~json_file:metrics_json
-  end
+  end;
+  Printf.eprintf "[steady] %s\n%!"
+    (Mfu_sim.Steady.stats_summary (Mfu_sim.Steady.stats ()))
 
 open Cmdliner
 

@@ -1,12 +1,20 @@
 module Fu = Mfu_isa.Fu
 module Reg = Mfu_isa.Reg
 module Config = Mfu_isa.Config
+module Int_table = Mfu_util.Int_table
 
 let kind_plain = 0
 let kind_load = 1
 let kind_store = 2
 let kind_taken = 3
 let kind_untaken = 4
+
+type period = {
+  p_start : int;
+  p_len : int;
+  p_stride : int;
+  p_periods : int;
+}
 
 type t = {
   n : int;
@@ -20,7 +28,27 @@ type t = {
   vl : int array;
   static_index : int array;
   max_srcs : int;
+  memo : memo;
 }
+
+(* What is derived from a pack once and kept with it: its period, and
+   (for an original pack) its live-store distance cuts and the relabelled
+   packs built so far, keyed by cut count ([None]: the pack itself, kept
+   out of its own memo so that no pack refers to itself). Guarded by
+   [memo_lock]; the values are computed outside it, so two domains may
+   both compute one, and either result is the same. *)
+and memo = {
+  mutable period : period option option;
+  mutable cuts : int array option;
+  mutable labellings : (int * t option) list;
+}
+
+let fresh_memo () = { period = None; cuts = None; labellings = [] }
+let memo_lock = Mutex.create ()
+
+let with_memo f =
+  Mutex.lock memo_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock memo_lock) f
 
 let length t = t.n
 let kind t i = Char.code (Bytes.unsafe_get t.kind i)
@@ -53,6 +81,7 @@ let of_trace (tr : Trace.t) =
       vl = Array.make n 1;
       static_index = Array.make n 0;
       max_srcs = !max_srcs;
+      memo = fresh_memo ();
     }
   in
   let off = ref 0 in
@@ -84,13 +113,6 @@ let of_trace (tr : Trace.t) =
   p
 
 (* -- period detection -------------------------------------------------------- *)
-
-type period = {
-  p_start : int;
-  p_len : int;
-  p_stride : int;
-  p_periods : int;
-}
 
 (* Two entries are congruent when every field matches except the effective
    address, which must differ by exactly [stride] (shared by every memory
@@ -177,28 +199,121 @@ let find_period t =
         try_candidates rest
   end
 
-(* Period detection is an O(n) scan, so it is memoized alongside the pack
-   itself: keyed by the physical identity of the packed form, bounded the
-   same way as the pack cache below. *)
-let period_capacity = 64
-let period_lock = Mutex.create ()
-let period_cache : (t * period option) list ref = ref []
-
-let rec take_periods k = function
-  | x :: rest when k > 0 -> x :: take_periods (k - 1) rest
-  | _ -> []
-
+(* Period detection is an O(n) scan, so it runs once per pack and is
+   kept with it. *)
 let period (p : t) =
-  Mutex.lock period_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock period_lock)
-    (fun () ->
-      match List.find_opt (fun (key, _) -> key == p) !period_cache with
-      | Some (_, r) -> r
-      | None ->
-          let r = find_period p in
-          period_cache := take_periods period_capacity ((p, r) :: !period_cache);
-          r)
+  match with_memo (fun () -> p.memo.period) with
+  | Some r -> r
+  | None ->
+      let r = find_period p in
+      with_memo (fun () -> p.memo.period <- Some r);
+      r
+
+(* -- splicing --------------------------------------------------------------- *)
+
+let splice t ~keep ~skip ~shift =
+  let n = t.n - skip in
+  let from i = if i < keep then i else i + skip in
+  let pick a = Array.init n (fun i -> a.(from i)) in
+  let so = t.src_off in
+  let dropped = so.(keep + skip) - so.(keep) in
+  {
+    n;
+    fu = pick t.fu;
+    dest = pick t.dest;
+    src_off =
+      Array.init (n + 1) (fun i ->
+          if i <= keep then so.(i) else so.(i + skip) - dropped);
+    src_idx =
+      Array.init
+        (Array.length t.src_idx - dropped)
+        (fun s -> t.src_idx.(if s < so.(keep) then s else s + dropped));
+    kind = Bytes.init n (fun i -> Bytes.get t.kind (from i));
+    addr =
+      Array.init n (fun i ->
+          let j = from i in
+          if i >= keep && is_mem t j then t.addr.(j) - shift else t.addr.(j));
+    parcels = pick t.parcels;
+    vl = pick t.vl;
+    static_index = pick t.static_index;
+    max_srcs = t.max_srcs;
+    memo = fresh_memo ();
+  }
+
+(* -- live-store relabelling ------------------------------------------------- *)
+
+(* Visit every memory entry [i], in trace order, with the latest earlier
+   store [j] to its address (-1 if none) and the number of non-branch
+   entries in [\[j, i)] ([max_int] if none). *)
+let iter_prior_stores t f =
+  let last = Int_table.create 256 (* address -> latest store index *)
+  and last_rank = Int_table.create 256 (* address -> its non-branch rank *)
+  and rank = ref 0 in
+  for i = 0 to t.n - 1 do
+    if is_mem t i then begin
+      let a = t.addr.(i) in
+      let j = Int_table.find last ~default:(-1) a in
+      f i j
+        (if j < 0 then max_int
+         else !rank - Int_table.find last_rank ~default:0 a);
+      if is_store t i then begin
+        Int_table.set last a i;
+        Int_table.set last_rank a !rank
+      end
+    end;
+    if not (is_branch t i) then incr rank
+  done
+
+(* The distinct store distances, ascending: the horizons at which the
+   labelling changes. *)
+let distance_cuts t =
+  let seen = Int_table.create 64 in
+  iter_prior_stores t (fun _ j d -> if j >= 0 then Int_table.set seen d 0);
+  let cuts = Array.make (Int_table.length seen) 0 in
+  let k = ref 0 in
+  Int_table.iter
+    (fun d _ ->
+      cuts.(!k) <- d;
+      incr k)
+    seen;
+  Array.sort compare cuts;
+  cuts
+
+(* Labels of earlier entries are final when an entry is visited, so
+   chains of in-horizon stores resolve in one pass. *)
+let labels t ~horizon =
+  let addr = Array.copy t.addr in
+  iter_prior_stores t (fun i j d ->
+      addr.(i) <- (if d < horizon then addr.(j) else i));
+  addr
+
+let covered = function None -> 0 | Some pd -> pd.p_len * pd.p_periods
+
+let relabel t ~horizon =
+  let cuts =
+    match with_memo (fun () -> t.memo.cuts) with
+    | Some c -> c
+    | None ->
+        let c = distance_cuts t in
+        with_memo (fun () -> t.memo.cuts <- Some c);
+        c
+  in
+  (* horizons between two consecutive cuts label alike: key the
+     labelling by how many cuts lie below the horizon *)
+  let k = ref 0 in
+  while !k < Array.length cuts && cuts.(!k) < horizon do
+    incr k
+  done;
+  let k = !k in
+  match with_memo (fun () -> List.assoc_opt k t.memo.labellings) with
+  | Some p -> Option.value p ~default:t
+  | None ->
+      let r = { t with addr = labels t ~horizon; memo = fresh_memo () } in
+      let p =
+        if covered (period r) > covered (period t) then Some r else None
+      in
+      with_memo (fun () -> t.memo.labellings <- (k, p) :: t.memo.labellings);
+      Option.value p ~default:t
 
 (* -- per-configuration lookup tables ---------------------------------------- *)
 
@@ -247,8 +362,4 @@ let cache_clear () =
   Mutex.lock cache_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock cache_lock)
-    (fun () -> cache := []);
-  Mutex.lock period_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock period_lock)
-    (fun () -> period_cache := [])
+    (fun () -> cache := [])

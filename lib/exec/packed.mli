@@ -14,29 +14,6 @@
     {!Mfu_isa.Fu.index}. A destination of [-1] means the instruction
     writes no register; [addr] is [-1] for non-memory instructions. *)
 
-type t = private {
-  n : int;  (** instruction count *)
-  fu : int array;  (** {!Mfu_isa.Fu.index} per entry *)
-  dest : int array;  (** destination {!Mfu_isa.Reg.index}, or -1 *)
-  src_off : int array;  (** length [n+1]: CSR offsets into [src_idx] *)
-  src_idx : int array;  (** source register indices, all entries *)
-  kind : Bytes.t;  (** kind tag per entry, one of the [kind_*] codes *)
-  addr : int array;  (** effective address for loads/stores, else -1 *)
-  parcels : int array;
-  vl : int array;
-  static_index : int array;
-  max_srcs : int;  (** largest per-entry source count in this trace *)
-}
-
-val kind_plain : int
-val kind_load : int
-val kind_store : int
-val kind_taken : int
-val kind_untaken : int
-
-val of_trace : Trace.t -> t
-(** Flatten a trace. O(n); performed once per trace by {!cached}. *)
-
 type period = {
   p_start : int;  (** first entry of the periodic region *)
   p_len : int;  (** entries per period *)
@@ -52,12 +29,61 @@ type period = {
     previous, which is what exact steady-state telescoping needs). Iteration
     boundaries are [p_start + m*p_len] for [m] in [\[0, p_periods\]]. *)
 
+type t = private {
+  n : int;  (** instruction count *)
+  fu : int array;  (** {!Mfu_isa.Fu.index} per entry *)
+  dest : int array;  (** destination {!Mfu_isa.Reg.index}, or -1 *)
+  src_off : int array;  (** length [n+1]: CSR offsets into [src_idx] *)
+  src_idx : int array;  (** source register indices, all entries *)
+  kind : Bytes.t;  (** kind tag per entry, one of the [kind_*] codes *)
+  addr : int array;  (** effective address for loads/stores, else -1 *)
+  parcels : int array;
+  vl : int array;
+  static_index : int array;
+  max_srcs : int;  (** largest per-entry source count in this trace *)
+  memo : memo;  (** what is derived from the pack once and kept with it *)
+}
+
+and memo
+
+val kind_plain : int
+val kind_load : int
+val kind_store : int
+val kind_taken : int
+val kind_untaken : int
+
+val of_trace : Trace.t -> t
+(** Flatten a trace. O(n); performed once per trace by {!cached}. *)
+
 val period : t -> period option
 (** Detect the repeating body of a loop trace, or [None] for traces with
     fewer than two congruent periods (straight-line code, data-dependent
     address streams, non-counting loops). Candidate period lengths come
-    from taken-branch (backedge) spacing; the scan is O(n) and memoized by
-    physical identity of the packed trace. *)
+    from taken-branch (backedge) spacing; the scan is O(n), runs once per
+    pack and is kept with it. *)
+
+val splice : t -> keep:int -> skip:int -> shift:int -> t
+(** [splice t ~keep ~skip ~shift] is entries [\[0, keep)] followed by
+    entries [\[keep + skip, n)], with the memory addresses of the latter
+    lowered by [shift]. Every field is copied; [max_srcs] is kept. *)
+
+val labels : t -> horizon:int -> int array
+(** [labels t ~horizon] names each memory address only as far as a
+    window of [horizon] non-branch entries can tell: an entry whose
+    latest earlier store to its address lies fewer than [horizon]
+    non-branch entries back (counting the store) takes that store's
+    label, and any other memory entry is labelled with its own index;
+    non-memory entries keep [-1]. Two entries share a label exactly when
+    a chain of such in-horizon stores links them, so "the latest earlier
+    store with this label" is the store the original address finds
+    whenever that store is within the horizon, and none otherwise. *)
+
+val relabel : t -> horizon:int -> t
+(** [relabel t ~horizon] is [t] with [addr] replaced by
+    [labels t ~horizon] when that lengthens the periodic region
+    ({!period}), and [t] itself otherwise. Every other array is shared
+    with [t]. Memoized on [t]: horizons that yield the same labelling
+    return the same pack. *)
 
 val cached : Trace.t -> t
 (** Memoized {!of_trace}, keyed by the {e physical identity} of the trace

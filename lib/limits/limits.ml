@@ -208,7 +208,7 @@ let resource_time ~config (trace : Trace.t) =
    state the steady-state driver could snapshot at boundaries. *)
 let path_length ?metrics ~accel ~config ~serial_waw (trace : Trace.t) =
   if accel && metrics = None then
-    (Steady.run trace (fun ~metrics ~probe p ->
+    (Steady.run (Packed.cached trace) (fun ~metrics ~probe p ->
          {
            Mfu_sim.Sim_types.cycles =
              dataflow_path ?metrics ?probe ~config ~serial_waw p;

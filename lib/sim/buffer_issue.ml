@@ -446,7 +446,8 @@ let simulate ?metrics ?(alignment = Dynamic) ?(accel = true) ~config ~policy
   if accel then
     (* the buffer reads [stations] entries past [base]: the final periods
        of a loop see the epilogue through it and must not be telescoped *)
-    Steady.run ?metrics ~lookahead:stations trace (fun ~metrics ~probe p ->
+    Steady.run ?metrics ~lookahead:stations (Packed.cached trace)
+      (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations
           ~bus p)
   else

@@ -155,6 +155,6 @@ let simulate_packed ?metrics ?probe ~config scheme (p : Packed.t) =
 
 let simulate ?metrics ?(accel = true) ~config scheme (trace : Trace.t) =
   if accel then
-    Steady.run ?metrics trace (fun ~metrics ~probe p ->
+    Steady.run ?metrics (Packed.cached trace) (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~config scheme p)
   else simulate_packed ?metrics ~config scheme (Packed.cached trace)

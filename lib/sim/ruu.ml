@@ -258,7 +258,9 @@ module Fast = struct
     else
       let i = st.next in
       if Packed.is_branch st.p i then begin
-        let correctly_predicted = st.branches <> Stall && predict st i in
+        let correctly_predicted =
+          match st.branches with Stall -> false | _ -> predict st i
+        in
         if correctly_predicted then begin
           st.stall_until <- t + 1;
           if t + st.branch_time > st.finish then
@@ -433,17 +435,29 @@ end
 
 let rec pow2_at_least n = if n <= 1 then 1 else 2 * pow2_at_least ((n + 1) / 2)
 
+(* The ring rotations the walker is equivariant under: no slot is read
+   absolutely except through its dispatch bank, [slot mod issue_units] on
+   [N_bus] and 0 otherwise. Rotating every slot by a multiple of [g]
+   keeps every bank, so only [head mod g] and head-relative slots
+   distinguish states. When [issue_units] does not divide [ruu_size],
+   rotating by [issue_units] moves banks across the wrap-around, and
+   only whole turns are safe. *)
+let rotation ~issue_units ~ruu_size = function
+  | Sim_types.One_bus | Sim_types.X_bar -> 1
+  | Sim_types.N_bus ->
+      if ruu_size mod issue_units = 0 then issue_units else ruu_size
+
 (* Steady-state fingerprint, normalized by [now = t] at the top of a
    cycle where exactly the entries before the boundary have issued.
-   The ring head is kept absolute — dispatch banks are [slot mod
-   issue_units], so only states with identical slot numbering replay
-   each other. Times at or before [now] are dead (commit compares
+   Slots are pushed relative to the head, and the head itself only
+   modulo {!rotation}: states that differ by such a rotation replay each
+   other. Times at or before [now] are dead (commit compares
    [<= t], readiness [<= t], same-cycle unit reuse [= t], and probed
    result-bus cycles are > [now]), so they clamp to 0; that also merges
    an entry already in the ready set with one parked under cycle [now],
    which drains into it before select runs. Each live slot contributes
    its pending-edge count, its operand-ready max (dead once dispatched)
-   and its wakeup list as the consumers' absolute slots, [-1]-terminated
+   and its wakeup list as the consumers' relative slots, [-1]-terminated
    (an edge's operand index only numbers it, so it is left out; list
    order is reverse issue order either way). The ready set and the
    wheel are not serialized:
@@ -456,10 +470,14 @@ let rec pow2_at_least n = if n <= 1 then 1 else 2 * pow2_at_least ((n + 1) / 2)
    liveness test and through window order. *)
 let fingerprint st ~maxlat pr pos now =
   let ruu_size = st.Fast.ruu_size in
+  let head = st.Fast.head in
+  let rel slot = if slot < head then slot - head + ruu_size else slot - head in
   let fp = ref [] in
   let push v = fp := v :: !fp in
   let after v = if v = max_int then -1 else if v > now then v - now else 0 in
-  push st.Fast.head;
+  push
+    (head
+    mod rotation ~issue_units:st.Fast.issue_units ~ruu_size st.Fast.bus);
   push st.Fast.count;
   push (after st.Fast.stall_until);
   push (after st.Fast.finish);
@@ -469,10 +487,12 @@ let fingerprint st ~maxlat pr pos now =
   Array.iter
     (fun v -> push (if v >= now then v - now + 1 else 0))
     st.Fast.fu_last_used;
-  Array.iter push st.Fast.latest_writer;
+  Array.iter
+    (fun w -> push (if w < 0 then -1 else rel w))
+    st.Fast.latest_writer;
   Array.iter push st.Fast.counters;
   for k = 0 to st.Fast.count - 1 do
-    let slot = (st.Fast.head + k) mod ruu_size in
+    let slot = (head + k) mod ruu_size in
     push st.Fast.s_dest.(slot);
     push st.Fast.s_fu.(slot);
     if st.Fast.s_dispatched.(slot) then begin
@@ -485,7 +505,7 @@ let fingerprint st ~maxlat pr pos now =
       push (after st.Fast.s_ready.(slot));
       let e = ref st.Fast.dep_head.(slot) in
       while !e >= 0 do
-        push (!e / st.Fast.maxprod);
+        push (rel (!e / st.Fast.maxprod));
         e := st.Fast.dep_next.(!e)
       done;
       push (-1)
@@ -495,15 +515,12 @@ let fingerprint st ~maxlat pr pos now =
   Int_table.iter
     (fun addr r ->
       let slot = r mod ruu_size and uid = r / ruu_size in
-      let off =
-        let o = slot - st.Fast.head in
-        if o < 0 then o + ruu_size else o
-      in
+      let off = rel slot in
       if
         off < st.Fast.count
         && st.Fast.s_uid.(slot) = uid
         && st.Fast.s_completion.(slot) > now
-      then live := (addr - pr.Steady.addr_off, slot) :: !live)
+      then live := (addr - pr.Steady.addr_off, off) :: !live)
     st.Fast.mem_writer;
   let live = List.sort compare !live in
   push (List.length live);
@@ -611,17 +628,18 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
   | None -> ());
   { Sim_types.cycles; instructions = n }
 
-(* Ring-position gate for steady-state probing: fingerprints keep the ring
-   head absolute, and each period issues [q] non-branch entries into the
-   [ruu_size]-slot ring, so two boundaries [j < k] can only match when
-   [(k - j) * q] is a multiple of [ruu_size]. *)
-let min_repeat ~ruu_size p (pd : Packed.period) =
+(* Ring-position gate for steady-state probing: fingerprints keep the
+   ring head modulo [g] ({!rotation}), and each period issues [q]
+   non-branch entries, so two boundaries [j < k] can only match when
+   [(k - j) * q] is a multiple of [g]. *)
+let min_repeat ~issue_units ~ruu_size ~bus p (pd : Packed.period) =
   let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let g = rotation ~issue_units ~ruu_size bus in
   let q = ref 0 in
   for i = pd.Packed.p_start to pd.Packed.p_start + pd.Packed.p_len - 1 do
     if not (Packed.is_branch p i) then incr q
   done;
-  ruu_size / gcd !q ruu_size
+  g / gcd !q g
 
 let simulate ?metrics ?(branches = Stall) ?(accel = true) ~config ~issue_units
     ~ruu_size ~bus (trace : Trace.t) =
@@ -631,10 +649,15 @@ let simulate ?metrics ?(branches = Stall) ?(accel = true) ~config ~issue_units
   | Bimodal n when n < 1 -> invalid_arg "Ruu.simulate: bimodal table size < 1"
   | _ -> ());
   if accel then
-    (* the issue pass examines up to [issue_units] entries past [next] in a
-       cycle *)
+    (* The walker reads an address only to find the latest earlier store
+       to it that is still in the window, so addresses relabelled by
+       live-store dependence over a [ruu_size] horizon drive it exactly
+       as the originals do. The issue pass examines up to [issue_units]
+       entries past [next] in a cycle. *)
     Steady.run ?metrics ~lookahead:issue_units
-      ~min_repeat:(min_repeat ~ruu_size) trace (fun ~metrics ~probe p ->
+      ~min_repeat:(min_repeat ~issue_units ~ruu_size ~bus)
+      (Packed.relabel (Packed.cached trace) ~horizon:ruu_size)
+      (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~branches ~config ~issue_units
           ~ruu_size ~bus p)
   else

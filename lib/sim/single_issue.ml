@@ -124,6 +124,6 @@ let simulate_packed ?metrics ?probe ~memory ~config org (p : Packed.t) =
 let simulate ?metrics ?(memory = Memory_system.ideal) ?(accel = true) ~config
     org (trace : Trace.t) =
   if accel && memory = Memory_system.Ideal then
-    Steady.run ?metrics trace (fun ~metrics ~probe p ->
+    Steady.run ?metrics (Packed.cached trace) (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~memory ~config org p)
   else simulate_packed ?metrics ~memory ~config org (Packed.cached trace)

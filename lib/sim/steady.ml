@@ -4,7 +4,9 @@
    ({!Mfu_exec.Packed.period}) proves that entries repeat with period P and
    a uniform per-period address stride d. The simulators are deterministic
    machines whose state refers to absolute time only through differences
-   and to absolute addresses only through equality, so if the complete
+   and to absolute addresses only through equality (the RUU's only
+   through its live-store relation, so it runs on addresses relabelled
+   by that relation: {!Mfu_exec.Packed.relabel}). So if the complete
    machine state — normalized by the current cycle and by the current
    period's address offset — is identical at two iteration boundaries
    b_j and b_k, the evolution from b_k replays the evolution from b_j
@@ -14,12 +16,12 @@
    The driver therefore runs the real simulation once with a probe that
    fingerprints the normalized state at each boundary. On the first repeat
    (j, k) it stops, skips K = R*(k - j) whole periods in closed form, and
-   re-simulates a short *splice* — the original prefix [0, b_k) followed by
-   the suffix from b_k + K*P with memory addresses shifted down by K*d.
-   The shifted suffix is literally the address stream the machine would
-   have seen at periods k, k+1, ... (all addresses are original trace
-   addresses, hence non-negative), so the splice run's tail is the true
-   run's tail translated by R*(t_k - t_j) cycles:
+   re-simulates a short *splice* ({!Mfu_exec.Packed.splice}) — the
+   prefix [0, b_k) followed by the suffix from b_k + K*P with memory
+   addresses shifted down by K*d. The shifted suffix is literally the
+   address stream the machine would have seen at periods k, k+1, ...,
+   so the splice run's tail is the true run's tail translated by
+   R*(t_k - t_j) cycles:
 
      cycles       = splice.cycles + R * (t_k - t_j)
      metrics      = splice.metrics + R * (M_k - M_j)
@@ -79,21 +81,6 @@ type match_info = {
   m_repeats : int;  (** R: how many (k - j)-period chunks are skipped *)
 }
 
-let splice (trace : Mfu_exec.Trace.t) ~keep ~skip ~shift =
-  let n = Array.length trace in
-  Array.init
-    (n - skip)
-    (fun i ->
-      if i < keep then trace.(i)
-      else
-        let e = trace.(i + skip) in
-        match e.Mfu_exec.Trace.kind with
-        | Mfu_exec.Trace.Load a ->
-            { e with Mfu_exec.Trace.kind = Mfu_exec.Trace.Load (a - shift) }
-        | Mfu_exec.Trace.Store a ->
-            { e with Mfu_exec.Trace.kind = Mfu_exec.Trace.Store (a - shift) }
-        | _ -> e)
-
 (* Observability for tests and reports: how often runs telescoped vs fell
    back. Domain-safe; never consulted by the simulation itself. *)
 let n_telescoped = Atomic.make 0
@@ -110,6 +97,10 @@ let stats () =
     aperiodic = Atomic.get n_aperiodic;
     gated = Atomic.get n_gated;
   }
+
+let stats_summary s =
+  Printf.sprintf "telescoped %d, fallback %d, aperiodic %d, gated %d"
+    s.telescoped s.fallback s.aperiodic s.gated
 
 let reset_stats () =
   Atomic.set n_telescoped 0;
@@ -219,7 +210,7 @@ let make_detector ~metrics ~lookahead (pd : Packed.period) ~n =
 
 (* A repeat was found: build the splice, rerun the simulator on it without
    a probe, and combine in closed form. *)
-let telescope det ~metrics ~trace ~sim =
+let telescope det ~metrics ~packed ~sim =
   Atomic.incr n_telescoped;
   let info = Option.get det.d_found in
   let c = info.m_high - info.m_low in
@@ -227,7 +218,7 @@ let telescope det ~metrics ~trace ~sim =
   let skip = info.m_repeats * c * det.d_p_len in
   let shift = info.m_repeats * c * det.d_p_stride in
   let res =
-    sim ~metrics ~probe:None (Packed.of_trace (splice trace ~keep ~skip ~shift))
+    sim ~metrics ~probe:None (Packed.splice packed ~keep ~skip ~shift)
   in
   Option.iter
     (fun m ->
@@ -241,8 +232,7 @@ let telescope det ~metrics ~trace ~sim =
     instructions = res.Sim_types.instructions + skip;
   }
 
-let run ?metrics ?(lookahead = 0) ?min_repeat trace sim =
-  let packed = Packed.cached trace in
+let run ?metrics ?(lookahead = 0) ?min_repeat packed sim =
   match Packed.period packed with
   | None ->
       Atomic.incr n_aperiodic;
@@ -278,5 +268,5 @@ let run ?metrics ?(lookahead = 0) ?min_repeat trace sim =
                     ~lo:(Metrics.create ()) ~times:1)
                 metrics;
               result
-          | exception Stop -> telescope det ~metrics ~trace ~sim
+          | exception Stop -> telescope det ~metrics ~packed ~sim
       end

@@ -54,24 +54,27 @@ val stats : unit -> stats
 (** Process-wide counters over every {!run} since {!reset_stats}.
     Observability only — results never depend on them. *)
 
+val stats_summary : stats -> string
+(** ["telescoped A, fallback B, aperiodic C, gated D"], for one-line
+    reports on stderr. *)
+
 val reset_stats : unit -> unit
 
 val run :
   ?metrics:Sim_types.Metrics.t ->
   ?lookahead:int ->
   ?min_repeat:(Mfu_exec.Packed.t -> Mfu_exec.Packed.period -> int) ->
-  Mfu_exec.Trace.t ->
+  Mfu_exec.Packed.t ->
   (metrics:Sim_types.Metrics.t option ->
   probe:probe option ->
   Mfu_exec.Packed.t ->
   Sim_types.result) ->
   Sim_types.result
-(** [run ?metrics trace sim] where [sim ~metrics ~probe packed] is the
+(** [run ?metrics packed sim] where [sim ~metrics ~probe packed] is the
     simulator's packed fast path. Returns a result bit-identical to
-    [sim ~metrics ~probe:None (Packed.cached trace)], telescoping whole
-    periods when the machine state provably repeats. The splice trace is
-    packed with {!Mfu_exec.Packed.of_trace} directly (never inserted in
-    the pack cache).
+    [sim ~metrics ~probe:None packed], telescoping whole periods when the
+    machine state provably repeats. The splice is built with
+    {!Mfu_exec.Packed.splice}.
 
     [lookahead] (default 0) is how many trace entries past its current
     position the simulator may inspect (an instruction buffer holding

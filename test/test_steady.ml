@@ -362,32 +362,44 @@ let test_every_configuration_telescopes () =
            (runners config)))
     diff_configs
 
-(* The RUU fingerprint keeps the ring head absolute, so boundaries j < k
-   can only match when (k - j) * q is a multiple of the RUU size S, where
-   q is the period's non-branch entry count: the earliest repeat is
-   c = S / gcd(q, S) periods in. When even that repeat could not be
-   telescoped, the run is gated (simulated unprobed); either way it
-   matches the unaccelerated run. LL1 at S = 50 repeats at c = 25, whose
-   best skip (2 x 25 of 98 periods) is under half the trace. *)
+(* The RUU fingerprint keeps the ring head only modulo g — the issue
+   width on N_bus when it divides the RUU size S, S for other N_bus
+   machines, 1 on One_bus and X_bar, whose dispatch banks ignore the
+   slot — so boundaries j < k can only match when (k - j) * q is a
+   multiple of g, where q is the period's non-branch entry count: the
+   earliest repeat is c = g / gcd(q, g) periods in. When even that
+   repeat could not be telescoped, the run is gated (simulated
+   unprobed); either way it matches the unaccelerated run. LL1 at S = 50
+   on 4 units with N_bus (4 does not divide 50, so g = 50) repeats at
+   c = 25, whose best skip (2 x 25 of 98 periods) is under half the
+   trace. *)
 let test_ruu_ring_gate () =
   let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
   List.iter
-    (fun (loop, ruu_size, c_expected, gated) ->
+    (fun (loop, ruu_size, bus, c_expected, gated) ->
       let trace = Livermore.trace (Livermore.loop loop) in
-      let p = Packed.cached trace in
+      let p = Packed.relabel (Packed.cached trace) ~horizon:ruu_size in
       let pd = Option.get (Packed.period p) in
       let q = ref 0 in
       for i = pd.Packed.p_start to pd.Packed.p_start + pd.Packed.p_len - 1 do
         if not (Packed.is_branch p i) then incr q
       done;
-      let where = Printf.sprintf "LL%d at S = %d" loop ruu_size in
-      Alcotest.(check int)
-        (where ^ ": earliest repeat")
-        c_expected
-        (ruu_size / gcd !q ruu_size);
+      let issue_units = 4 in
+      let g =
+        match bus with
+        | Sim_types.N_bus ->
+            if ruu_size mod issue_units = 0 then issue_units else ruu_size
+        | Sim_types.One_bus | Sim_types.X_bar -> 1
+      in
+      let where =
+        Printf.sprintf "LL%d at S = %d, %s" loop ruu_size
+          (Sim_types.bus_model_to_string bus)
+      in
+      Alcotest.(check int) (where ^ ": earliest repeat") c_expected
+        (g / gcd !q g);
       let run accel =
-        Ruu.simulate ~accel ~config:Config.m11br5 ~issue_units:4 ~ruu_size
-          ~bus:Sim_types.N_bus trace
+        Ruu.simulate ~accel ~config:Config.m11br5 ~issue_units ~ruu_size ~bus
+          trace
       in
       Steady.reset_stats ();
       let fast = run true in
@@ -400,12 +412,228 @@ let test_ruu_ring_gate () =
       if fast <> run false then
         Alcotest.failf "%s: accelerated run differs from full run" where)
     [
-      (1, 50, 25, true);
-      (1, 100, 50, true);
-      (9, 50, 50, true);
-      (3, 100, 50, false);
-      (12, 10, 2, false);
+      (1, 50, Sim_types.N_bus, 25, true);
+      (1, 100, Sim_types.N_bus, 2, false);
+      (1, 50, Sim_types.One_bus, 1, false);
+      (1, 10, Sim_types.N_bus, 5, false);
+      (9, 50, Sim_types.N_bus, 50, true);
+      (3, 100, Sim_types.N_bus, 2, false);
+      (12, 10, Sim_types.N_bus, 2, false);
     ]
+
+(* -- live-store relabelling ------------------------------------------------- *)
+
+(* An entry takes the label of its latest earlier store to the same
+   address when that store lies fewer than [horizon] non-branch entries
+   back, counting the store; otherwise its own index. *)
+let test_relabel_labels () =
+  let p =
+    Packed.of_trace
+      (Tracegen.of_list
+         [
+           Tracegen.store ~v:1 ~addr:5;
+           Tracegen.imm ~d:1;
+           Tracegen.load ~d:2 ~addr:5 (* 2 non-branch entries after store 0 *);
+           Tracegen.branch ~taken:false;
+           Tracegen.store ~v:2 ~addr:5 (* 3 after store 0 *);
+           Tracegen.load ~d:3 ~addr:7 (* never stored *);
+           Tracegen.load ~d:4 ~addr:5 (* 2 after store 4 *);
+         ])
+  in
+  let check horizon expected =
+    Alcotest.(check (list int))
+      (Printf.sprintf "horizon %d" horizon)
+      expected
+      (Array.to_list (Packed.labels p ~horizon))
+  in
+  check 1 [ 0; -1; 2; -1; 4; 5; 6 ];
+  check 2 [ 0; -1; 2; -1; 4; 5; 6 ];
+  check 3 [ 0; -1; 0; -1; 4; 5; 4 ];
+  check 4 [ 0; -1; 0; -1; 0; 5; 0 ];
+  check 100 [ 0; -1; 0; -1; 0; 5; 0 ]
+
+(* A strided load beside a memory accumulator: the original addresses mix
+   strides 1 and 0, so no period. The accumulator's load lies 2
+   non-branch entries after the previous period's store, and that store
+   4 after its predecessor. Below horizon 5 every label advances by the
+   period length and the relabelled pack is periodic; from 5 on the
+   store chain keeps one label, strides mix again, and [relabel] keeps
+   the original pack. Horizons that label alike share one pack. *)
+let test_relabel_memo () =
+  let trace =
+    Array.of_list
+      (List.concat
+         (List.init 40 (fun m ->
+              List.mapi with_static
+                [
+                  Tracegen.load ~d:1 ~addr:(100 + m);
+                  Tracegen.load ~d:2 ~addr:7;
+                  Tracegen.fadd ~d:2 ~a:1 ~b:2;
+                  Tracegen.store ~v:2 ~addr:7;
+                  Tracegen.branch ~taken:true;
+                ])))
+  in
+  let p = Packed.of_trace trace in
+  let r h = Packed.relabel p ~horizon:h in
+  let same what a b = Alcotest.(check bool) what true (a == b) in
+  Alcotest.(check bool) "original is aperiodic" true (Packed.period p = None);
+  same "horizons 1 and 2 share a pack" (r 1) (r 2);
+  same "horizons 3 and 4 share a pack" (r 3) (r 4);
+  Alcotest.(check bool) "horizons 2 and 3 do not" false (r 2 == r 3);
+  Alcotest.(check bool) "horizon 4 is periodic" true
+    (Packed.period (r 4) <> None);
+  same "horizon 5 keeps the original" p (r 5);
+  same "horizon 100 keeps the original" p (r 100);
+  same "other arrays are shared" p.Packed.fu (r 1).Packed.fu;
+  List.iter
+    (fun ruu_size ->
+      let run accel =
+        Ruu.simulate ~accel ~config:Config.m11br5 ~issue_units:1 ~ruu_size
+          ~bus:Sim_types.N_bus trace
+      in
+      if run true <> run false then
+        Alcotest.failf "S = %d: accelerated run differs from full run"
+          ruu_size)
+    [ 2; 3; 4; 5; 6 ]
+
+(* LL13 (2-D particle in cell) gathers and scatters through
+   data-dependent indices, so its addresses have no uniform stride; its
+   live-store labels do, and the run telescopes exactly. *)
+let test_relabel_ll13_telescopes () =
+  let trace = Livermore.trace (Livermore.loop 13) in
+  let run accel =
+    Ruu.simulate ~accel ~config:Config.m11br5 ~issue_units:2 ~ruu_size:50
+      ~bus:Sim_types.N_bus trace
+  in
+  Alcotest.(check bool) "original addresses are aperiodic" true
+    (Packed.period (Packed.cached trace) = None);
+  Steady.reset_stats ();
+  let fast = run true in
+  Alcotest.(check int) "telescoped" 1 (Steady.stats ()).Steady.telescoped;
+  if fast <> run false then
+    Alcotest.fail "LL13: accelerated run differs from full run"
+
+(* Non-branch distances from each store to the next access of its
+   address, as the relabelling measures them. *)
+let store_distances (t : Trace.t) =
+  let last = Hashtbl.create 8 and nb = ref 0 and ds = ref [] in
+  Array.iter
+    (fun (e : Trace.entry) ->
+      (match e.kind with
+      | Trace.Load a | Trace.Store a ->
+          (match Hashtbl.find_opt last a with
+          | Some nj -> ds := (!nb - nj) :: !ds
+          | None -> ());
+          (match e.kind with
+          | Trace.Store _ -> Hashtbl.replace last a !nb
+          | _ -> ())
+      | _ -> ());
+      if not (Trace.is_branch e) then incr nb)
+    t;
+  List.sort_uniq compare !ds
+
+(* Loop traces whose memory entries share a small address pool: each
+   access either keeps one pool address every period or draws a fresh
+   one per period (a data-dependent gather or scatter). *)
+let pool_loop_gen =
+  let open QCheck.Gen in
+  let sreg = int_range 0 5 in
+  pair (int_range 1 5) (int_range 6 24) >>= fun (pool, periods) ->
+  let access = pair bool (int_range 0 (pool - 1)) in
+  let op =
+    frequency
+      [
+        (3, map3 (fun d a b -> `Op (Tracegen.fadd ~d ~a ~b)) sreg sreg sreg);
+        (1, map (fun d -> `Op (Tracegen.imm ~d)) sreg);
+        (2, map2 (fun d m -> `Load (d, m)) sreg access);
+        (2, map2 (fun v m -> `Store (v, m)) sreg access);
+        (1, return (`Op (Tracegen.branch ~taken:false)));
+      ]
+  in
+  list_size (int_range 1 7) op >>= fun body ->
+  list_repeat periods (list_repeat (List.length body) (int_range 0 (pool - 1)))
+  >>= fun draws ->
+  let addr (fixed, a) draw = 100 + if fixed then a else draw in
+  let period draws =
+    List.mapi with_static
+      (List.map2
+         (fun op draw ->
+           match op with
+           | `Op e -> e
+           | `Load (d, m) -> Tracegen.load ~d ~addr:(addr m draw)
+           | `Store (v, m) -> Tracegen.store ~v ~addr:(addr m draw))
+         body draws
+      @ [ Tracegen.branch ~taken:true ])
+  in
+  return (Array.of_list (List.concat_map period draws))
+
+(* For a store-to-access distance d found in the trace, RUU sizes d and
+   d + 1 put the store just outside and just inside the window. The
+   accelerated walker (relabelled addresses) must equal the unaccelerated
+   one and the oracle (original addresses) everywhere. *)
+let test_relabel_random =
+  QCheck.Test.make
+    ~name:"RUU relabelled == original addresses on pooled-address loops"
+    ~count:40
+    (QCheck.make
+       ~print:(fun t -> Printf.sprintf "trace of %d entries" (Array.length t))
+       pool_loop_gen)
+    (fun trace ->
+      let config = Config.m11br5 in
+      let sizes =
+        match store_distances trace with
+        | [] -> [ 1; 2 ]
+        | d :: rest ->
+            let far = List.fold_left max d rest in
+            List.sort_uniq compare [ d; d + 1; min far 20; min far 20 + 1 ]
+      in
+      List.iter
+        (fun ruu_size ->
+          List.iter
+            (fun issue_units ->
+              List.iter
+                (fun bus ->
+                  List.iter
+                    (fun branches ->
+                      let where =
+                        Printf.sprintf "S=%d units=%d %s %s" ruu_size
+                          issue_units
+                          (Sim_types.bus_model_to_string bus)
+                          (Ruu.branch_handling_to_string branches)
+                      in
+                      let run ?metrics accel =
+                        Ruu.simulate ?metrics ~branches ~accel ~config
+                          ~issue_units ~ruu_size ~bus trace
+                      in
+                      let mo = Metrics.create ()
+                      and ma = Metrics.create ()
+                      and mf = Metrics.create () in
+                      let oracle =
+                        Mfu_oracle.Ruu.simulate ~branches ~config ~issue_units
+                          ~ruu_size ~bus trace
+                      in
+                      let oracle_m =
+                        Mfu_oracle.Ruu.simulate ~metrics:mo ~branches ~config
+                          ~issue_units ~ruu_size ~bus trace
+                      in
+                      let results =
+                        [
+                          run true;
+                          run false;
+                          run ~metrics:ma true;
+                          run ~metrics:mf false;
+                          oracle_m;
+                        ]
+                      in
+                      if List.exists (fun r -> r <> oracle) results then
+                        Alcotest.failf "%s: cycles differ" where;
+                      if not (Metrics.equal mo ma && Metrics.equal mo mf) then
+                        Alcotest.failf "%s: metrics differ" where)
+                    [ Ruu.Stall; Ruu.Oracle; Ruu.Static_taken; Ruu.Bimodal 4 ])
+                [ Sim_types.N_bus; Sim_types.One_bus; Sim_types.X_bar ])
+            (List.filter (fun u -> u <= ruu_size) [ 1; 2; 3 ]))
+        sizes;
+      true)
 
 let test_instructions_preserved () =
   let t =
@@ -592,6 +820,14 @@ let () =
             test_instructions_preserved;
           Alcotest.test_case "every configuration" `Quick
             test_every_configuration_telescopes;
+        ] );
+      ( "relabel",
+        [
+          Alcotest.test_case "labels" `Quick test_relabel_labels;
+          Alcotest.test_case "memo and fallback" `Quick test_relabel_memo;
+          Alcotest.test_case "LL13 telescopes" `Quick
+            test_relabel_ll13_telescopes;
+          QCheck_alcotest.to_alcotest ~long:false test_relabel_random;
         ] );
       ( "random",
         [
