@@ -209,37 +209,6 @@ let period (p : t) =
       with_memo (fun () -> p.memo.period <- Some r);
       r
 
-(* -- splicing --------------------------------------------------------------- *)
-
-let splice t ~keep ~skip ~shift =
-  let n = t.n - skip in
-  let from i = if i < keep then i else i + skip in
-  let pick a = Array.init n (fun i -> a.(from i)) in
-  let so = t.src_off in
-  let dropped = so.(keep + skip) - so.(keep) in
-  {
-    n;
-    fu = pick t.fu;
-    dest = pick t.dest;
-    src_off =
-      Array.init (n + 1) (fun i ->
-          if i <= keep then so.(i) else so.(i + skip) - dropped);
-    src_idx =
-      Array.init
-        (Array.length t.src_idx - dropped)
-        (fun s -> t.src_idx.(if s < so.(keep) then s else s + dropped));
-    kind = Bytes.init n (fun i -> Bytes.get t.kind (from i));
-    addr =
-      Array.init n (fun i ->
-          let j = from i in
-          if i >= keep && is_mem t j then t.addr.(j) - shift else t.addr.(j));
-    parcels = pick t.parcels;
-    vl = pick t.vl;
-    static_index = pick t.static_index;
-    max_srcs = t.max_srcs;
-    memo = fresh_memo ();
-  }
-
 (* -- live-store relabelling ------------------------------------------------- *)
 
 (* Visit every memory entry [i], in trace order, with the latest earlier

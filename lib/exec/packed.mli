@@ -26,7 +26,9 @@ type period = {
     advance by exactly [p_stride] per period (the same stride for every
     memory entry of the body — mixed strides end the region, because only
     a uniform stride makes one period a pure address translation of the
-    previous, which is what exact steady-state telescoping needs). Iteration
+    previous, which is what exact steady-state telescoping needs: a walker
+    jumps over [K] whole periods by advancing its cursor [K*p_len] entries
+    and lowering every later address by [K*p_stride]). Iteration
     boundaries are [p_start + m*p_len] for [m] in [\[0, p_periods\]]. *)
 
 type t = private {
@@ -61,11 +63,6 @@ val period : t -> period option
     address streams, non-counting loops). Candidate period lengths come
     from taken-branch (backedge) spacing; the scan is O(n), runs once per
     pack and is kept with it. *)
-
-val splice : t -> keep:int -> skip:int -> shift:int -> t
-(** [splice t ~keep ~skip ~shift] is entries [\[0, keep)] followed by
-    entries [\[keep + skip, n)], with the memory addresses of the latter
-    lowered by [shift]. Every field is copied; [max_srcs] is kept. *)
 
 val labels : t -> horizon:int -> int array
 (** [labels t ~horizon] names each memory address only as far as a

@@ -91,17 +91,19 @@ let dataflow_path ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
   let fingerprint pr i now =
     let len = Int_table.length store_token in
     incr boundaries_seen;
-    if !boundaries_seen > 2 && len > !tok_len_prev then
-      pr.Steady.next_pos <- max_int
+    if !boundaries_seen > 2 && len > !tok_len_prev then begin
+      pr.Steady.next_pos <- max_int;
+      0
+    end
     else begin
       tok_len_prev := len;
       fingerprint_body pr i now
     end
   in
-  for i = 0 to n - 1 do
-    (match probe with
-    | Some pr when i = pr.Steady.next_pos -> fingerprint pr i !branch_resolved
-    | _ -> ());
+  (* after a jump, addresses are read lowered by [bias] *)
+  let cursor = ref 0 and bias = ref 0 in
+  while !cursor < n do
+    let i = !cursor in
     let fu = Array.unsafe_get p.Packed.fu i in
     let kind = Char.code (Bytes.unsafe_get p.Packed.kind i) in
     let is_branch = kind >= Packed.kind_taken in
@@ -119,7 +121,8 @@ let dataflow_path ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
     done;
     let forwarded =
       if kind = Packed.kind_load then
-        Int_table.find store_token ~default:0 (Array.unsafe_get p.Packed.addr i)
+        Int_table.find store_token ~default:0
+          (Array.unsafe_get p.Packed.addr i - !bias)
       else 0
     in
     if forwarded <> 0 then raise_to Metrics.Memory_conflict forwarded;
@@ -135,7 +138,9 @@ let dataflow_path ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
       reg_avail.(d) <- !completion
     end;
     if kind = Packed.kind_store then
-      Int_table.set store_token (Array.unsafe_get p.Packed.addr i) (!start + 1)
+      Int_table.set store_token
+        (Array.unsafe_get p.Packed.addr i - !bias)
+        (!start + 1)
     else if is_branch then branch_resolved := !completion;
     (match metrics with
     | Some m ->
@@ -145,7 +150,15 @@ let dataflow_path ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
         if Packed.shared_unit.(fu) then
           Metrics.record_fu_busy m (Fu.of_index fu) 1
     | None -> ());
-    if !completion > !finish then finish := !completion
+    if !completion > !finish then finish := !completion;
+    cursor := i + 1;
+    (* probe the state before entry [i + 1]; a jump may land on [n] *)
+    match probe with
+    | Some pr when i + 1 = pr.Steady.next_pos ->
+        let skip = fingerprint pr (i + 1) !branch_resolved in
+        cursor := i + 1 + skip;
+        bias := Steady.shift pr skip
+    | _ -> ()
   done;
   let finish = !finish in
   (match metrics with

@@ -70,6 +70,7 @@ module Fast = struct
     mutable nom : int;
     mutable base : int;
     mutable hi : int;
+    mutable bias : int; (* subtracted from every address read *)
     mutable stall_until : int;
     mutable finish : int;
     mutable wake : int; (* earliest next interesting cycle, or max_int *)
@@ -240,7 +241,8 @@ module Fast = struct
       let is_mem = Packed.is_mem st.p i in
       let mem_conflict =
         is_mem
-        && mem_hit st ~a:st.p.Packed.addr.(i)
+        && mem_hit st
+             ~a:(st.p.Packed.addr.(i) - st.bias)
              ~is_store:(Packed.is_store st.p i) 0
       in
       let is_br = Packed.is_branch st.p i in
@@ -271,7 +273,7 @@ module Fast = struct
           st.nod <- st.nod + 1
         end;
         if is_mem then begin
-          st.oma.(st.nom) <- st.p.Packed.addr.(i);
+          st.oma.(st.nom) <- st.p.Packed.addr.(i) - st.bias;
           st.oms.(st.nom) <- Packed.is_store st.p i;
           st.nom <- st.nom + 1
         end;
@@ -391,6 +393,7 @@ let simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
       nom = 0;
       base = 0;
       hi = 0;
+      bias = 0;
       stall_until = 0;
       finish = 0;
       wake = max_int;
@@ -410,8 +413,12 @@ let simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
     | Some pr when st.Fast.base >= pr.Steady.next_pos ->
         if st.Fast.base > pr.Steady.next_pos then
           Steady.missed pr (st.Fast.base - 1);
-        if st.Fast.base = pr.Steady.next_pos then
-          fingerprint st ~span pr st.Fast.base !t
+        if st.Fast.base = pr.Steady.next_pos then begin
+          let skip = fingerprint st ~span pr st.Fast.base !t in
+          st.Fast.base <- st.Fast.base + skip;
+          st.Fast.hi <- st.Fast.hi + skip;
+          st.Fast.bias <- Steady.shift pr skip
+        end
     | _ -> ());
     (match metrics with
     | Some m -> Metrics.record_occupancy m (Fast.unissued_in_window st)

@@ -77,10 +77,10 @@ let simulate_packed ?metrics ?probe ~config scheme (p : Packed.t) =
     Array.iter (fun v -> push (if v > now then v - now else 0)) ready;
     pr.Steady.fire ~pos:i ~time:now ~fp:!fp
   in
-  for i = 0 to p.Packed.n - 1 do
-    (match probe with
-    | Some pr when i = pr.Steady.next_pos -> fingerprint pr i !issue_free
-    | _ -> ());
+  (* after a jump, addresses are read lowered by [bias] *)
+  let cursor = ref 0 and bias = ref 0 in
+  while !cursor < p.Packed.n do
+    let i = !cursor in
     let fu = Array.unsafe_get p.Packed.fu i in
     let kind = Char.code (Bytes.unsafe_get p.Packed.kind i) in
     let parcels = Array.unsafe_get p.Packed.parcels i in
@@ -114,7 +114,8 @@ let simulate_packed ?metrics ?probe ~config scheme (p : Packed.t) =
       let operands = srcs_ready i in
       let mem_dep =
         if kind = Packed.kind_load || kind = Packed.kind_store then
-          Int_table.find mem_ready ~default:0 (Array.unsafe_get p.Packed.addr i)
+          Int_table.find mem_ready ~default:0
+            (Array.unsafe_get p.Packed.addr i - !bias)
         else 0
       in
       let start = max t (max operands mem_dep) in
@@ -142,10 +143,20 @@ let simulate_packed ?metrics ?probe ~config scheme (p : Packed.t) =
       in
       if dest >= 0 then ready.(dest) <- completion;
       if kind = Packed.kind_store then
-        Int_table.set mem_ready (Array.unsafe_get p.Packed.addr i) completion;
+        Int_table.set mem_ready
+          (Array.unsafe_get p.Packed.addr i - !bias)
+          completion;
       issue_free := t + parcels;
       if completion > !finish then finish := completion
-    end
+    end;
+    cursor := i + 1;
+    (* probe the state before entry [i + 1]; a jump may land on [n] *)
+    match probe with
+    | Some pr when i + 1 = pr.Steady.next_pos ->
+        let skip = fingerprint pr (i + 1) !issue_free in
+        cursor := i + 1 + skip;
+        bias := Steady.shift pr skip
+    | _ -> ()
   done;
   let cycles = max !finish !issue_free in
   (match metrics with

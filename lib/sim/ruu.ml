@@ -113,6 +113,7 @@ module Fast = struct
     counters : int array;
     mutable stall_until : int;
     mutable next : int;
+    mutable bias : int; (* subtracted from every address read *)
     mutable finish : int;
     mutable wake : int; (* earliest next interesting cycle, or max_int *)
   }
@@ -299,7 +300,8 @@ module Fast = struct
           ~stop:st.p.Packed.src_off.(i + 1);
         (if Packed.is_mem st.p i then
            let r =
-             Int_table.find st.mem_writer ~default:(-1) st.p.Packed.addr.(i)
+             Int_table.find st.mem_writer ~default:(-1)
+               (st.p.Packed.addr.(i) - st.bias)
            in
            if r >= 0 && st.s_uid.(r mod st.ruu_size) = r / st.ruu_size then
              depend st ~slot (r mod st.ruu_size));
@@ -309,7 +311,8 @@ module Fast = struct
           else park st slot ~ready:st.s_ready.(slot);
         if d >= 0 then st.latest_writer.(d) <- slot;
         if Packed.kind st.p i = Packed.kind_store then
-          Int_table.set st.mem_writer st.p.Packed.addr.(i)
+          Int_table.set st.mem_writer
+            (st.p.Packed.addr.(i) - st.bias)
             ((uid * st.ruu_size) + slot);
         st.next <- st.next + 1;
         issue_loop st ~t (issued + 1)
@@ -575,6 +578,7 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
       counters = (match branches with Bimodal n -> Array.make n 0 | _ -> [||]);
       stall_until = 0;
       next = 0;
+      bias = 0;
       finish = 0;
       wake = max_int;
     }
@@ -593,8 +597,11 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
     | Some pr when st.Fast.next >= pr.Steady.next_pos ->
         if st.Fast.next > pr.Steady.next_pos then
           Steady.missed pr (st.Fast.next - 1);
-        if st.Fast.next = pr.Steady.next_pos then
-          fingerprint st ~maxlat pr st.Fast.next !t
+        if st.Fast.next = pr.Steady.next_pos then begin
+          let skip = fingerprint st ~maxlat pr st.Fast.next !t in
+          st.Fast.next <- st.Fast.next + skip;
+          st.Fast.bias <- Steady.shift pr skip
+        end
     | _ -> ());
     (match metrics with
     | Some m -> Metrics.record_occupancy m st.Fast.count

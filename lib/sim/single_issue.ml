@@ -52,7 +52,8 @@ let simulate_packed ?metrics ?probe ~memory ~config org (p : Packed.t) =
      current cycle. Values at or before [now] are dead — no future [max]
      against a time >= [now] can observe them — so they all normalize to 0.
      Addresses never enter this state (the [Ideal] memory port ignores
-     them; acceleration is gated off for [Banked]). *)
+     them; acceleration is gated off for [Banked]), which is also why a
+     jump needs no address bias here. *)
   let fingerprint pr i now =
     let fp = ref [] in
     let push v = fp := v :: !fp in
@@ -63,10 +64,9 @@ let simulate_packed ?metrics ?probe ~memory ~config org (p : Packed.t) =
     Array.iter (fun v -> push (if v > now then v - now else 0)) fu_free;
     pr.Steady.fire ~pos:i ~time:now ~fp:!fp
   in
-  for i = 0 to p.Packed.n - 1 do
-    (match probe with
-    | Some pr when i = pr.Steady.next_pos -> fingerprint pr i !issue_free
-    | _ -> ());
+  let cursor = ref 0 in
+  while !cursor < p.Packed.n do
+    let i = !cursor in
     let fu = Array.unsafe_get p.Packed.fu i in
     let kind = Char.code (Bytes.unsafe_get p.Packed.kind i) in
     let is_branch = kind >= Packed.kind_taken in
@@ -113,7 +113,13 @@ let simulate_packed ?metrics ?probe ~memory ~config org (p : Packed.t) =
     if shared.(fu) then fu_free.(fu) <- t + occupancy;
     prev_completion := completion;
     if completion > !finish then finish := completion;
-    issue_free := t + (if is_branch then branch_time else parcels)
+    issue_free := t + (if is_branch then branch_time else parcels);
+    cursor := i + 1;
+    (* probe the state before entry [i + 1]; a jump may land on [n] *)
+    match probe with
+    | Some pr when i + 1 = pr.Steady.next_pos ->
+        cursor := i + 1 + fingerprint pr (i + 1) !issue_free
+    | _ -> ()
   done;
   let cycles = max !finish !issue_free in
   (match metrics with

@@ -5,19 +5,15 @@
     iteration boundary, reports its complete machine state as a
     fingerprint normalized by the current cycle and the probe's address
     offset. {!run} drives the simulation once with such a probe; when the
-    normalized state repeats at two boundaries, the remaining whole
-    periods are telescoped in closed form — cycles, instruction counts
-    and every {!Sim_types.Metrics} counter scale linearly per period —
-    and only a short splice (warm-up prefix + address-shifted final
-    periods) is re-simulated. The result is bit-identical to full
-    simulation; when no repeat is found within the probe budget the
-    detection run simply completes and {e is} the full simulation, so
-    fallback costs only the fingerprint computation. *)
-
-exception Stop
-(** Raised by {!probe.fire} to abandon the detection run once a state
-    repeat has been found. Handled inside {!run}; simulator loops must
-    let it escape. *)
+    normalized state repeats at two boundaries, the probe answers with a
+    number of entries to jump over, and the walker advances its trace
+    cursor past them and keeps walking, reading every later memory
+    address lowered by {!shift}. The skipped whole periods are telescoped
+    in closed form — cycles and every {!Sim_types.Metrics} counter scale
+    linearly per period. The result is bit-identical to full simulation;
+    when no repeat is found within the probe budget the walk simply
+    completes and {e is} the full simulation, so fallback costs only the
+    fingerprint computation. *)
 
 type probe = {
   period : int;  (** trace entries per loop iteration *)
@@ -28,11 +24,18 @@ type probe = {
   mutable addr_off : int;
       (** subtract from live in-flight addresses when fingerprinting the
           boundary at [next_pos] *)
-  mutable fire : pos:int -> time:int -> fp:int list -> unit;
+  mutable fire : pos:int -> time:int -> fp:int list -> int;
       (** report the normalized state fingerprint at boundary [pos]
-          (= [next_pos]) and the current cycle; may raise {!Stop}.
-          Advances [next_pos]/[addr_off]. *)
+          (= [next_pos]) and the current cycle. Returns how many trace
+          entries to jump over (0: none); the walker advances its
+          cursor by that many and keeps walking. Advances
+          [next_pos]/[addr_off], and disables probing after a jump. *)
 }
+
+val shift : probe -> int -> int
+(** [shift pr skip] is the address translation of a jump over [skip]
+    entries: the walker subtracts it from every memory address it
+    reads after the jump. *)
 
 val missed : probe -> int -> unit
 (** [missed pr pos] skips boundaries a cycle-stepped simulator jumped
@@ -42,12 +45,12 @@ val missed : probe -> int -> unit
 type stats = {
   telescoped : int;  (** runs that skipped periods in closed form *)
   fallback : int;
-      (** runs with a detected period but no state repeat (or too few
-          periods to be worth skipping) — completed in full *)
+      (** runs with a detected period but no state repeat that could
+          skip — completed in full *)
   aperiodic : int;  (** runs on traces with no detectable period *)
   gated : int;
       (** runs completed unprobed because no state repeat the simulator
-          allows ([?min_repeat]) could be worth telescoping *)
+          allows ([?min_repeat]) can fit in the periodic region *)
 }
 
 val stats : unit -> stats
@@ -73,19 +76,19 @@ val run :
 (** [run ?metrics packed sim] where [sim ~metrics ~probe packed] is the
     simulator's packed fast path. Returns a result bit-identical to
     [sim ~metrics ~probe:None packed], telescoping whole periods when the
-    machine state provably repeats. The splice is built with
-    {!Mfu_exec.Packed.splice}.
+    machine state provably repeats. [sim] is called exactly once.
 
     [lookahead] (default 0) is how many trace entries past its current
     position the simulator may inspect (an instruction buffer holding
     the next [stations] entries, a multi-entry issue stage). That many
-    entries' worth of trailing periods stay out of the telescoped span,
-    because the final periods see the epilogue (or the end of the trace)
-    through the lookahead window and are not translations of the steady
-    body's behavior.
+    entries' worth of trailing periods stay out of the jump, because the
+    final periods see the epilogue (or the end of the trace) through the
+    lookahead window and are not translations of the steady body's
+    behavior.
 
     [min_repeat packed period] (default 1) is the smallest boundary
-    distance at which the simulator's fingerprints can repeat. When even
-    a repeat at that distance from the first boundary could not be
-    telescoped, or lies beyond the probe budget, the run skips probing
-    altogether (counted as [gated]); the result is the same either way. *)
+    distance [c] at which the simulator's fingerprints can repeat. When
+    [c] lies beyond the probe budget, or fewer than [c] whole periods
+    remain after boundary [c] and the lookahead margin, no repeat can
+    skip and the run is simulated unprobed (counted as [gated]); the
+    result is the same either way. *)

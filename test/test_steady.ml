@@ -261,7 +261,7 @@ let synthetic_traces =
       ( "two-branch",
         loop_trace ~prologue:prologue3 ~epilogue:epilogue2 ~periods:90
           ~stride:2 two_branch_body );
-      (* short periodic region: not worth telescoping, must fall back *)
+      (* short periodic region: a period or two to skip at most *)
       ("short", loop_trace ~periods:4 ~stride:8 strided_body);
       (* aperiodic: acceleration must be a clean no-op *)
       ( "aperiodic",
@@ -368,15 +368,19 @@ let test_every_configuration_telescopes () =
    slot — so boundaries j < k can only match when (k - j) * q is a
    multiple of g, where q is the period's non-branch entry count: the
    earliest repeat is c = g / gcd(q, g) periods in. When even that
-   repeat could not be telescoped, the run is gated (simulated
-   unprobed); either way it matches the unaccelerated run. LL1 at S = 50
-   on 4 units with N_bus (4 does not divide 50, so g = 50) repeats at
-   c = 25, whose best skip (2 x 25 of 98 periods) is under half the
-   trace. *)
+   repeat cannot fit — fewer than c periods left after boundary c and
+   the lookahead margin — the run is gated (simulated unprobed); either
+   way it matches the unaccelerated run. LL9 at S = 50 on 4 units with
+   N_bus (4 does not divide 50, so g = 50) has c = 50 in 62 periods:
+   gated. LL1 at S = 50 has c = 25 in 98 periods, so it is probed, but
+   its state first repeats 75 periods apart (boundaries 3 and 78), past
+   the probe budget and too late to skip anything: it falls back. *)
+type outcome = Gated | Fallback | Telescoped
+
 let test_ruu_ring_gate () =
   let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
   List.iter
-    (fun (loop, ruu_size, bus, c_expected, gated) ->
+    (fun (loop, ruu_size, bus, c_expected, outcome) ->
       let trace = Livermore.trace (Livermore.loop loop) in
       let p = Packed.relabel (Packed.cached trace) ~horizon:ruu_size in
       let pd = Option.get (Packed.period p) in
@@ -404,22 +408,133 @@ let test_ruu_ring_gate () =
       Steady.reset_stats ();
       let fast = run true in
       let s = Steady.stats () in
-      Alcotest.(check int) (where ^ ": gated") (Bool.to_int gated) s.Steady.gated;
+      let counts o = Bool.to_int (outcome = o) in
+      Alcotest.(check int) (where ^ ": gated") (counts Gated) s.Steady.gated;
+      Alcotest.(check int)
+        (where ^ ": fallback") (counts Fallback) s.Steady.fallback;
       Alcotest.(check int)
         (where ^ ": telescoped")
-        (Bool.to_int (not gated))
-        s.Steady.telescoped;
+        (counts Telescoped) s.Steady.telescoped;
       if fast <> run false then
         Alcotest.failf "%s: accelerated run differs from full run" where)
     [
-      (1, 50, Sim_types.N_bus, 25, true);
-      (1, 100, Sim_types.N_bus, 2, false);
-      (1, 50, Sim_types.One_bus, 1, false);
-      (1, 10, Sim_types.N_bus, 5, false);
-      (9, 50, Sim_types.N_bus, 50, true);
-      (3, 100, Sim_types.N_bus, 2, false);
-      (12, 10, Sim_types.N_bus, 2, false);
+      (1, 50, Sim_types.N_bus, 25, Fallback);
+      (1, 100, Sim_types.N_bus, 2, Telescoped);
+      (1, 50, Sim_types.One_bus, 1, Telescoped);
+      (1, 10, Sim_types.N_bus, 5, Telescoped);
+      (9, 50, Sim_types.N_bus, 50, Gated);
+      (3, 100, Sim_types.N_bus, 2, Telescoped);
+      (12, 10, Sim_types.N_bus, 2, Telescoped);
     ]
+
+(* A jump costs only its detection, so a periodic region telescopes
+   however little of the trace it covers. *)
+let first_region_under_half packed =
+  match Packed.period packed with
+  | None -> false
+  | Some pd ->
+      2 * pd.Packed.p_len * pd.Packed.p_periods < Packed.length packed
+
+(* LL4 (a few outer passes around one inner loop), LL8 (two passes of
+   one body) and LL14 (three loops in sequence): after relabelling, the
+   first periodic region covers under half the trace. At a Table 7 point
+   (S = 40, 4 units, N_bus, M11BR5) each telescopes and equals the full
+   walk and the oracle, on cycles and metrics. *)
+let test_short_region_ruu () =
+  let config = Config.m11br5
+  and issue_units = 4
+  and ruu_size = 40
+  and bus = Sim_types.N_bus in
+  List.iter
+    (fun loop ->
+      let where = Printf.sprintf "LL%d" loop in
+      let trace = Livermore.trace (Livermore.loop loop) in
+      Alcotest.(check bool)
+        (where ^ ": first region under half the trace")
+        true
+        (first_region_under_half
+           (Packed.relabel (Packed.cached trace) ~horizon:ruu_size));
+      let run ?metrics accel =
+        Ruu.simulate ?metrics ~accel ~config ~issue_units ~ruu_size ~bus trace
+      in
+      Steady.reset_stats ();
+      let fast = run true in
+      Alcotest.(check int)
+        (where ^ ": telescoped") 1 (Steady.stats ()).Steady.telescoped;
+      let ma = Metrics.create ()
+      and mf = Metrics.create ()
+      and mo = Metrics.create () in
+      let oracle =
+        Mfu_oracle.Ruu.simulate ~metrics:mo ~config ~issue_units ~ruu_size
+          ~bus trace
+      in
+      List.iter
+        (fun (what, r) ->
+          if r <> oracle then
+            Alcotest.failf "%s: %s %d cycles, oracle %d" where what
+              r.Sim_types.cycles oracle.Sim_types.cycles)
+        [
+          ("accelerated", fast);
+          ("full", run false);
+          ("accelerated with metrics", run ~metrics:ma true);
+          ("full with metrics", run ~metrics:mf false);
+        ];
+      if not (Metrics.equal mo ma && Metrics.equal mo mf) then
+        Alcotest.failf "%s: metrics differ from the oracle's" where)
+    [ 4; 8; 14 ]
+
+(* Two counted loops in sequence: a register-only loop of 30 periods,
+   then a strided one of 60 with its own static indices. The period
+   finder reports the first loop only, under half the trace. *)
+let test_short_region_every_family () =
+  let trace =
+    Array.append
+      (loop_trace ~prologue:prologue3 ~periods:30 ~stride:0 regonly_body)
+      (Array.map
+         (fun (e : Trace.entry) ->
+           { e with Trace.static_index = e.Trace.static_index + 100 })
+         (loop_trace ~epilogue:epilogue2 ~periods:60 ~stride:8 strided_body))
+  in
+  Alcotest.(check bool)
+    "first region under half the trace" true
+    (first_region_under_half (Packed.of_trace trace));
+  let config = Config.m11br5 in
+  let buffers =
+    List.concat_map
+      (fun stations ->
+        List.concat_map
+          (fun (pn, policy) ->
+            List.map
+              (fun alignment ->
+                {
+                  rname =
+                    Printf.sprintf "buffer:%s/%d/%s" pn stations
+                      (Bi.alignment_to_string alignment);
+                  run =
+                    (fun ?metrics ~accel t ->
+                      Bi.simulate ?metrics ~alignment ~accel ~config ~policy
+                        ~stations ~bus:Sim_types.N_bus t);
+                })
+              [ Bi.Dynamic; Bi.Static ])
+          [ ("inorder", Bi.In_order); ("ooo", Bi.Out_of_order) ])
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  List.iter
+    (fun r ->
+      Steady.reset_stats ();
+      ignore (r.run ~accel:true trace);
+      let s = Steady.stats () in
+      if s.Steady.telescoped <> 1 then
+        Alcotest.failf "%s did not telescope (%s)" r.rname
+          (Steady.stats_summary s);
+      check_differential ~ctx:"two loops" r trace)
+    (List.filter
+       (fun r ->
+         not
+           (String.starts_with ~prefix:(Config.name config ^ "/buffer:") r.rname
+           || String.ends_with ~suffix:"bimodal16" r.rname))
+       (runners config)
+    @ buffers)
 
 (* -- live-store relabelling ------------------------------------------------- *)
 
@@ -820,6 +935,10 @@ let () =
             test_instructions_preserved;
           Alcotest.test_case "every configuration" `Quick
             test_every_configuration_telescopes;
+          Alcotest.test_case "short region: LL4, LL8, LL14" `Quick
+            test_short_region_ruu;
+          Alcotest.test_case "short region: every family" `Quick
+            test_short_region_every_family;
         ] );
       ( "relabel",
         [
