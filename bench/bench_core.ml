@@ -2,10 +2,11 @@
    simulator family, for the production walker and a baseline it is
    measured against.
 
-   Unlike bench/main.ml (which times whole table regenerations through the
-   experiment engine), this measures the raw simulator inner loops on fixed
-   workloads, so a regression in the hot paths is visible directly and not
-   hidden behind trace memoization or the worker pool.
+   Unlike the end-to-end benchmark (perfbench/run.py, which times whole
+   table regenerations through the experiment engine), this measures the
+   raw simulator inner loops on fixed workloads, so a regression in the
+   hot paths is visible directly and not hidden behind trace memoization
+   or the worker pool.
 
    Two kinds of families are measured, each with its own baseline:
 

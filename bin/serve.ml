@@ -9,7 +9,7 @@ module Server = Mfu_serve.Server
 open Cmdliner
 
 let run listen store_dir jobs max_points no_lease lease_ttl
-    request_timeout queue_capacity no_guided cache_entries =
+    request_timeout queue_capacity cache_entries =
   match Server.addr_of_string listen with
   | Error e -> `Error (false, e)
   | Ok addr ->
@@ -23,7 +23,6 @@ let run listen store_dir jobs max_points no_lease lease_ttl
           lease_ttl;
           request_timeout;
           queue_capacity;
-          guided = not no_guided;
           cache_entries;
         };
       `Ok ()
@@ -75,15 +74,6 @@ let queue_capacity =
   in
   Arg.(value & opt int 256 & info [ "queue-capacity" ] ~docv:"N" ~doc)
 
-let no_guided =
-  let doc =
-    "Serve cache-miss computations in axis-enumeration order instead of \
-     the surrogate model's predicted Pareto-optimality order. Results \
-     and store bytes are identical either way; only the streaming order \
-     changes."
-  in
-  Arg.(value & flag & info [ "no-guided" ] ~doc)
-
 let cache_entries =
   let doc =
     "Capacity of the in-memory decoded-result cache consulted before \
@@ -100,6 +90,6 @@ let cmd =
       ret
         (const run $ listen $ store_dir $ jobs $ max_points
        $ no_lease $ lease_ttl $ request_timeout $ queue_capacity
-       $ no_guided $ cache_entries))
+       $ cache_entries))
 
 let () = exit (Cmd.eval cmd)

@@ -276,7 +276,10 @@ let table =
     "Render paper table $(docv) (7 or 8) from the store, byte-identical to \
      $(b,tables.exe). The axes must cover the table's grid."
   in
-  Arg.(value & opt (some int) None & info [ "t"; "table" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (some (enum [ ("7", 7); ("8", 8) ])) None
+    & info [ "t"; "table" ] ~docv:"N" ~doc)
 
 let jobs =
   let doc =

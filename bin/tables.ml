@@ -143,7 +143,11 @@ open Cmdliner
 
 let table =
   let doc = "Regenerate only paper table $(docv) (1..8); default: all." in
-  Arg.(value & opt (some int) None & info [ "t"; "table" ] ~docv:"N" ~doc)
+  let numbers = List.init 8 (fun i -> (string_of_int (i + 1), i + 1)) in
+  Arg.(
+    value
+    & opt (some (enum numbers)) None
+    & info [ "t"; "table" ] ~docv:"N" ~doc)
 
 let ablations =
   let doc = "Also run the extension ablations (A1-A3 in DESIGN.md)." in
@@ -200,7 +204,15 @@ let scale =
      $(docv) times longer. Large-N runs are telescoped exactly by the \
      steady-state fast-forward, so the tables stay fast."
   in
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"N" ~doc)
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt positive 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 let cmd =
   let doc = "regenerate the tables of Pleszkun & Sohi 1988" in

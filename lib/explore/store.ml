@@ -774,12 +774,6 @@ let lookup t ~key =
 let find t ~key =
   match lookup t ~key with `Hit r -> Some r | `Miss | `Corrupt -> None
 
-let mem t ~key =
-  let raw = Digest.string key in
-  match Mutex.protect t.lock (fun () -> Dtbl.find t.idx.tbl raw) with
-  | Some e when ent_live e -> true
-  | Some _ | None -> Sys.file_exists (entry_path t ~key)
-
 (* ------------------------------------------------------------------ *)
 (* Compaction                                                         *)
 

@@ -109,10 +109,6 @@ val lookup :
 val find : t -> key:string -> Mfu_sim.Sim_types.result option
 (** [lookup] with [`Corrupt] collapsed to [None]. *)
 
-val mem : t -> key:string -> bool
-(** Index membership (no content validation). Falls back to one [stat]
-    for keys other processes may have published after our open. *)
-
 val entry_count : t -> int
 (** Number of live entries in this handle's index. *)
 

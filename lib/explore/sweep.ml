@@ -494,10 +494,6 @@ let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
           let outcomes =
             Pool.map ?jobs
               (fun p ->
-                (if Sys.getenv_opt "MFU_GUIDED_DEBUG" <> None then
-                   Printf.eprintf "SIM %s LL%d %s\n%!"
-                     (Axes.machine_to_string p.Axes.machine) p.Axes.loop
-                     (Config.name p.Axes.config));
                 Atomic.incr simulated;
                 let wants_metrics =
                   match p.Axes.machine with Axes.Ruu _ -> true | _ -> false

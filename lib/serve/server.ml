@@ -51,7 +51,6 @@ type config = {
   lease_ttl : float;
   request_timeout : float;
   queue_capacity : int;
-  guided : bool;
   cache_entries : int;
 }
 
@@ -65,7 +64,6 @@ let default_config ~store_dir ~listen =
     lease_ttl = 60.;
     request_timeout = 30.;
     queue_capacity = 256;
-    guided = true;
     cache_entries = 8192;
   }
 
@@ -211,7 +209,7 @@ let process st ~emit keyed =
      reorder costs a few exact reference simulations on the first query
      per context and nothing after. *)
   let mine =
-    if st.cfg.guided && List.compare_length_with mine 1 > 0 then begin
+    if List.compare_length_with mine 1 > 0 then begin
       let order = Hashtbl.create (List.length mine) in
       List.iteri
         (fun i (p, _) -> Hashtbl.replace order p i)

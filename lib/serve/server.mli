@@ -53,13 +53,6 @@ type config = {
   lease_ttl : float;
   request_timeout : float;  (** per-read socket deadline, seconds *)
   queue_capacity : int;  (** per-client buffered events *)
-  guided : bool;
-      (** order each query's cache-miss computations by
-          {!Mfu_explore.Axes.rank} (surrogate-predicted
-          Pareto-optimality) instead of axis-enumeration order, so
-          streaming clients see the promising corners of the design
-          space first. Purely a service-order policy: every admitted
-          point is still computed, and store bytes are unchanged. *)
   cache_entries : int;
       (** capacity of the decoded-result LRU consulted before every
           store lookup; 0 disables it. Hits are reported both in query
@@ -69,7 +62,7 @@ type config = {
 val default_config : store_dir:string -> listen:addr -> config
 (** [max_points = 4096], [lease = true],
     [lease_ttl = 60.], [request_timeout = 30.],
-    [queue_capacity = 256], [guided = true], [cache_entries = 8192]. *)
+    [queue_capacity = 256], [cache_entries = 8192]. *)
 
 type t
 
