@@ -31,19 +31,19 @@ type t = {
   memo : memo;
 }
 
-(* What is derived from a pack once and kept with it: its period, and
-   (for an original pack) its live-store distance cuts and the relabelled
-   packs built so far, keyed by cut count ([None]: the pack itself, kept
-   out of its own memo so that no pack refers to itself). Guarded by
-   [memo_lock]; the values are computed outside it, so two domains may
-   both compute one, and either result is the same. *)
+(* What is derived from a pack once and kept with it: its periodic
+   regions, and (for an original pack) its join distance cuts and the
+   relabelled packs built so far, keyed by cut count ([None]: the pack
+   itself, kept out of its own memo so that no pack refers to itself).
+   Guarded by [memo_lock]; the values are computed outside it, so two
+   domains may both compute one, and either result is the same. *)
 and memo = {
-  mutable period : period option option;
+  mutable regions : period list option;
   mutable cuts : int array option;
   mutable labellings : (int * t option) list;
 }
 
-let fresh_memo () = { period = None; cuts = None; labellings = [] }
+let fresh_memo () = { regions = None; cuts = None; labellings = [] }
 let memo_lock = Mutex.create ()
 
 let with_memo f =
@@ -112,7 +112,14 @@ let of_trace (tr : Trace.t) =
   p.src_off.(n) <- !off;
   p
 
-(* -- period detection -------------------------------------------------------- *)
+(* -- region detection ------------------------------------------------------- *)
+
+(* The scans below are module-level recursive functions, not local
+   closures: they run once per taken branch, and must not allocate. *)
+let rec same_srcs t oi oj k =
+  k = 0
+  || t.src_idx.(oi) = t.src_idx.(oj)
+     && same_srcs t (oi + 1) (oj + 1) (k - 1)
 
 (* Two entries are congruent when every field matches except the effective
    address, which must differ by exactly [stride] (shared by every memory
@@ -127,117 +134,119 @@ let entries_congruent t ~stride i j =
   && t.vl.(i) = t.vl.(j)
   && t.static_index.(i) = t.static_index.(j)
   && t.src_off.(i + 1) - t.src_off.(i) = t.src_off.(j + 1) - t.src_off.(j)
-  && (let oi = t.src_off.(i) and oj = t.src_off.(j) in
-      let k = t.src_off.(i + 1) - oi in
-      let rec eq s =
-        s >= k || (t.src_idx.(oi + s) = t.src_idx.(oj + s) && eq (s + 1))
-      in
-      eq 0)
+  && same_srcs t t.src_off.(i) t.src_off.(j)
+       (t.src_off.(i + 1) - t.src_off.(i))
   &&
   if is_mem t i then t.addr.(j) - t.addr.(i) = stride
   else t.addr.(i) = t.addr.(j)
 
-(* The address stride of candidate period [p] starting at [s]: the first
-   memory entry of the body fixes it (0 when the body touches no memory);
-   every other memory pair must then agree, checked by the region scan. *)
-let region_stride t ~s ~p =
-  let rec find i =
-    if i >= s + p || i + p >= t.n then 0
-    else if is_mem t i then t.addr.(i + p) - t.addr.(i)
-    else find (i + 1)
-  in
-  find s
+(* The address stride of candidate period [p] from entry [i] on: the
+   first memory entry of the body fixes it (0 when the body touches no
+   memory); every other memory pair must then agree, checked by the
+   region scan. *)
+let rec region_stride t ~stop ~p i =
+  if i >= stop || i + p >= t.n then 0
+  else if is_mem t i then t.addr.(i + p) - t.addr.(i)
+  else region_stride t ~stop ~p (i + 1)
+
+(* The first [i] whose entry is not congruent with the one [p] later. *)
+let rec congruent_until t ~p ~stride i =
+  if i + p >= t.n || not (entries_congruent t ~stride i (i + p)) then i
+  else congruent_until t ~p ~stride (i + 1)
 
 (* Longest run of congruent periods of length [p] starting at [s]:
    returns the number of complete periods in the maximal periodic region
    [s, s + periods*p). *)
 let region_periods t ~s ~p ~stride =
-  let rec scan i =
-    if i + p >= t.n || not (entries_congruent t ~stride i (i + p)) then i + p
-    else scan (i + 1)
-  in
-  if s + p > t.n then 0 else (scan s - s) / p
+  if s + p > t.n then 0 else (congruent_until t ~p ~stride s + p - s) / p
 
-(* Detect the steady repeating body of a loop trace. Candidate period
-   lengths come from the spacing of taken branches (the backedges); the
-   first candidate whose full-field congruence scan yields at least two
-   complete periods wins, so nested always-taken control flow falls back
-   to a multiple of the inner spacing automatically. *)
-let find_period t =
-  if t.n < 8 then None
-  else begin
-    let taken = ref [] and count = ref 0 in
-    (try
-       for i = 0 to t.n - 1 do
-         if kind t i = kind_taken then begin
-           taken := i :: !taken;
-           incr count;
-           if !count > 9 then raise Exit
-         end
-       done
-     with Exit -> ());
-    match List.rev !taken with
-    | [] | [ _ ] -> None
-    | t0 :: rest ->
-        let s = t0 + 1 in
-        let rec try_candidates = function
-          | [] -> None
-          | tj :: rest ->
-              let p = tj - t0 in
-              let stride = region_stride t ~s ~p in
-              let periods = region_periods t ~s ~p ~stride in
-              if periods >= 2 then
-                Some
-                  {
-                    p_start = s;
-                    p_len = p;
-                    p_stride = stride;
-                    p_periods = periods;
-                  }
-              else try_candidates rest
-        in
-        try_candidates rest
-  end
+let rec next_taken t i =
+  if i >= t.n || kind t i = kind_taken then i else next_taken t (i + 1)
 
-(* Period detection is an O(n) scan, so it runs once per pack and is
+(* Every maximal periodic region from taken branch [t0] on, in trace
+   order. Candidate period lengths come from the spacing of taken
+   branches (the backedges): the first of the next nine, [tj], whose
+   full-field congruence scan yields at least two complete periods wins,
+   so nested always-taken control flow falls back to a multiple of the
+   inner spacing automatically. A region's last entry is again a taken
+   branch, and the scan resumes there; a taken branch that starts no
+   region hands over to the next one. *)
+let rec regions_from t ~t0 ~tj ~tries acc =
+  let s = t0 + 1 in
+  if tj >= t.n || tries = 0 then
+    let t0 = next_taken t s in
+    if t0 >= t.n then List.rev acc
+    else regions_from t ~t0 ~tj:(next_taken t (t0 + 1)) ~tries:9 acc
+  else
+    let p = tj - t0 in
+    let stride = region_stride t ~stop:(s + p) ~p s in
+    let periods = region_periods t ~s ~p ~stride in
+    if periods >= 2 then
+      let t0 = s + (periods * p) - 1 in
+      regions_from t ~t0 ~tj:(next_taken t (t0 + 1)) ~tries:9
+        ({ p_start = s; p_len = p; p_stride = stride; p_periods = periods }
+        :: acc)
+    else regions_from t ~t0 ~tj:(next_taken t (tj + 1)) ~tries:(tries - 1) acc
+
+let find_regions t =
+  let t0 = next_taken t 0 in
+  if t.n < 8 || t0 >= t.n then []
+  else regions_from t ~t0 ~tj:(next_taken t (t0 + 1)) ~tries:9 []
+
+(* Region detection scans the trace, so it runs once per pack and is
    kept with it. *)
-let period (p : t) =
-  match with_memo (fun () -> p.memo.period) with
+let regions (p : t) =
+  match with_memo (fun () -> p.memo.regions) with
   | Some r -> r
   | None ->
-      let r = find_period p in
-      with_memo (fun () -> p.memo.period <- Some r);
+      let r = find_regions p in
+      with_memo (fun () -> p.memo.regions <- Some r);
       r
 
-(* -- live-store relabelling ------------------------------------------------- *)
+(* -- dependence relabelling ------------------------------------------------ *)
 
-(* Visit every memory entry [i], in trace order, with the latest earlier
-   store [j] to its address (-1 if none) and the number of non-branch
-   entries in [\[j, i)] ([max_int] if none). *)
-let iter_prior_stores t f =
-  let last = Int_table.create 256 (* address -> latest store index *)
-  and last_rank = Int_table.create 256 (* address -> its non-branch rank *)
+(* Visit the same-address pairs [j < i] that decide the labelling, with
+   the number of non-branch entries in [\[j, i)]: every memory entry with
+   the latest earlier store to its address (a forward pass), and every
+   load with the next store to its address (a backward pass). Any other
+   pair with a store in it is linked by a chain of visited pairs that lie
+   no farther apart. Only per-address tables are kept. *)
+let iter_joins t f =
+  let store = Int_table.create 256 (* address -> nearest store so far *)
+  and store_rank = Int_table.create 256 (* address -> its non-branch rank *)
   and rank = ref 0 in
   for i = 0 to t.n - 1 do
     if is_mem t i then begin
       let a = t.addr.(i) in
-      let j = Int_table.find last ~default:(-1) a in
-      f i j
-        (if j < 0 then max_int
-         else !rank - Int_table.find last_rank ~default:0 a);
+      let j = Int_table.find store ~default:(-1) a in
+      if j >= 0 then f j i (!rank - Int_table.find store_rank ~default:0 a);
       if is_store t i then begin
-        Int_table.set last a i;
-        Int_table.set last_rank a !rank
+        Int_table.set store a i;
+        Int_table.set store_rank a !rank
       end
     end;
     if not (is_branch t i) then incr rank
+  done;
+  Int_table.clear store;
+  Int_table.clear store_rank;
+  for i = t.n - 1 downto 0 do
+    if not (is_branch t i) then decr rank;
+    let a = t.addr.(i) in
+    if is_load t i then begin
+      let j = Int_table.find store ~default:(-1) a in
+      if j >= 0 then f i j (Int_table.find store_rank ~default:0 a - !rank)
+    end
+    else if is_store t i then begin
+      Int_table.set store a i;
+      Int_table.set store_rank a !rank
+    end
   done
 
-(* The distinct store distances, ascending: the horizons at which the
+(* The distinct join distances, ascending: the horizons at which the
    labelling changes. *)
 let distance_cuts t =
   let seen = Int_table.create 64 in
-  iter_prior_stores t (fun _ j d -> if j >= 0 then Int_table.set seen d 0);
+  iter_joins t (fun _ _ d -> Int_table.set seen d 0);
   let cuts = Array.make (Int_table.length seen) 0 in
   let k = ref 0 in
   Int_table.iter
@@ -248,15 +257,30 @@ let distance_cuts t =
   Array.sort compare cuts;
   cuts
 
-(* Labels of earlier entries are final when an entry is visited, so
-   chains of in-horizon stores resolve in one pass. *)
+(* Union-find over the in-horizon joins; the smaller root wins, so a
+   label is the first entry of its class, and every parent lies before
+   its child. So the labels can overwrite the parents in trace order. *)
 let labels t ~horizon =
-  let addr = Array.copy t.addr in
-  iter_prior_stores t (fun i j d ->
-      addr.(i) <- (if d < horizon then addr.(j) else i));
-  addr
+  let root = Array.init t.n Fun.id in
+  let rec find i =
+    if root.(i) = i then i
+    else begin
+      root.(i) <- find root.(i);
+      root.(i)
+    end
+  in
+  iter_joins t (fun j i d ->
+      if d < horizon then begin
+        let a = find j and b = find i in
+        if a < b then root.(b) <- a else root.(a) <- b
+      end);
+  for i = 0 to t.n - 1 do
+    root.(i) <- (if is_mem t i then find i else -1)
+  done;
+  root
 
-let covered = function None -> 0 | Some pd -> pd.p_len * pd.p_periods
+let covered t =
+  List.fold_left (fun c pd -> c + (pd.p_len * pd.p_periods)) 0 (regions t)
 
 let relabel t ~horizon =
   let cuts =
@@ -278,9 +302,7 @@ let relabel t ~horizon =
   | Some p -> Option.value p ~default:t
   | None ->
       let r = { t with addr = labels t ~horizon; memo = fresh_memo () } in
-      let p =
-        if covered (period r) > covered (period t) then Some r else None
-      in
+      let p = if covered r > covered t then Some r else None in
       with_memo (fun () -> t.memo.labellings <- (k, p) :: t.memo.labellings);
       Option.value p ~default:t
 

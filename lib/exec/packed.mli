@@ -20,7 +20,7 @@ type period = {
   p_stride : int;  (** uniform address stride between consecutive periods *)
   p_periods : int;  (** complete periods in the region *)
 }
-(** A steady repeating body: entries [p_start + i] and [p_start + i + p_len]
+(** A periodic region: entries [p_start + i] and [p_start + i + p_len]
     are identical in every field for
     [i] in [\[0, (p_periods-1)*p_len)], except that memory addresses
     advance by exactly [p_stride] per period (the same stride for every
@@ -57,30 +57,32 @@ val kind_untaken : int
 val of_trace : Trace.t -> t
 (** Flatten a trace. O(n); performed once per trace by {!cached}. *)
 
-val period : t -> period option
-(** Detect the repeating body of a loop trace, or [None] for traces with
-    fewer than two congruent periods (straight-line code, data-dependent
-    address streams, non-counting loops). Candidate period lengths come
-    from taken-branch (backedge) spacing; the scan is O(n), runs once per
-    pack and is kept with it. *)
+val regions : t -> period list
+(** The maximal periodic regions of a trace, in trace order: [[]] for
+    traces with no two congruent periods anywhere (straight-line code,
+    data-dependent address streams, non-counting loops). Candidate period
+    lengths come from taken-branch (backedge) spacing, and the scan
+    resumes at each region's end, so loops in sequence and the outer
+    passes of a nest each bring their own region. Runs once per pack and
+    is kept with it. *)
 
 val labels : t -> horizon:int -> int array
 (** [labels t ~horizon] names each memory address only as far as a
-    window of [horizon] non-branch entries can tell: an entry whose
-    latest earlier store to its address lies fewer than [horizon]
-    non-branch entries back (counting the store) takes that store's
-    label, and any other memory entry is labelled with its own index;
-    non-memory entries keep [-1]. Two entries share a label exactly when
-    a chain of such in-horizon stores links them, so "the latest earlier
-    store with this label" is the store the original address finds
-    whenever that store is within the horizon, and none otherwise. *)
+    window of [horizon] non-branch entries can tell: two accesses to one
+    address whose distance (the non-branch entries from the first up to
+    the second) is below [horizon] share a label when either is a store,
+    and labels are shared along chains of such pairs. A label is the
+    first trace index of its class; non-memory entries keep [-1]. So a
+    shared label implies a shared address, and every read-after-write,
+    write-after-read and write-after-write pair that a window of
+    [horizon] non-branch entries can hold shares its label. *)
 
 val relabel : t -> horizon:int -> t
 (** [relabel t ~horizon] is [t] with [addr] replaced by
-    [labels t ~horizon] when that lengthens the periodic region
-    ({!period}), and [t] itself otherwise. Every other array is shared
-    with [t]. Memoized on [t]: horizons that yield the same labelling
-    return the same pack. *)
+    [labels t ~horizon] when that raises the total length of the
+    periodic regions ({!regions}), and [t] itself otherwise. Every other
+    array is shared with [t]. Memoized on [t]: horizons that yield the
+    same labelling return the same pack. *)
 
 val cached : Trace.t -> t
 (** Memoized {!of_trace}, keyed by the {e physical identity} of the trace

@@ -65,7 +65,10 @@ let dataflow_path ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
      Growth between consecutive boundaries after the first interval
      (which legitimately fills the table) proves the table gains fresh
      addresses every iteration — monotone under append-only, so no two
-     boundary states can ever be equal — and cancels probing outright. *)
+     boundary states can ever be equal — and cancels probing outright,
+     for later regions too: one of them would serialize the whole table
+     at every boundary. A jump starts the count afresh for the next
+     region, whose first interval again fills the table legitimately. *)
   let tok_len_prev = ref (-1) in
   let boundaries_seen = ref 0 in
   let fingerprint_body pr i now =
@@ -97,7 +100,9 @@ let dataflow_path ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
     end
     else begin
       tok_len_prev := len;
-      fingerprint_body pr i now
+      let skip = fingerprint_body pr i now in
+      if skip > 0 then boundaries_seen := 0;
+      skip
     end
   in
   (* after a jump, addresses are read lowered by [bias] *)
@@ -157,7 +162,7 @@ let dataflow_path ?metrics ?probe ~config ~serial_waw (p : Packed.t) =
     | Some pr when i + 1 = pr.Steady.next_pos ->
         let skip = fingerprint pr (i + 1) !branch_resolved in
         cursor := i + 1 + skip;
-        bias := Steady.shift pr skip
+        bias := pr.Steady.bias
     | _ -> ()
   done;
   let finish = !finish in

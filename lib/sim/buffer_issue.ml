@@ -70,7 +70,6 @@ module Fast = struct
     mutable nom : int;
     mutable base : int;
     mutable hi : int;
-    mutable bias : int; (* subtracted from every address read *)
     mutable stall_until : int;
     mutable finish : int;
     mutable wake : int; (* earliest next interesting cycle, or max_int *)
@@ -81,6 +80,11 @@ module Fast = struct
     | Dynamic -> pos - st.base
     | Static -> st.p.Packed.static_index.(pos) mod st.stations
 
+  (* A window holds at most [stations] entries. [Dynamic]: by
+     construction. [Static]: a window lies in one block of [stations]
+     static positions and ends after its first taken branch; without a
+     taken branch control falls through to the next static position, so
+     its static indices strictly increase and fit the block. *)
   let window_end st from_ =
     let n = st.p.Packed.n in
     match st.alignment with
@@ -241,8 +245,7 @@ module Fast = struct
       let is_mem = Packed.is_mem st.p i in
       let mem_conflict =
         is_mem
-        && mem_hit st
-             ~a:(st.p.Packed.addr.(i) - st.bias)
+        && mem_hit st ~a:st.p.Packed.addr.(i)
              ~is_store:(Packed.is_store st.p i) 0
       in
       let is_br = Packed.is_branch st.p i in
@@ -273,7 +276,7 @@ module Fast = struct
           st.nod <- st.nod + 1
         end;
         if is_mem then begin
-          st.oma.(st.nom) <- st.p.Packed.addr.(i) - st.bias;
+          st.oma.(st.nom) <- st.p.Packed.addr.(i);
           st.oms.(st.nom) <- Packed.is_store st.p i;
           st.nom <- st.nom + 1
         end;
@@ -344,7 +347,10 @@ end
    unit reuse, probed keys at completion cycles > [now] for the bus
    ring). Live bus reservations sit at cycles in (now, now + span] and
    are serialized as one 8-bit mask per cycle; stale ring tags at dead
-   cycles can never equal a probed key and carry no state. *)
+   cycles can never equal a probed key and carry no state. Addresses
+   never enter this state: they are compared only among the entries of
+   one window, in the cycle that reads them, which is also why a jump
+   needs no address bias here. *)
 let fingerprint st ~span pr pos now =
   let fp = ref [] in
   let push v = fp := v :: !fp in
@@ -393,7 +399,6 @@ let simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
       nom = 0;
       base = 0;
       hi = 0;
-      bias = 0;
       stall_until = 0;
       finish = 0;
       wake = max_int;
@@ -412,12 +417,11 @@ let simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations ~bus
     (match probe with
     | Some pr when st.Fast.base >= pr.Steady.next_pos ->
         if st.Fast.base > pr.Steady.next_pos then
-          Steady.missed pr (st.Fast.base - 1);
+          pr.Steady.missed (st.Fast.base - 1);
         if st.Fast.base = pr.Steady.next_pos then begin
           let skip = fingerprint st ~span pr st.Fast.base !t in
           st.Fast.base <- st.Fast.base + skip;
-          st.Fast.hi <- st.Fast.hi + skip;
-          st.Fast.bias <- Steady.shift pr skip
+          st.Fast.hi <- st.Fast.hi + skip
         end
     | _ -> ());
     (match metrics with
@@ -451,9 +455,15 @@ let simulate ?metrics ?(alignment = Dynamic) ?(accel = true) ~config ~policy
     ~stations ~bus (trace : Trace.t) =
   if stations < 1 then invalid_arg "Buffer_issue.simulate: stations < 1";
   if accel then
-    (* the buffer reads [stations] entries past [base]: the final periods
-       of a loop see the epilogue through it and must not be telescoped *)
-    Steady.run ?metrics ~lookahead:stations (Packed.cached trace)
+    (* The walker reads an address only to compare it with those of older
+       unissued entries of the same window, when either is a store, and a
+       window holds at most [stations] entries (see [window_end]). So
+       addresses relabelled by dependence over a [stations] horizon drive
+       it exactly as the originals do. The buffer reads [stations] entries
+       past [base]: a region's final periods see what follows through it
+       and must not be telescoped. *)
+    Steady.run ?metrics ~lookahead:stations
+      (Packed.relabel (Packed.cached trace) ~horizon:stations)
       (fun ~metrics ~probe p ->
         simulate_packed ?metrics ?probe ~alignment ~config ~policy ~stations
           ~bus p)

@@ -155,7 +155,7 @@ let simulate_packed ?metrics ?probe ~config scheme (p : Packed.t) =
     | Some pr when i + 1 = pr.Steady.next_pos ->
         let skip = fingerprint pr (i + 1) !issue_free in
         cursor := i + 1 + skip;
-        bias := Steady.shift pr skip
+        bias := pr.Steady.bias
     | _ -> ()
   done;
   let cycles = max !finish !issue_free in

@@ -596,11 +596,11 @@ let simulate_packed ?metrics ?probe ~branches ~config ~issue_units ~ruu_size
     (match probe with
     | Some pr when st.Fast.next >= pr.Steady.next_pos ->
         if st.Fast.next > pr.Steady.next_pos then
-          Steady.missed pr (st.Fast.next - 1);
+          pr.Steady.missed (st.Fast.next - 1);
         if st.Fast.next = pr.Steady.next_pos then begin
           let skip = fingerprint st ~maxlat pr st.Fast.next !t in
           st.Fast.next <- st.Fast.next + skip;
-          st.Fast.bias <- Steady.shift pr skip
+          st.Fast.bias <- pr.Steady.bias
         end
     | _ -> ());
     (match metrics with
@@ -658,8 +658,8 @@ let simulate ?metrics ?(branches = Stall) ?(accel = true) ~config ~issue_units
   if accel then
     (* The walker reads an address only to find the latest earlier store
        to it that is still in the window, so addresses relabelled by
-       live-store dependence over a [ruu_size] horizon drive it exactly
-       as the originals do. The issue pass examines up to [issue_units]
+       memory dependence over a [ruu_size] horizon drive it exactly as
+       the originals do. The issue pass examines up to [issue_units]
        entries past [next] in a cycle. *)
     Steady.run ?metrics ~lookahead:issue_units
       ~min_repeat:(min_repeat ~issue_units ~ruu_size ~bus)

@@ -1,75 +1,62 @@
 (* Exact steady-state fast-forward.
 
-   A loop trace is periodic after warm-up: the packed-trace period finder
-   ({!Mfu_exec.Packed.period}) proves that entries repeat with period P and
-   a uniform per-period address stride d. The simulators are deterministic
-   machines whose state refers to absolute time only through differences
-   and to absolute addresses only through equality (the RUU's only
-   through its live-store relation, so it runs on addresses relabelled
-   by that relation: {!Mfu_exec.Packed.relabel}). So if the complete
-   machine state — normalized by the current cycle and by the current
-   period's address offset — is identical at two iteration boundaries
-   b_j and b_k, the evolution from b_k replays the evolution from b_j
+   A loop trace is periodic after warm-up: the packed-trace region finder
+   ({!Mfu_exec.Packed.regions}) proves that, over each of its regions,
+   entries repeat with period P and a uniform per-period address stride
+   d. The simulators are deterministic machines whose state refers to
+   absolute time only through differences and to absolute addresses only
+   through equality (the RUU and the buffer machine only between accesses
+   a window can hold at once, so they run on addresses relabelled by that
+   relation: {!Mfu_exec.Packed.relabel}). So if the complete machine
+   state — normalized by the current cycle and by the current period's
+   address offset — is identical at two iteration boundaries b_j and b_k
+   of a region, the evolution from b_k replays the evolution from b_j
    shifted by (t_k - t_j) cycles and (k - j)*d in addresses, period for
    period, for as long as the trace stays periodic.
 
    The driver therefore runs the real simulation once with a probe that
-   fingerprints the normalized state at each boundary. On the first repeat
-   (j, k) it skips K = R*(k - j) whole periods in closed form: [fire]
-   returns K*P, the walker advances its trace cursor from b_k to
-   b_k + K*P and, from then on, reads every memory address lowered by
-   K*d. The entries it reads after the jump are literally the entries
-   the machine would have seen at periods k, k+1, ..., so the rest of the
-   run is the true run's tail translated by R*(t_k - t_j) cycles. Times
-   stay absolute; only the cursor and the address bias move:
+   fingerprints the normalized state at each boundary of one region at a
+   time. On the first repeat (j, k) it skips K = R*(k - j) whole periods
+   in closed form: [fire] returns K*P, the walker advances its trace
+   cursor from b_k to b_k + K*P and, from then on, reads every memory
+   address lowered by K*d more than before. The entries it reads after
+   the jump are literally the entries the machine would have seen at
+   periods k, k+1, ..., so the rest of the run is the true run's tail
+   translated by R*(t_k - t_j) cycles. Times stay absolute; only the
+   cursor and the address bias move. The probe then moves on to the next
+   region, where the same argument holds for the translated walk, so the
+   bias accumulates over the jumps (R_r, Δt_r, δ_r per region r):
 
-     cycles       = walk.cycles + R * (t_k - t_j)
-     metrics      = walk.metrics + R * (M_k - M_j)
+     cycles       = walk.cycles + Σ R_r * Δt_r
+     metrics      = walk.metrics + Σ R_r * (M_hi - M_lo)_r
+     address bias = Σ R_r * c_r * δ_r
 
-   where M_j, M_k are snapshots of the caller's metrics taken by the
-   probe. The walker counts every trace entry as an instruction either
-   way. If no repeat is found within the probe budget the walk simply
-   completes — the fallback costs nothing beyond the fingerprints. *)
+   where M_lo, M_hi are snapshots of the caller's metrics taken by the
+   probe at the two matching boundaries. The walker counts every trace
+   entry as an instruction either way. A region with no repeat within
+   the probe budget is simply walked — the fallback costs nothing beyond
+   the fingerprints. *)
 
 module Packed = Mfu_exec.Packed
 module Metrics = Sim_types.Metrics
 
 type probe = {
-  period : int;
-  stride : int;
   mutable next_pos : int;
   mutable addr_off : int;
+  mutable bias : int;
   mutable fire : pos:int -> time:int -> fp:int list -> int;
+  mutable missed : int -> unit;
 }
 
-let null_fire ~pos:_ ~time:_ ~fp:_ = 0
-let shift pr skip = skip / pr.period * pr.stride
-
-(* A simulator position that passed [next_pos] without landing on it (a
-   cycle-stepped window crossed the boundary mid-cycle): skip boundaries
-   until the next one is ahead again. Missed boundaries only delay
-   detection; they never affect correctness. *)
-let missed pr pos =
-  while pr.next_pos <= pos do
-    pr.next_pos <- pr.next_pos + pr.period;
-    pr.addr_off <- pr.addr_off + pr.stride
-  done
-
-(* Boundaries fingerprinted before giving up on detection. Livermore-style
-   loops repeat their state within a handful of iterations; a trace whose
-   state has not recurred after this many boundaries is treated as
-   aperiodic and simulated in full. *)
+(* Boundaries fingerprinted per region before giving up on it.
+   Livermore-style loops repeat their state within a handful of
+   iterations; a region whose state has not recurred after this many
+   boundaries is walked in full. *)
 let budget = 64
 
-type match_info = {
-  m_dt : int;  (** t_k - t_j *)
-  m_snap_low : Metrics.t option;
-  m_snap_high : Metrics.t option;
-  m_repeats : int;  (** R: how many (k - j)-period chunks are skipped *)
-}
-
-(* Observability for tests and reports: how often runs telescoped vs fell
-   back. Domain-safe; never consulted by the simulation itself. *)
+(* Observability for tests and reports: how many regions telescoped,
+   fell back or were gated, and how many runs had none. Domain-safe;
+   never consulted by the simulation itself. *)
 let n_telescoped = Atomic.make 0
 let n_fallback = Atomic.make 0
 let n_aperiodic = Atomic.make 0
@@ -107,118 +94,142 @@ module Fp_table = Hashtbl.Make (struct
 end)
 
 (* Detection state: the probe it feeds, the caller's metrics (snapshotted
-   at boundaries), the fingerprints seen so far, and the match once
-   found. *)
+   at boundaries), the regions still to probe, and for the armed region
+   its fingerprints so far and the trailing periods kept out of a jump. *)
 type detector = {
   d_probe : probe;
   d_metrics : Metrics.t option;
+  d_lookahead : int;
+  mutable d_todo : Packed.period list;
+  mutable d_region : Packed.period;
+  mutable d_margin : int;
   d_seen : (int * int * Metrics.t option) Fp_table.t;
-  d_p_start : int;
-  d_p_len : int;
-  d_p_periods : int;
-  d_margin : int;  (** trailing periods kept out of the skip *)
-  mutable d_found : match_info option;
+  mutable d_jumps : int;
+  mutable d_dt : int;  (** cycles the jumps skipped: sum of R * (t_k - t_j) *)
 }
 
-(* How many [c]-period chunks a repeat found at boundary [m] can skip
-   without its final periods reaching the margin (0: none). *)
-let repeats det ~m ~c = max 0 ((det.d_p_periods - det.d_margin - m) / c)
+(* A simulator that looks [lookahead] entries past its current position
+   (an instruction buffer holding the next [stations] entries) behaves
+   generically only while that window stays inside the periodic region:
+   its final periods see what follows (or the end of the trace) through
+   the buffer and must be walked, not jumped over. The margin shrinks the
+   usable region by the lookahead, rounded up to whole periods. *)
+let margin ~lookahead (pd : Packed.period) =
+  (lookahead + pd.Packed.p_len - 1) / pd.Packed.p_len
+
+(* How many [c]-period chunks a repeat found at boundary [m] of region
+   [pd] can skip without its final periods reaching the margin (0:
+   none). *)
+let repeats ~margin (pd : Packed.period) ~m ~c =
+  max 0 ((pd.Packed.p_periods - margin - m) / c)
+
+(* Arm the next region (or stop probing when none is left). *)
+let arm det =
+  let pr = det.d_probe in
+  match det.d_todo with
+  | [] -> pr.next_pos <- max_int
+  | pd :: rest ->
+      det.d_todo <- rest;
+      det.d_region <- pd;
+      det.d_margin <- margin ~lookahead:det.d_lookahead pd;
+      Fp_table.reset det.d_seen;
+      pr.next_pos <- pd.Packed.p_start;
+      pr.addr_off <- 0
+
+(* Move to the next boundary of the armed region, or to the next region
+   once this one's periods or budget are spent. *)
+let advance det =
+  let pr = det.d_probe and pd = det.d_region in
+  let m = ((pr.next_pos - pd.Packed.p_start) / pd.Packed.p_len) + 1 in
+  if m > budget || m > pd.Packed.p_periods then arm det
+  else begin
+    pr.next_pos <- pr.next_pos + pd.Packed.p_len;
+    pr.addr_off <- pr.addr_off + pd.Packed.p_stride
+  end
+
+(* A simulator position at or past [next_pos] (a cycle-stepped window
+   crossed the boundary mid-cycle, or the next region starts where the
+   walker already is): skip boundaries, across region ends, until the
+   next one is ahead again. Missed boundaries only delay detection; they
+   never affect correctness. *)
+let missed det pos =
+  while det.d_probe.next_pos <= pos do
+    advance det
+  done
 
 (* Record the fingerprint at boundary [pos]; on a repeat that can skip,
-   remember it, stop probing and return the entries to jump over. *)
-let detector_fire det ~pos ~time ~fp =
-  let pr = det.d_probe in
-  let m = (pos - det.d_p_start) / det.d_p_len in
+   book the skipped cycles and metrics, accumulate the address bias, arm
+   the next region and return the entries to jump over. Either way the
+   next boundary then lies past the walker's position. *)
+let fire det ~pos ~time ~fp =
+  let pr = det.d_probe and pd = det.d_region in
+  let m = (pos - pd.Packed.p_start) / pd.Packed.p_len in
   let skipped =
     match Fp_table.find_opt det.d_seen fp with
     | Some (mj, tj, snapj) ->
         let c = m - mj in
-        let r = repeats det ~m ~c in
-        if r >= 1 then
-          det.d_found <-
-            Some
-              {
-                m_dt = time - tj;
-                m_snap_low = snapj;
-                m_snap_high = Option.map Metrics.snapshot det.d_metrics;
-                m_repeats = r;
-              };
+        let r = repeats ~margin:det.d_margin pd ~m ~c in
+        if r >= 1 then begin
+          det.d_jumps <- det.d_jumps + 1;
+          det.d_dt <- det.d_dt + (r * (time - tj));
+          Option.iter
+            (fun mt ->
+              Metrics.add_scaled mt ~hi:(Metrics.snapshot mt)
+                ~lo:(Option.get snapj) ~times:r)
+            det.d_metrics
+        end;
         r * c
     | None ->
         Fp_table.add det.d_seen fp
           (m, time, Option.map Metrics.snapshot det.d_metrics);
         0
   in
-  if skipped > 0 || m >= budget || m >= det.d_p_periods then
-    pr.next_pos <- max_int
-  else begin
-    pr.next_pos <- pr.next_pos + det.d_p_len;
-    pr.addr_off <- pr.addr_off + pr.stride
+  if skipped > 0 then begin
+    pr.bias <- pr.bias + (skipped * pd.Packed.p_stride);
+    arm det
   end;
-  skipped * det.d_p_len
+  missed det (pos + (skipped * pd.Packed.p_len));
+  skipped * pd.Packed.p_len
 
-let make_detector ~metrics ~lookahead (pd : Packed.period) =
-  let det =
-    {
-      d_probe =
-        {
-          period = pd.Packed.p_len;
-          stride = pd.Packed.p_stride;
-          next_pos = pd.Packed.p_start;
-          addr_off = 0;
-          fire = null_fire;
-        };
-      d_metrics = metrics;
-      d_seen = Fp_table.create 97;
-      d_p_start = pd.Packed.p_start;
-      d_p_len = pd.Packed.p_len;
-      d_p_periods = pd.Packed.p_periods;
-      (* A simulator that looks [lookahead] entries past its current
-         position (an instruction buffer holding the next [stations]
-         entries) behaves generically only while that window stays inside
-         the periodic region: its final periods see the epilogue (or the
-         end of the trace) through the buffer and must be walked, not
-         jumped over. Shrink the usable region by the lookahead, rounded
-         up to whole periods. *)
-      d_margin = (lookahead + pd.Packed.p_len - 1) / pd.Packed.p_len;
-      d_found = None;
-    }
+let run ?metrics ?(lookahead = 0) ?(min_repeat = fun _ _ -> 1) packed sim =
+  (* The earliest possible repeat, boundaries 0 and [c], skips at least
+     as much as any later one; if even it cannot skip, no repeat in the
+     region can and probing it would be pure cost. *)
+  let fits pd =
+    let c = min_repeat packed pd in
+    c <= budget && repeats ~margin:(margin ~lookahead pd) pd ~m:c ~c > 0
   in
-  det.d_probe.fire <- (fun ~pos ~time ~fp -> detector_fire det ~pos ~time ~fp);
-  det
-
-let run ?metrics ?(lookahead = 0) ?min_repeat packed sim =
-  match Packed.period packed with
-  | None ->
-      Atomic.incr n_aperiodic;
+  let todo, gated = List.partition fits (Packed.regions packed) in
+  ignore (Atomic.fetch_and_add n_gated (List.length gated));
+  match todo with
+  | [] ->
+      if gated = [] then Atomic.incr n_aperiodic;
       sim ~metrics ~probe:None packed
-  | Some pd -> (
-      let det = make_detector ~metrics ~lookahead pd in
-      (* The earliest possible repeat, boundaries 0 and [c], skips at
-         least as much as any later one; if even it cannot skip, no
-         repeat can and the probe would be pure cost. *)
-      let c = match min_repeat with Some f -> f packed pd | None -> 1 in
-      if c > budget || repeats det ~m:c ~c = 0 then begin
-        Atomic.incr n_gated;
-        sim ~metrics ~probe:None packed
-      end
-      else
-        let res = sim ~metrics ~probe:(Some det.d_probe) packed in
-        match det.d_found with
-        | None ->
-            Atomic.incr n_fallback;
-            res
-        | Some info ->
-            Atomic.incr n_telescoped;
-            Option.iter
-              (fun m ->
-                Metrics.add_scaled m
-                  ~hi:(Option.get info.m_snap_high)
-                  ~lo:(Option.get info.m_snap_low)
-                  ~times:info.m_repeats)
-              metrics;
+  | pd :: _ ->
+      let det =
+        {
+          d_probe =
             {
-              res with
-              Sim_types.cycles =
-                res.Sim_types.cycles + (info.m_repeats * info.m_dt);
-            })
+              next_pos = max_int;
+              addr_off = 0;
+              bias = 0;
+              fire = (fun ~pos:_ ~time:_ ~fp:_ -> 0);
+              missed = ignore;
+            };
+          d_metrics = metrics;
+          d_lookahead = lookahead;
+          d_todo = todo;
+          d_region = pd;
+          d_margin = 0;
+          d_seen = Fp_table.create 97;
+          d_jumps = 0;
+          d_dt = 0;
+        }
+      in
+      det.d_probe.fire <- fire det;
+      det.d_probe.missed <- missed det;
+      arm det;
+      let res = sim ~metrics ~probe:(Some det.d_probe) packed in
+      ignore (Atomic.fetch_and_add n_telescoped det.d_jumps);
+      ignore (Atomic.fetch_and_add n_fallback (List.length todo - det.d_jumps));
+      { res with Sim_types.cycles = res.Sim_types.cycles + det.d_dt }

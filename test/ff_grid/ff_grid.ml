@@ -6,7 +6,9 @@
    the three metrics collectors must be [Metrics.equal].
 
    One line per grid reports its run count, its mismatches and the
-   [Steady.stats] of its accelerated runs; every mismatch is printed.
+   [Steady.stats] of its accelerated runs (periodic regions telescoped,
+   fallen back or gated, and runs with no region); every mismatch is
+   printed.
    Exits 1 on any mismatch.
 
    Usage: dune exec test/ff_grid/ff_grid.exe *)
@@ -128,8 +130,8 @@ let limits =
     );
   ]
 
-(* The Tables 3-6 grid: both policies, both table buses, stations 1-8,
-   both alignments. *)
+(* The Tables 3-6 grid: both policies, both table buses and the
+   crossbar, stations 1-8, both alignments. *)
 let buffer_issue =
   List.concat_map
     (fun policy ->
@@ -152,7 +154,7 @@ let buffer_issue =
                            ~config ~policy ~stations ~bus t) ))
                 [ Bi.Dynamic; Bi.Static ])
             [ 1; 2; 3; 4; 5; 6; 7; 8 ])
-        [ Sim_types.N_bus; Sim_types.One_bus ])
+        [ Sim_types.N_bus; Sim_types.One_bus; Sim_types.X_bar ])
     [ Bi.In_order; Bi.Out_of_order ]
 
 (* Sizes from a one-entry window to twice the tables' largest, unit

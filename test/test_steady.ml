@@ -88,12 +88,15 @@ let epilogue2 = [ Tracegen.fadd ~d:5 ~a:2 ~b:2; Tracegen.imm ~d:6 ]
 
 (* -- the period finder ------------------------------------------------------ *)
 
+let first_region p =
+  match Packed.regions p with [] -> None | pd :: _ -> Some pd
+
 let test_period_found () =
   let t =
     loop_trace ~prologue:prologue3 ~epilogue:epilogue2 ~periods:50 ~stride:8
       strided_body
   in
-  match Packed.period (Packed.of_trace t) with
+  match first_region (Packed.of_trace t) with
   | None -> Alcotest.fail "no period found on a periodic trace"
   | Some p ->
       Alcotest.(check int) "period length" 5 p.Packed.p_len;
@@ -104,7 +107,7 @@ let test_period_found () =
 
 let test_period_zero_stride () =
   let t = loop_trace ~periods:30 ~stride:0 recurrence_body in
-  match Packed.period (Packed.of_trace t) with
+  match first_region (Packed.of_trace t) with
   | None -> Alcotest.fail "no period found"
   | Some p ->
       Alcotest.(check int) "period length" 4 p.Packed.p_len;
@@ -120,11 +123,11 @@ let test_period_none () =
            @ [ with_static 99 (Tracegen.branch ~taken:true) ])
          [ 3; 5; 4; 7; 3; 6; 5; 4; 8; 3 ])
   in
-  (match Packed.period (Packed.of_trace irregular) with
+  (match first_region (Packed.of_trace irregular) with
   | None -> ()
   | Some _ -> Alcotest.fail "found a period in an aperiodic trace");
   (* short traces are rejected outright *)
-  match Packed.period (Packed.of_trace (Tracegen.of_list [])) with
+  match first_region (Packed.of_trace (Tracegen.of_list [])) with
   | None -> ()
   | Some _ -> Alcotest.fail "found a period in an empty trace"
 
@@ -139,7 +142,7 @@ let test_period_mixed_stride_rejected () =
     ]
   in
   let t = Array.of_list (List.concat (List.init 40 body)) in
-  match Packed.period (Packed.of_trace t) with
+  match first_region (Packed.of_trace t) with
   | None -> ()
   | Some p ->
       Alcotest.failf "mixed strides accepted: len=%d stride=%d periods=%d"
@@ -383,7 +386,7 @@ let test_ruu_ring_gate () =
     (fun (loop, ruu_size, bus, c_expected, outcome) ->
       let trace = Livermore.trace (Livermore.loop loop) in
       let p = Packed.relabel (Packed.cached trace) ~horizon:ruu_size in
-      let pd = Option.get (Packed.period p) in
+      let pd = Option.get (first_region p) in
       let q = ref 0 in
       for i = pd.Packed.p_start to pd.Packed.p_start + pd.Packed.p_len - 1 do
         if not (Packed.is_branch p i) then incr q
@@ -430,15 +433,16 @@ let test_ruu_ring_gate () =
 (* A jump costs only its detection, so a periodic region telescopes
    however little of the trace it covers. *)
 let first_region_under_half packed =
-  match Packed.period packed with
+  match first_region packed with
   | None -> false
   | Some pd ->
       2 * pd.Packed.p_len * pd.Packed.p_periods < Packed.length packed
 
 (* LL4 (a few outer passes around one inner loop), LL8 (two passes of
    one body) and LL14 (three loops in sequence): after relabelling, the
-   first periodic region covers under half the trace. At a Table 7 point
-   (S = 40, 4 units, N_bus, M11BR5) each telescopes and equals the full
+   first periodic region covers under half the trace, and more regions
+   follow it. At a Table 7 point (S = 40, 4 units, N_bus, M11BR5) every
+   region whose repeat can fit telescopes, and each run equals the full
    walk and the oracle, on cycles and metrics. *)
 let test_short_region_ruu () =
   let config = Config.m11br5
@@ -449,18 +453,22 @@ let test_short_region_ruu () =
     (fun loop ->
       let where = Printf.sprintf "LL%d" loop in
       let trace = Livermore.trace (Livermore.loop loop) in
+      let packed = Packed.relabel (Packed.cached trace) ~horizon:ruu_size in
       Alcotest.(check bool)
         (where ^ ": first region under half the trace")
         true
-        (first_region_under_half
-           (Packed.relabel (Packed.cached trace) ~horizon:ruu_size));
+        (first_region_under_half packed);
+      let regions = List.length (Packed.regions packed) in
+      Alcotest.(check bool) (where ^ ": several regions") true (regions >= 2);
       let run ?metrics accel =
         Ruu.simulate ?metrics ~accel ~config ~issue_units ~ruu_size ~bus trace
       in
       Steady.reset_stats ();
       let fast = run true in
+      let s = Steady.stats () in
+      Alcotest.(check int) (where ^ ": fallback") 0 s.Steady.fallback;
       Alcotest.(check int)
-        (where ^ ": telescoped") 1 (Steady.stats ()).Steady.telescoped;
+        (where ^ ": telescoped") (regions - s.Steady.gated) s.Steady.telescoped;
       let ma = Metrics.create ()
       and mf = Metrics.create ()
       and mo = Metrics.create () in
@@ -483,22 +491,20 @@ let test_short_region_ruu () =
         Alcotest.failf "%s: metrics differ from the oracle's" where)
     [ 4; 8; 14 ]
 
-(* Two counted loops in sequence: a register-only loop of 30 periods,
-   then a strided one of 60 with its own static indices. The period
-   finder reports the first loop only, under half the trace. *)
-let test_short_region_every_family () =
-  let trace =
-    Array.append
-      (loop_trace ~prologue:prologue3 ~periods:30 ~stride:0 regonly_body)
-      (Array.map
-         (fun (e : Trace.entry) ->
-           { e with Trace.static_index = e.Trace.static_index + 100 })
-         (loop_trace ~epilogue:epilogue2 ~periods:60 ~stride:8 strided_body))
-  in
-  Alcotest.(check bool)
-    "first region under half the trace" true
-    (first_region_under_half (Packed.of_trace trace));
-  let config = Config.m11br5 in
+(* Counted loops in sequence, each with its own static indices. *)
+let loops_in_sequence loops =
+  Array.concat
+    (List.mapi
+       (fun k t ->
+         Array.map
+           (fun (e : Trace.entry) ->
+             { e with Trace.static_index = e.Trace.static_index + (100 * k) })
+           t)
+       loops)
+
+(* Every family but the instruction-buffer machine (run below at every
+   station count instead) and the bimodal RUU, which falls back. *)
+let families config =
   let buffers =
     List.concat_map
       (fun stations ->
@@ -519,28 +525,216 @@ let test_short_region_every_family () =
           [ ("inorder", Bi.In_order); ("ooo", Bi.Out_of_order) ])
       [ 1; 2; 3; 4; 5; 6; 7; 8 ]
   in
+  List.filter
+    (fun r ->
+      not
+        (String.starts_with ~prefix:(Config.name config ^ "/buffer:") r.rname
+        || String.ends_with ~suffix:"bimodal16" r.rname))
+    (runners config)
+  @ buffers
+
+(* Run every family on [trace], check it against its full walk and its
+   [Steady.stats] against [expected rname]. *)
+let check_families ~ctx ~expected trace =
   List.iter
     (fun r ->
       Steady.reset_stats ();
       ignore (r.run ~accel:true trace);
       let s = Steady.stats () in
-      if s.Steady.telescoped <> 1 then
-        Alcotest.failf "%s did not telescope (%s)" r.rname
+      let tele, fallback = expected r.rname in
+      if s.Steady.telescoped <> tele || s.Steady.fallback <> fallback then
+        Alcotest.failf "%s on %s: expected telescoped %d, fallback %d (%s)"
+          r.rname ctx tele fallback (Steady.stats_summary s);
+      check_differential ~ctx r trace)
+    (families Config.m11br5)
+
+(* Two counted loops in sequence: a register-only loop of 30 periods,
+   then a strided one of 60. The first region covers under half the
+   trace, and both regions telescope in every family except the limits
+   walk, whose store-token table grows through the strided loop's stores
+   and never repeats there (it falls back on that region). *)
+let test_short_region_every_family () =
+  let trace =
+    loops_in_sequence
+      [
+        loop_trace ~prologue:prologue3 ~periods:30 ~stride:0 regonly_body;
+        loop_trace ~epilogue:epilogue2 ~periods:60 ~stride:8 strided_body;
+      ]
+  in
+  Alcotest.(check bool)
+    "first region under half the trace" true
+    (first_region_under_half (Packed.of_trace trace));
+  Alcotest.(check int)
+    "regions" 2
+    (List.length (Packed.regions (Packed.of_trace trace)));
+  check_families ~ctx:"two loops" trace ~expected:(fun rname ->
+      if String.ends_with ~suffix:"limits:critical-path" rname then (1, 1)
+      else (2, 0))
+
+(* Three counted loops in sequence, with strides 8, -3 and 0: every
+   family telescopes all three regions. Each jump lowers later addresses
+   by its own shift, so the walker's bias after the second and third
+   jumps is a sum. *)
+let test_three_loops_every_family () =
+  let loads_body =
+    [
+      Tracegen.load ~d:1 ~addr:100;
+      Tracegen.fadd ~d:2 ~a:1 ~b:1;
+      Tracegen.load ~d:3 ~addr:300;
+      Tracegen.fmul ~d:4 ~a:3 ~b:2;
+      Tracegen.branch ~taken:true;
+    ]
+  in
+  let trace =
+    loops_in_sequence
+      [
+        loop_trace ~prologue:prologue3 ~periods:40 ~stride:8 loads_body;
+        loop_trace ~periods:50 ~stride:(-3)
+          (List.map (shift_addr 2000) loads_body);
+        loop_trace ~epilogue:epilogue2 ~periods:45 ~stride:0
+          [
+            Tracegen.imm ~d:1;
+            Tracegen.imm ~d:5;
+            Tracegen.store ~v:1 ~addr:64;
+            Tracegen.load ~d:2 ~addr:80;
+            Tracegen.fadd ~d:3 ~a:2 ~b:2;
+            Tracegen.branch ~taken:true;
+          ];
+      ]
+  in
+  Alcotest.(check int)
+    "regions" 3
+    (List.length (Packed.regions (Packed.of_trace trace)));
+  check_families ~ctx:"three loops" trace ~expected:(fun _ -> (3, 0))
+
+(* A loop whose register recurrence outruns its issue, so that its state
+   never repeats under Tomasulo or the dataflow limit, followed right
+   after its last period by a register-only loop: the second region
+   starts where the first one ends, and the probe must still reach it
+   after walking the first one in full. *)
+let test_adjacent_regions () =
+  let trace =
+    loops_in_sequence
+      [
+        loop_trace ~periods:30 ~stride:8
+          [
+            Tracegen.load ~d:1 ~addr:100;
+            Tracegen.fadd ~d:2 ~a:2 ~b:1;
+            Tracegen.fmul ~d:2 ~a:2 ~b:2;
+            Tracegen.branch ~taken:true;
+          ];
+        loop_trace ~epilogue:epilogue2 ~periods:60 ~stride:0 regonly_body;
+      ]
+  in
+  let p = Packed.of_trace trace in
+  (match Packed.regions p with
+  | [ a; b ] ->
+      Alcotest.(check int)
+        "second region starts where the first ends"
+        (a.Packed.p_start + (a.Packed.p_len * a.Packed.p_periods))
+        b.Packed.p_start
+  | rs -> Alcotest.failf "%d regions, expected 2" (List.length rs));
+  List.iter
+    (fun r ->
+      Steady.reset_stats ();
+      ignore (r.run ~accel:true trace);
+      let s = Steady.stats () in
+      if s.Steady.telescoped <> 1 || s.Steady.fallback <> 1 then
+        Alcotest.failf "%s: expected telescoped 1, fallback 1 (%s)" r.rname
           (Steady.stats_summary s);
-      check_differential ~ctx:"two loops" r trace)
+      check_differential ~ctx:"adjacent regions" r trace)
     (List.filter
        (fun r ->
-         not
-           (String.starts_with ~prefix:(Config.name config ^ "/buffer:") r.rname
-           || String.ends_with ~suffix:"bimodal16" r.rname))
-       (runners config)
-    @ buffers)
+         List.mem r.rname
+           [ "M11BR5/dep:Tomasulo"; "M11BR5/limits:critical-path" ])
+       (runners Config.m11br5))
 
-(* -- live-store relabelling ------------------------------------------------- *)
+(* A strided loop, then a memory recurrence whose loads read what the
+   previous period stored. The second jump lands with the last stores
+   before it still in flight, and the loads after it must find them: so
+   the walker has to lower later addresses by the sum of both jumps'
+   shifts, not by the second alone. The RUU (on relabelled addresses)
+   and the scoreboard (on the originals) telescope both regions and
+   equal their full walks and the oracles. *)
+let test_bias_accumulates () =
+  let loads_body =
+    [
+      Tracegen.load ~d:1 ~addr:100;
+      Tracegen.fadd ~d:2 ~a:1 ~b:1;
+      Tracegen.branch ~taken:true;
+    ]
+  in
+  let recurrence =
+    [
+      Tracegen.load ~d:3 ~addr:5000;
+      Tracegen.fadd ~d:4 ~a:3 ~b:3;
+      Tracegen.store ~v:4 ~addr:5004;
+      Tracegen.branch ~taken:true;
+    ]
+  in
+  let trace =
+    loops_in_sequence
+      [
+        loop_trace ~prologue:prologue3 ~periods:40 ~stride:8 loads_body;
+        loop_trace ~epilogue:epilogue2 ~periods:60 ~stride:4 recurrence;
+      ]
+  in
+  let config = Config.m11br5 in
+  let cases =
+    List.map
+      (fun (units, size, bus) ->
+        ( Printf.sprintf "RUU %d/%d %s" units size
+            (Sim_types.bus_model_to_string bus),
+          (fun metrics accel ->
+            (Ruu.simulate ?metrics ~accel ~config ~issue_units:units
+               ~ruu_size:size ~bus trace)
+              .Sim_types.cycles),
+          fun metrics ->
+            (Mfu_oracle.Ruu.simulate ?metrics ~config ~issue_units:units
+               ~ruu_size:size ~bus trace)
+              .Sim_types.cycles ))
+      [
+        (1, 8, Sim_types.N_bus);
+        (2, 16, Sim_types.X_bar);
+        (4, 40, Sim_types.N_bus);
+      ]
+    @ [
+        ( "scoreboard",
+          (fun metrics accel ->
+            (Dep.simulate ?metrics ~accel ~config Dep.Scoreboard trace)
+              .Sim_types.cycles),
+          fun metrics ->
+            (Mfu_oracle.Dep_single.simulate ?metrics ~config Dep.Scoreboard
+               trace)
+              .Sim_types.cycles );
+      ]
+  in
+  List.iter
+    (fun (where, run, oracle) ->
+      Steady.reset_stats ();
+      let fast = run None true in
+      Alcotest.(check int)
+        (where ^ ": telescoped") 2 (Steady.stats ()).Steady.telescoped;
+      let ma = Metrics.create () and mo = Metrics.create () in
+      List.iter
+        (fun (what, c) ->
+          Alcotest.(check int) (where ^ ": " ^ what) (oracle None) c)
+        [
+          ("accelerated", fast);
+          ("full", run None false);
+          ("accelerated with metrics", run (Some ma) true);
+          ("oracle with metrics", oracle (Some mo));
+        ];
+      if not (Metrics.equal mo ma) then
+        Alcotest.failf "%s: metrics differ from the oracle's" where)
+    cases
 
-(* An entry takes the label of its latest earlier store to the same
-   address when that store lies fewer than [horizon] non-branch entries
-   back, counting the store; otherwise its own index. *)
+(* -- dependence relabelling ------------------------------------------------ *)
+
+(* Two accesses to one address share a label when either is a store and
+   fewer than [horizon] non-branch entries lie from the first up to the
+   second; labels follow chains of such pairs, and a label is the first
+   index of its class. *)
 let test_relabel_labels () =
   let p =
     Packed.of_trace
@@ -562,18 +756,20 @@ let test_relabel_labels () =
       (Array.to_list (Packed.labels p ~horizon))
   in
   check 1 [ 0; -1; 2; -1; 4; 5; 6 ];
-  check 2 [ 0; -1; 2; -1; 4; 5; 6 ];
-  check 3 [ 0; -1; 0; -1; 4; 5; 4 ];
+  (* store 4 lies one non-branch entry after load 2: write after read *)
+  check 2 [ 0; -1; 2; -1; 2; 5; 6 ];
+  check 3 [ 0; -1; 0; -1; 0; 5; 0 ];
   check 4 [ 0; -1; 0; -1; 0; 5; 0 ];
   check 100 [ 0; -1; 0; -1; 0; 5; 0 ]
 
 (* A strided load beside a memory accumulator: the original addresses mix
    strides 1 and 0, so no period. The accumulator's load lies 2
-   non-branch entries after the previous period's store, and that store
-   4 after its predecessor. Below horizon 5 every label advances by the
-   period length and the relabelled pack is periodic; from 5 on the
-   store chain keeps one label, strides mix again, and [relabel] keeps
-   the original pack. Horizons that label alike share one pack. *)
+   non-branch entries after the previous period's store and 2 before its
+   own, and each store 4 after its predecessor. Below horizon 3 every
+   label advances by the period length and the relabelled pack is
+   periodic; from 3 on the accumulator keeps one label, strides mix
+   again, and [relabel] keeps the original pack. Horizons that label
+   alike share one pack. *)
 let test_relabel_memo () =
   let trace =
     Array.of_list
@@ -591,12 +787,12 @@ let test_relabel_memo () =
   let p = Packed.of_trace trace in
   let r h = Packed.relabel p ~horizon:h in
   let same what a b = Alcotest.(check bool) what true (a == b) in
-  Alcotest.(check bool) "original is aperiodic" true (Packed.period p = None);
+  Alcotest.(check bool) "original is aperiodic" true (first_region p = None);
   same "horizons 1 and 2 share a pack" (r 1) (r 2);
-  same "horizons 3 and 4 share a pack" (r 3) (r 4);
   Alcotest.(check bool) "horizons 2 and 3 do not" false (r 2 == r 3);
-  Alcotest.(check bool) "horizon 4 is periodic" true
-    (Packed.period (r 4) <> None);
+  Alcotest.(check bool) "horizon 2 is periodic" true
+    (first_region (r 2) <> None);
+  same "horizon 3 keeps the original" p (r 3);
   same "horizon 5 keeps the original" p (r 5);
   same "horizon 100 keeps the original" p (r 100);
   same "other arrays are shared" p.Packed.fu (r 1).Packed.fu;
@@ -621,12 +817,125 @@ let test_relabel_ll13_telescopes () =
       ~bus:Sim_types.N_bus trace
   in
   Alcotest.(check bool) "original addresses are aperiodic" true
-    (Packed.period (Packed.cached trace) = None);
+    (first_region (Packed.cached trace) = None);
   Steady.reset_stats ();
   let fast = run true in
   Alcotest.(check int) "telescoped" 1 (Steady.stats ()).Steady.telescoped;
   if fast <> run false then
     Alcotest.fail "LL13: accelerated run differs from full run"
+
+(* LL13 on the instruction-buffer machine: it runs on addresses
+   relabelled over a [stations] horizon, so its gathers and scatters
+   telescope under both alignments at every station count, and each run
+   equals the full walk. *)
+let test_relabel_ll13_buffer () =
+  let trace = Livermore.trace (Livermore.loop 13) in
+  List.iter
+    (fun (stations, alignment, policy) ->
+      let where =
+        Printf.sprintf "LL13 %s %d %s" (Bi.policy_to_string policy) stations
+          (Bi.alignment_to_string alignment)
+      in
+      let run accel =
+        Bi.simulate ~accel ~alignment ~config:Config.m11br5 ~policy ~stations
+          ~bus:Sim_types.N_bus trace
+      in
+      Steady.reset_stats ();
+      let fast = run true in
+      Alcotest.(check int)
+        (where ^ ": telescoped") 1 (Steady.stats ()).Steady.telescoped;
+      if fast <> run false then
+        Alcotest.failf "%s: accelerated run differs from full run" where)
+    (List.concat_map
+       (fun stations ->
+         List.concat_map
+           (fun alignment ->
+             List.map
+               (fun policy -> (stations, alignment, policy))
+               [ Bi.In_order; Bi.Out_of_order ])
+           [ Bi.Dynamic; Bi.Static ])
+       [ 1; 2; 3; 4; 5; 6; 7; 8 ])
+
+(* The relabelling horizon of the buffer machine rests on its windows
+   holding at most [stations] entries. A [Static] window is the run of
+   entries from its first one that stays in one block of [stations]
+   static positions, up to and including a taken branch; on every
+   Livermore loop, from every starting entry, it fits. *)
+let test_static_window_bound () =
+  List.iter
+    (fun (l : Livermore.loop) ->
+      let p = Packed.cached (Livermore.trace l) in
+      let n = Packed.length p and si = p.Packed.static_index in
+      for stations = 1 to 8 do
+        for from = 0 to n - 1 do
+          let block = si.(from) / stations in
+          let rec stop q =
+            if q >= n || si.(q) / stations <> block then q
+            else if Packed.kind p q = Packed.kind_taken then q + 1
+            else stop (q + 1)
+          in
+          if stop from - from > stations then
+            Alcotest.failf "LL%d, %d stations: window at %d holds %d entries"
+              l.Livermore.number stations from (stop from - from)
+        done
+      done)
+    (Livermore.all ())
+
+(* Write after read: each period's store reaches the address of the load
+   just before it, which waits on a long multiply for its destination
+   register. An out-of-order buffer must hold the store back until the
+   load has issued, and the memory unit then takes them a cycle apart.
+   The loaded addresses grow quadratically beside a strided second
+   load, so the original addresses have no period; the labels do, and
+   the buffer runs on them. They must keep the store joined to the load
+   before it: labelled apart, the store would issue ahead. *)
+let test_relabel_war () =
+  let trace =
+    Array.of_list
+      (List.concat
+         (List.init 40 (fun m ->
+              let x = 1000 + (2 * m * m) in
+              List.mapi with_static
+                [
+                  Tracegen.fmul ~d:1 ~a:3 ~b:3;
+                  Tracegen.load ~d:1 ~addr:x;
+                  Tracegen.store ~v:2 ~addr:x;
+                  Tracegen.load ~d:4 ~addr:(50_000 + (5 * m));
+                  Tracegen.branch ~taken:true;
+                ])))
+  in
+  let p = Packed.cached trace in
+  Alcotest.(check int) "original addresses are aperiodic" 0
+    (List.length (Packed.regions p));
+  List.iter
+    (fun (stations, alignment) ->
+      let where =
+        Printf.sprintf "%d stations, %s" stations
+          (Bi.alignment_to_string alignment)
+      in
+      Alcotest.(check bool)
+        (where ^ ": runs relabelled")
+        false
+        (Packed.relabel p ~horizon:stations == p);
+      let config = Config.m11br5 and policy = Bi.Out_of_order in
+      let mo = Metrics.create () and ma = Metrics.create () in
+      let oracle =
+        Mfu_oracle.Buffer_issue.simulate ~metrics:mo ~alignment ~config
+          ~policy ~stations ~bus:Sim_types.N_bus trace
+      in
+      Steady.reset_stats ();
+      let fast =
+        Bi.simulate ~metrics:ma ~alignment ~config ~policy ~stations
+          ~bus:Sim_types.N_bus trace
+      in
+      Alcotest.(check int)
+        (where ^ ": telescoped") 1 (Steady.stats ()).Steady.telescoped;
+      if fast <> oracle then
+        Alcotest.failf "%s: accelerated %d cycles, oracle %d" where
+          fast.Sim_types.cycles oracle.Sim_types.cycles;
+      if not (Metrics.equal mo ma) then
+        Alcotest.failf "%s: metrics differ from the oracle's" where)
+    [ (4, Bi.Dynamic); (8, Bi.Dynamic); (8, Bi.Static) ]
 
 (* Non-branch distances from each store to the next access of its
    address, as the relabelling measures them. *)
@@ -939,6 +1248,11 @@ let () =
             test_short_region_ruu;
           Alcotest.test_case "short region: every family" `Quick
             test_short_region_every_family;
+          Alcotest.test_case "three loops: every family" `Quick
+            test_three_loops_every_family;
+          Alcotest.test_case "bias accumulates across jumps" `Quick
+            test_bias_accumulates;
+          Alcotest.test_case "adjacent regions" `Quick test_adjacent_regions;
         ] );
       ( "relabel",
         [
@@ -946,6 +1260,11 @@ let () =
           Alcotest.test_case "memo and fallback" `Quick test_relabel_memo;
           Alcotest.test_case "LL13 telescopes" `Quick
             test_relabel_ll13_telescopes;
+          Alcotest.test_case "LL13 telescopes on the buffer" `Quick
+            test_relabel_ll13_buffer;
+          Alcotest.test_case "static window bound" `Quick
+            test_static_window_bound;
+          Alcotest.test_case "write after read" `Quick test_relabel_war;
           QCheck_alcotest.to_alcotest ~long:false test_relabel_random;
         ] );
       ( "random",
