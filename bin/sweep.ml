@@ -157,13 +157,13 @@ let print_dry_run ~guided ~top points =
   end
 
 let run axes_spec store_dir resume pareto table top jobs lease lease_ttl
-    guided budget frontier_stop dry_run store_stats compact compact_full
+    guided frontier_stop dry_run store_stats compact compact_full
     compact_threshold unpack =
   match Axes.of_string axes_spec with
   | Error e -> `Error (false, "bad --axes spec: " ^ e)
   | Ok axes ->
-      if (budget <> None || frontier_stop) && not guided then
-        `Error (false, "--budget and --frontier-stop require --guided")
+      if frontier_stop && not guided then
+        `Error (false, "--frontier-stop requires --guided")
       else if guided && lease then
         `Error (false, "--guided does not compose with --lease")
       else if compact_full && not compact then
@@ -212,7 +212,7 @@ let run axes_spec store_dir resume pareto table top jobs lease lease_ttl
             (Axes.to_string axes);
           let t0 = Unix.gettimeofday () in
           let guided_policy =
-            if guided then Some { Sweep.budget; frontier_stop } else None
+            if guided then Some { Sweep.frontier_stop } else None
           in
           let results, stats =
             Sweep.run ~resume ?lease ~progress ?guided:guided_policy
@@ -367,14 +367,6 @@ let guided =
   in
   Arg.(value & flag & info [ "guided" ] ~doc)
 
-let budget =
-  let doc =
-    "Stop launching simulations once $(docv) exact simulator runs \
-     (calibration included) have been performed; unresolved points are \
-     left for a resumed run. Requires $(b,--guided)."
-  in
-  Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc)
-
 let frontier_stop =
   let doc =
     "Stop simulating a machine's loop-class cells as soon as an exactly \
@@ -400,8 +392,7 @@ let cmd =
     Term.(
       ret
         (const run $ axes_spec $ store_dir $ resume $ pareto $ table $ top
-       $ jobs $ lease $ lease_ttl $ guided $ budget $ frontier_stop
-       $ dry_run $ store_stats $ compact $ compact_full $ compact_threshold
-       $ unpack))
+       $ jobs $ lease $ lease_ttl $ guided $ frontier_stop $ dry_run
+       $ store_stats $ compact $ compact_full $ compact_threshold $ unpack))
 
 let () = exit (Cmd.eval cmd)

@@ -17,7 +17,7 @@ type stats = {
   stolen : int;
 }
 
-type guided = { budget : int option; frontier_stop : bool }
+type guided = { frontier_stop : bool }
 
 let meta_of_point (p : Axes.point) =
   [
@@ -300,7 +300,7 @@ let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
     | _ -> ()
   in
   (* Surrogate ranking of everything still to compute (calibration runs
-     exact reference simulations, charged against the budget). *)
+     exact reference simulations, counted in [computed]). *)
   let ranked = Axes.rank (List.map fst missing) in
   let pred_memo : (Axes.point, float) Hashtbl.t = Hashtbl.create total in
   List.iter (fun (p, pred) -> Hashtbl.replace pred_memo p pred) ranked;
@@ -465,59 +465,51 @@ let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
      simulate them on the pool with per-cell metrics, then resolve,
      cascade equivalences and saturation certificates, and re-prune. *)
   let rec rounds () =
-    let budget_left =
-      match guided.budget with
-      | Some b -> max 0 (b - exact_sims ())
-      | None -> max_int
-    in
-    if budget_left > 0 then begin
-      let batch = ref [] in
-      let n = ref 0 in
-      let limit = min round_size budget_left in
-      List.iter
-        (fun (p, _) ->
-          if
-            !n < limit
-            && Hashtbl.mem pending p
-            && (not (is_pruned p))
-            && rep_of p = p
-            && (not (bus_deferred p))
-            && not (List.memq p !batch)
-          then begin
-            batch := p :: !batch;
-            incr n
-          end)
-        ranked;
-      match List.rev !batch with
-      | [] -> ()
-      | round ->
-          let outcomes =
-            Pool.map ?jobs
-              (fun p ->
-                Atomic.incr simulated;
-                let wants_metrics =
-                  match p.Axes.machine with Axes.Ruu _ -> true | _ -> false
-                in
-                let metrics =
-                  if wants_metrics then Some (Metrics.create ()) else None
-                in
-                let result = Axes.run ?metrics p in
-                publish (p, Hashtbl.find key_of p) result;
-                (p, result, metrics))
-              round
-          in
-          List.iter
-            (fun (p, result, metrics) ->
-              resolve ~via:`Sim p result;
-              match metrics with
-              | Some mt ->
-                  apply_saturation p mt result;
-                  apply_bus_transfer p mt result
-              | None -> ())
-            outcomes;
-          prune_pass ();
-          rounds ()
-    end
+    let batch = ref [] in
+    let n = ref 0 in
+    List.iter
+      (fun (p, _) ->
+        if
+          !n < round_size
+          && Hashtbl.mem pending p
+          && (not (is_pruned p))
+          && rep_of p = p
+          && (not (bus_deferred p))
+          && not (List.memq p !batch)
+        then begin
+          batch := p :: !batch;
+          incr n
+        end)
+      ranked;
+    match List.rev !batch with
+    | [] -> ()
+    | round ->
+        let outcomes =
+          Pool.map ?jobs
+            (fun p ->
+              Atomic.incr simulated;
+              let wants_metrics =
+                match p.Axes.machine with Axes.Ruu _ -> true | _ -> false
+              in
+              let metrics =
+                if wants_metrics then Some (Metrics.create ()) else None
+              in
+              let result = Axes.run ?metrics p in
+              publish (p, Hashtbl.find key_of p) result;
+              (p, result, metrics))
+            round
+        in
+        List.iter
+          (fun (p, result, metrics) ->
+            resolve ~via:`Sim p result;
+            match metrics with
+            | Some mt ->
+                apply_saturation p mt result;
+                apply_bus_transfer p mt result
+            | None -> ())
+          outcomes;
+        prune_pass ();
+        rounds ()
   in
   prune_pass ();
   rounds ();

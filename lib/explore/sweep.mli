@@ -32,12 +32,10 @@ type stats = {
       (** expired/torn leases this run stole (always 0 without [lease]) *)
 }
 
-type guided = { budget : int option; frontier_stop : bool }
-(** Guided-mode policy. [budget] caps the exact simulations this run
-    may perform (calibration included; [None] = unlimited); with
-    [frontier_stop] the sweep stops simulating a machine's loop-class
-    cells once a fully-simulated machine dominates its surrogate upper
-    confidence bound — see {!run}. *)
+type guided = { frontier_stop : bool }
+(** Guided-mode policy. With [frontier_stop] the sweep stops simulating a
+    machine's loop-class cells once a fully-simulated machine dominates
+    its surrogate upper confidence bound — see {!run}. *)
 
 val meta_of_point : Axes.point -> (string * Mfu_util.Json.t) list
 (** The human-consumption ["meta"] block {!run} attaches to every entry
@@ -110,11 +108,9 @@ val run :
 
     Inferred and pruned points are tallied in [stats]; [computed]
     counts every exact simulator invocation including the model's
-    calibration runs. With [budget] the run stops launching simulations
-    once the budget is spent, and with [frontier_stop] (or a spent
-    budget) the returned list covers only the points that resolved — a
-    subset of the request, unlike the unguided contract. Guided runs do
-    not compose with [lease].
+    calibration runs. With [frontier_stop] the returned list covers only
+    the points that resolved — a subset of the request, unlike the
+    unguided contract. Guided runs do not compose with [lease].
 
     @raise Invalid_argument if [guided] is combined with [lease], or if
     the same key appears twice in the job list (the deduplication

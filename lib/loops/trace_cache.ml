@@ -1,87 +1,15 @@
 type kind = Raw | Scheduled
-
-type stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  bytes : int;
-  evictions : int;
-}
+type stats = { hits : int; misses : int; entries : int }
 
 let lock = Mutex.create ()
-
-type slot = {
-  trace : Mfu_exec.Trace.t;
-  size : int;  (** approximate heap bytes, fixed at insertion *)
-  mutable last_used : int;  (** tick of the most recent lookup *)
-}
-
-let table : (int * string * kind, slot) Hashtbl.t = Hashtbl.create 32
+let table : (int * string * kind, Mfu_exec.Trace.t) Hashtbl.t =
+  Hashtbl.create 32
 let hit_count = ref 0
 let miss_count = ref 0
-let eviction_count = ref 0
-let total_bytes = ref 0
-let tick = ref 0
-let capacity_bytes = ref None
-
-(* Approximate heap footprint of a trace: the entry array plus each boxed
-   entry record and its heap-allocated fields (Load/Store kind, Some dest,
-   source-list cells with their boxed registers). An estimate, not an
-   accounting of the GC's exact layout — it only has to make the byte
-   budget meaningful. *)
-let word = Sys.word_size / 8
-
-let entry_bytes (e : Mfu_exec.Trace.entry) =
-  let kind =
-    match e.Mfu_exec.Trace.kind with
-    | Mfu_exec.Trace.Load _ | Mfu_exec.Trace.Store _ -> 2
-    | _ -> 0
-  in
-  let dest = match e.Mfu_exec.Trace.dest with Some _ -> 4 | None -> 0 in
-  let srcs = 5 * List.length e.Mfu_exec.Trace.srcs in
-  word * (8 + kind + dest + srcs)
-
-let trace_bytes (t : Mfu_exec.Trace.t) =
-  Array.fold_left
-    (fun acc e -> acc + entry_bytes e)
-    (word * (Array.length t + 1))
-    t
 
 let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-(* Evict least-recently-used entries until the cache fits its byte budget.
-   The just-inserted key is never evicted, even when it alone exceeds the
-   budget: the caller holds that trace anyway, and keeping it preserves
-   the physical-identity guarantee for back-to-back lookups. *)
-let enforce_capacity ~keep =
-  match !capacity_bytes with
-  | None -> ()
-  | Some cap ->
-      while
-        !total_bytes > cap
-        &&
-        let oldest =
-          Hashtbl.fold
-            (fun key slot acc ->
-              if key = keep then acc
-              else
-                match acc with
-                | Some (_, s) when s.last_used <= slot.last_used -> acc
-                | _ -> Some (key, slot))
-            table None
-        in
-        match oldest with
-        | None -> false
-        | Some (key, slot) ->
-            Hashtbl.remove table key;
-            total_bytes := !total_bytes - slot.size;
-            incr eviction_count;
-            true
-      do
-        ()
-      done
 
 (* Generation runs under the lock: coarse, but it is exactly what gives the
    once-per-process guarantee, and the experiment engine prewarms the cache
@@ -90,19 +18,14 @@ let enforce_capacity ~keep =
 let find_or_generate ~number ~sizes ~kind gen =
   with_lock (fun () ->
       let key = (number, sizes, kind) in
-      incr tick;
       match Hashtbl.find_opt table key with
-      | Some slot ->
+      | Some t ->
           incr hit_count;
-          slot.last_used <- !tick;
-          slot.trace
+          t
       | None ->
           incr miss_count;
           let t = gen () in
-          let size = trace_bytes t in
-          Hashtbl.add table key { trace = t; size; last_used = !tick };
-          total_bytes := !total_bytes + size;
-          enforce_capacity ~keep:key;
+          Hashtbl.add table key t;
           (* Pre-pack while we already hold the generation path: every
              simulator fast path starts from the packed form, and packing
              here (under this cache's once-per-process guarantee) keeps the
@@ -110,31 +33,16 @@ let find_or_generate ~number ~sizes ~kind gen =
           ignore (Mfu_exec.Packed.cached t : Mfu_exec.Packed.t);
           t)
 
-let set_capacity_bytes cap =
-  (match cap with
-  | Some c when c < 0 ->
-      invalid_arg "Trace_cache.set_capacity_bytes: negative capacity"
-  | _ -> ());
-  with_lock (fun () ->
-      capacity_bytes := cap;
-      (* apply the new bound immediately; an impossible key exempts
-         nothing *)
-      enforce_capacity ~keep:(0, "", Raw))
-
 let stats () =
   with_lock (fun () ->
       {
         hits = !hit_count;
         misses = !miss_count;
         entries = Hashtbl.length table;
-        bytes = !total_bytes;
-        evictions = !eviction_count;
       })
 
 let clear () =
   with_lock (fun () ->
       Hashtbl.reset table;
       hit_count := 0;
-      miss_count := 0;
-      eviction_count := 0;
-      total_bytes := 0)
+      miss_count := 0)

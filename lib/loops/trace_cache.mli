@@ -7,12 +7,7 @@
     Repeated lookups return the same physical array, so callers may rely on
     pointer equality for cheap identity checks.
 
-    The cache is unbounded by default — the paper-sized workloads total a
-    few megabytes. Scaled workloads ({!Livermore.scaled}) can reach
-    hundreds of megabytes each; {!set_capacity_bytes} puts the cache under
-    a byte budget with least-recently-used eviction. An evicted trace is
-    regenerated on its next lookup (as a {e new} physical array — identity
-    holds between lookups only while the entry stays resident). *)
+    The cache is unbounded: entries live until {!clear}. *)
 
 type kind = Raw | Scheduled
 
@@ -27,29 +22,11 @@ val find_or_generate :
     Concurrent requesters block until the trace exists and then share it.
     [gen] must not re-enter the cache (the lock is not reentrant). *)
 
-val set_capacity_bytes : int option -> unit
-(** Bound the cache's approximate heap footprint; [None] (the default)
-    removes the bound. When an insertion pushes the total past the
-    capacity, least-recently-used entries are evicted until it fits — the
-    entry being inserted is never evicted, even when it alone exceeds the
-    budget (its caller holds the trace regardless, and keeping it
-    preserves the identity guarantee for back-to-back lookups). Applies
-    immediately to the current contents.
-    @raise Invalid_argument on a negative capacity. *)
-
-type stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  bytes : int;  (** approximate heap footprint of the resident traces *)
-  evictions : int;  (** lifetime count of capacity evictions *)
-}
+type stats = { hits : int; misses : int; entries : int }
 
 val stats : unit -> stats
-(** Lifetime hit/miss/eviction counters, current entry count and
-    approximate resident byte total. *)
+(** Lifetime hit/miss counters and the current entry count. *)
 
 val clear : unit -> unit
-(** Drop all entries and reset the counters (the capacity is kept).
-    Traces already handed out remain valid; subsequent lookups
-    regenerate. *)
+(** Drop all entries and reset the counters. Traces already handed out
+    remain valid; subsequent lookups regenerate. *)

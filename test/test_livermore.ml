@@ -154,28 +154,26 @@ let test_scaled () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected set_scale to reject a late change"
 
-let test_trace_cache_lru () =
+let test_trace_cache_counts () =
   let module Tc = Mfu_loops.Trace_cache in
-  Fun.protect
-    ~finally:(fun () -> Tc.set_capacity_bytes None)
-    (fun () ->
-      let t1 = Livermore.trace (Livermore.loop 1) in
-      let s = Tc.stats () in
-      Alcotest.(check bool) "bytes accounted" true (s.Tc.bytes > 0);
-      Alcotest.(check bool) "entries resident" true (s.Tc.entries >= 1);
-      (* a capacity below the resident total evicts down to the newest
-         entries; the cache keeps working, regenerating on demand *)
-      let one = Array.length t1 * 16 in
-      Tc.set_capacity_bytes (Some one);
-      let s' = Tc.stats () in
-      Alcotest.(check bool) "capacity evicts" true
-        (s'.Tc.evictions > 0 && s'.Tc.bytes <= one);
-      let t1' = Livermore.trace (Livermore.loop 1) in
-      Alcotest.(check bool) "evicted trace regenerates equal" true (t1 = t1');
-      (* the freshly inserted entry is never evicted, even alone over
-         budget: back-to-back lookups keep physical identity *)
-      Alcotest.(check bool) "resident identity" true
-        (Livermore.trace (Livermore.loop 1) == Livermore.trace (Livermore.loop 1)))
+  let l = Livermore.loop 1 in
+  let t = Livermore.trace l in
+  let s = Tc.stats () in
+  (* a second lookup is a hit and returns the same physical array *)
+  Alcotest.(check bool) "resident identity" true (Livermore.trace l == t);
+  let s' = Tc.stats () in
+  Alcotest.(check int) "one hit" (s.Tc.hits + 1) s'.Tc.hits;
+  Alcotest.(check int) "no miss" s.Tc.misses s'.Tc.misses;
+  (* after [clear] the first lookup misses and regenerates an equal trace
+     as a new array; the next one hits it *)
+  Tc.clear ();
+  let t' = Livermore.trace l in
+  let c = Tc.stats () in
+  Alcotest.(check (list int)) "hits, misses, entries" [ 0; 1; 1 ]
+    [ c.Tc.hits; c.Tc.misses; c.Tc.entries ];
+  Alcotest.(check bool) "regenerates equal" true (t = t');
+  Alcotest.(check bool) "regenerates a new array" false (t == t');
+  Alcotest.(check bool) "identity after clear" true (Livermore.trace l == t')
 
 let () =
   Alcotest.run "livermore"
@@ -196,6 +194,7 @@ let () =
             test_determinism_across_calls;
           Alcotest.test_case "titles unique" `Quick test_titles_unique;
           Alcotest.test_case "scaled workloads" `Quick test_scaled;
-          Alcotest.test_case "trace cache LRU" `Quick test_trace_cache_lru;
+          Alcotest.test_case "trace cache counts" `Quick
+            test_trace_cache_counts;
         ] );
     ]

@@ -230,9 +230,7 @@ let test_guided_convergence () =
   let guided, stats =
     with_store (fun store ->
         let results, stats =
-          Sweep.run
-            ~guided:{ Sweep.budget = None; frontier_stop = true }
-            ~store points
+          Sweep.run ~guided:{ Sweep.frontier_stop = true } ~store points
         in
         (render_frontier results, stats))
   in
