@@ -17,6 +17,8 @@
      the telescoping gain, expected in the hundreds;
    - "store/packed": warm reads of a 2000-point result store, packed
      segments vs loose files;
+   - "trace/digest": the trace digest in every point key, hand-written
+     serializer vs the original Printf one (Mfu_oracle.Trace_io);
    - "model/..." (ungated): the calibrated surrogate's [Mfu_model.predict]
      vs exactly simulating the same machine on Livermore loop 7.
 
@@ -179,6 +181,26 @@ let store_row =
   in
   { name = "store/packed"; floor = Some 10.0; unit = "points"; sides }
 
+(* Keying a point (Mfu_explore.Axes.key) hashes its loop's Trace_io
+   text, so a warm sweep pays this before its first store lookup. Both
+   sides serialize and MD5 the 14 paper-sized traces. On a 2-vCPU host
+   the row measured 5.4-6.6x; spelling the integers with
+   [string_of_int] instead of the digit writer measured 2.1-2.4x, under
+   the 3.5x floor. *)
+let digest_row =
+  let sides () =
+    let traces = all_loops () in
+    let pass to_string () =
+      List.fold_left
+        (fun acc t ->
+          ignore (Sys.opaque_identity (Digest.string (to_string t)));
+          acc + Array.length t)
+        0 traces
+    in
+    (pass Mfu_exec.Trace_io.to_string, pass Oracle.Trace_io.to_string)
+  in
+  { name = "trace/digest"; floor = Some 3.5; unit = "entries"; sides }
+
 (* Per-point cost of pricing a machine with the surrogate (pure arithmetic
    over memoized histograms) against simulating it; calibration, itself
    a handful of exact runs, happens before the timing. *)
@@ -218,7 +240,7 @@ let model_rows =
           } );
     ]
 
-let specs = families @ [ store_row ] @ model_rows
+let specs = families @ [ store_row; digest_row ] @ model_rows
 
 (* Work per second of [f], best of the rounds it is timed in. A timing
    repeats [f] until it covers [min_time] seconds; the repeat count it

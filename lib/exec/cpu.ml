@@ -250,9 +250,41 @@ let step st program pc instruction =
       (Trace.Taken_branch, target)
   | Halt -> assert false (* handled by the driver loop *)
 
+(* What a dynamic entry inherits from its static instruction, derived
+   once per program counter instead of once per executed instruction. *)
+type template = {
+  fu : Mfu_isa.Fu.kind;
+  dest : Reg.t option;
+  srcs : Reg.t list;
+  parcels : int;
+  is_vector : bool;
+}
+
+let template ins =
+  {
+    fu = Instr.fu ins;
+    dest = Instr.dest ins;
+    srcs = Instr.srcs ins;
+    parcels = Instr.parcels ins;
+    is_vector =
+      (match ins with
+      | Instr.V_load _ | Instr.V_store _ | Instr.V_fadd _ | Instr.V_fsub _
+      | Instr.V_fmul _ | Instr.V_fadd_sv _ | Instr.V_fmul_sv _
+      | Instr.V_recip _ ->
+          true
+      | _ -> false);
+  }
+
 let run ?(max_instructions = 2_000_000) ~program ~memory () =
   let st = fresh_state memory in
-  let trace_rev = ref [] in
+  let templates =
+    Array.init (Program.length program) (fun pc ->
+        template (Program.instr program pc))
+  in
+  (* The trace grows in an array that doubles and is trimmed once at the
+     end. [Array.make] needs a value to fill with: each growth fills with
+     the entry being added, so no placeholder entry exists. *)
+  let trace = ref [||] in
   let count = ref 0 in
   let pc = ref 0 in
   let running = ref true in
@@ -263,29 +295,26 @@ let run ?(max_instructions = 2_000_000) ~program ~memory () =
     | _ ->
         if !count >= max_instructions then
           raise (Step_budget_exceeded max_instructions);
-        let is_vector =
-          match ins with
-          | Instr.V_load _ | Instr.V_store _ | Instr.V_fadd _ | Instr.V_fsub _
-          | Instr.V_fmul _ | Instr.V_fadd_sv _ | Instr.V_fmul_sv _
-          | Instr.V_recip _ ->
-              true
-          | _ -> false
-        in
+        let t = templates.(!pc) in
         let kind, next = step st program !pc ins in
         let entry =
           {
             Trace.static_index = !pc;
-            fu = Instr.fu ins;
-            dest = Instr.dest ins;
-            srcs = Instr.srcs ins;
-            parcels = Instr.parcels ins;
+            fu = t.fu;
+            dest = t.dest;
+            srcs = t.srcs;
+            parcels = t.parcels;
             kind;
-            vl = (if is_vector then st.vl else 1);
+            vl = (if t.is_vector then st.vl else 1);
           }
         in
-        trace_rev := entry :: !trace_rev;
+        if !count = Array.length !trace then begin
+          let grown = Array.make (max 1024 (2 * !count)) entry in
+          Array.blit !trace 0 grown 0 !count;
+          trace := grown
+        end;
+        !trace.(!count) <- entry;
         incr count;
         pc := next
   done;
-  let trace = Array.of_list (List.rev !trace_rev) in
-  { trace; memory; instructions = !count }
+  { trace = Array.sub !trace 0 !count; memory; instructions = !count }

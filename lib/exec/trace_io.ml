@@ -3,13 +3,6 @@ module Reg = Mfu_isa.Reg
 
 let header = "mfu-trace 1"
 
-let kind_to_string = function
-  | Trace.Plain -> "plain"
-  | Trace.Load a -> Printf.sprintf "load@%d" a
-  | Trace.Store a -> Printf.sprintf "store@%d" a
-  | Trace.Taken_branch -> "taken"
-  | Trace.Untaken_branch -> "untaken"
-
 let kind_of_string s =
   match s with
   | "plain" -> Some Trace.Plain
@@ -42,16 +35,68 @@ let reg_of_string s =
 
 let reg_of_string s = if s = "VL" then Some Reg.VL else reg_of_string s
 
-let entry_to_string (e : Trace.entry) =
-  Printf.sprintf "%d %s %s %s %d %s %d" e.Trace.static_index
-    (Fu.to_string e.Trace.fu)
-    (match e.Trace.dest with None -> "-" | Some r -> Reg.to_string r)
-    (match e.Trace.srcs with
-    | [] -> "-"
-    | srcs -> String.concat "," (List.map Reg.to_string srcs))
-    e.Trace.parcels
-    (kind_to_string e.Trace.kind)
-    e.Trace.vl
+(* The writer appends straight into the buffer, with no [Printf]: this
+   text is hashed into every [mfu-point/v1] key (Axes.key), so a warm
+   sweep serializes every trace it touches. Its bytes are part of the key
+   contract. The test suite's oracle (test/oracle/trace_io.ml) keeps the
+   original [Printf] writer; test_trace_io checks this one against it
+   and pins the digests. *)
+
+(* Decimal digits of [n <= 0], most significant first. Counting on the
+   non-positive side lets [min_int] through, whose magnitude is no [int]. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
+let reg_names = Array.init Reg.count (fun i -> Reg.to_string (Reg.of_index i))
+
+let add_reg buf r =
+  Buffer.add_string buf
+    (if Reg.is_valid r then reg_names.(Reg.index r) else Reg.to_string r)
+
+let add_kind buf = function
+  | Trace.Plain -> Buffer.add_string buf "plain"
+  | Trace.Load a ->
+      Buffer.add_string buf "load@";
+      add_int buf a
+  | Trace.Store a ->
+      Buffer.add_string buf "store@";
+      add_int buf a
+  | Trace.Taken_branch -> Buffer.add_string buf "taken"
+  | Trace.Untaken_branch -> Buffer.add_string buf "untaken"
+
+let add_entry buf (e : Trace.entry) =
+  add_int buf e.Trace.static_index;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Fu.to_string e.Trace.fu);
+  Buffer.add_char buf ' ';
+  (match e.Trace.dest with
+  | None -> Buffer.add_char buf '-'
+  | Some r -> add_reg buf r);
+  Buffer.add_char buf ' ';
+  (match e.Trace.srcs with
+  | [] -> Buffer.add_char buf '-'
+  | r :: rest ->
+      add_reg buf r;
+      List.iter
+        (fun r ->
+          Buffer.add_char buf ',';
+          add_reg buf r)
+        rest);
+  Buffer.add_char buf ' ';
+  add_int buf e.Trace.parcels;
+  Buffer.add_char buf ' ';
+  add_kind buf e.Trace.kind;
+  Buffer.add_char buf ' ';
+  add_int buf e.Trace.vl;
+  Buffer.add_char buf '\n'
 
 let entry_of_string line =
   let fields = String.split_on_char ' ' line in
@@ -87,11 +132,7 @@ let to_string (trace : Trace.t) =
   let buf = Buffer.create (64 * (Array.length trace + 1)) in
   Buffer.add_string buf header;
   Buffer.add_char buf '\n';
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf (entry_to_string e);
-      Buffer.add_char buf '\n')
-    trace;
+  Array.iter (add_entry buf) trace;
   Buffer.contents buf
 
 let of_string text =

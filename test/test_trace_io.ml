@@ -47,13 +47,26 @@ let gen_reg =
       return Mfu_isa.Reg.VL;
     ]
 
+(* Integers the serializer must spell exactly like [Printf]'s "%d":
+   small and multi-digit, negative, and both ends of the range. *)
+let gen_int =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, int_range 0 9);
+      (4, int_range 10 100_000);
+      (2, int_range (-100_000) (-1));
+      (2, int);
+      (1, oneofl [ 0; max_int; min_int; -1 ]);
+    ]
+
 let gen_kind =
   let open QCheck.Gen in
   oneof
     [
       return Trace.Plain;
-      map (fun a -> Trace.Load a) (int_range 0 100_000);
-      map (fun a -> Trace.Store a) (int_range 0 100_000);
+      map (fun a -> Trace.Load a) gen_int;
+      map (fun a -> Trace.Store a) gen_int;
       return Trace.Taken_branch;
       return Trace.Untaken_branch;
     ]
@@ -63,12 +76,10 @@ let gen_entry =
   map
     (fun (static_index, fu, dest, (srcs, parcels, kind, vl)) ->
       { Trace.static_index; fu; dest; srcs; parcels; kind; vl })
-    (quad (int_range 0 2000)
+    (quad gen_int
        (oneofl Mfu_isa.Fu.all)
        (option gen_reg)
-       (quad
-          (list_size (0 -- 3) gen_reg)
-          (int_range 1 2) gen_kind (int_range 1 64)))
+       (quad (list_size (0 -- 3) gen_reg) gen_int gen_kind gen_int))
 
 let arb_trace =
   QCheck.make ~print:Trace_io.to_string
@@ -77,6 +88,138 @@ let arb_trace =
 let prop_random_roundtrip =
   QCheck.Test.make ~name:"of_string (to_string t) = Ok t" ~count:300 arb_trace
     (fun t -> Trace_io.of_string (Trace_io.to_string t) = Ok t)
+
+(* The production serializer writes digits by hand; the oracle is the
+   original [Printf] one. Every store key hashes this text, so the two
+   must agree byte for byte. *)
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"to_string t = Mfu_oracle.Trace_io.to_string t"
+    ~count:500 arb_trace (fun t ->
+      Trace_io.to_string t = Mfu_oracle.Trace_io.to_string t)
+
+let test_edge_integers_match_oracle () =
+  let entry ~kind n =
+    {
+      Trace.static_index = n;
+      fu = Mfu_isa.Fu.Memory;
+      dest = Some (Mfu_isa.Reg.T 63);
+      srcs = [ Mfu_isa.Reg.A 0; Mfu_isa.Reg.VL; Mfu_isa.Reg.B 10 ];
+      parcels = n;
+      kind = kind n;
+      vl = n;
+    }
+  in
+  let trace =
+    Array.of_list
+      (List.concat_map
+         (fun n ->
+           [
+             entry ~kind:(fun a -> Trace.Load a) n;
+             entry ~kind:(fun a -> Trace.Store a) n;
+           ])
+         [ 0; 1; 9; 10; 99; 100; -1; -9; -10; -100; max_int; min_int;
+           min_int + 1; max_int - 1 ])
+  in
+  Alcotest.(check string)
+    "same text" (Mfu_oracle.Trace_io.to_string trace)
+    (Trace_io.to_string trace)
+
+(* -- pinned keys ------------------------------------------------------------- *)
+
+(* The MD5 of each trace's text is the [trace=] field of every
+   [mfu-point/v1] key (Axes.key). A change to the serializer, the code
+   generator or the CPU that alters one byte re-keys every stored result
+   and orphans every existing store; these digests make that loud. They
+   were computed with the original [Printf] serializer and the
+   list-building [Cpu.run]. *)
+let md5 t = Digest.to_hex (Digest.string (Trace_io.to_string t))
+
+let pinned_raw =
+  [
+    (1, "a1b5daf4f03c5c77d791d898b4da0b70");
+    (2, "a2a5b7bee5486f002bf2e67fd6aceb4c");
+    (3, "ca426d195b33ce4511028207f26b0b25");
+    (4, "31de95140f72b0b5622797f928a83ddf");
+    (5, "8ca9d1405d850f67963336e99b769d22");
+    (6, "e0a8ae6adda21a11ff57ae78b8121458");
+    (7, "caa6af2fad1c2424f3e78bcf132fdc08");
+    (8, "f94716ba62eb40eb6ee4ab673b3d6a29");
+    (9, "008a96fa30b72851da674dcc0631b222");
+    (10, "5892cfa701283c3c22b28e25ae7374ad");
+    (11, "1c06ebaaaeae7aed3c5a7f4ec9947a7a");
+    (12, "63eb14f66aeff72e7c5d42d49bfb1cf6");
+    (13, "5dea9e1e9f222c97ffed9712d4d26260");
+    (14, "38c2cb29c9e457fa7360fd90758d096e");
+  ]
+
+let pinned_scheduled =
+  [
+    (1, "3af1affe00c27a5c7389f6977bf27294");
+    (2, "673976856fcaffdc40f8141621aa7961");
+    (3, "1b8b4fb5b610c1d9281b2dbfa9b60a2d");
+    (4, "8bb6c9281c5247f1b10798cb55b312a2");
+    (5, "5b3d1854600ab79adde4f6bf106f4096");
+    (6, "1f87b9eeced5ba308a76b10c8617c049");
+    (7, "04cdd8623a2f637632032a881f5055eb");
+    (8, "f5cdcdd5d248f977b0c2e132175cc0c6");
+    (9, "acf12634c5c7436c19f8b17346b85c0e");
+    (10, "de1cda945df467612e7f939fce23593e");
+    (11, "3e83ba23a5325d049f0f00e564184788");
+    (12, "9781f0c77510e32c37fa01e05fa449a9");
+    (13, "293cb42081c74537fe33cc9fc44609eb");
+    (14, "93ae4354ad74717e667b48ec293e4554");
+  ]
+
+(* LL6 grows by the square root of the scale, which rounds 3 down to 1:
+   its scale-3 trace is its paper-sized one. *)
+let pinned_scale3 =
+  [
+    (1, "85f4164254de9cac626c2f52b7569266");
+    (6, "e0a8ae6adda21a11ff57ae78b8121458");
+    (13, "55029b9d00fde4f4ae92847a697cd320");
+  ]
+
+let check_pinned what pinned trace_of =
+  let label (n, d) = (Printf.sprintf "LL%d" n, d) in
+  Alcotest.(check (list (pair string string)))
+    what (List.map label pinned)
+    (List.map (fun (n, _) -> label (n, md5 (trace_of n))) pinned)
+
+let test_pinned_raw () =
+  check_pinned "raw trace digests" pinned_raw (fun n ->
+      Livermore.trace (Livermore.loop n))
+
+let test_pinned_scheduled () =
+  check_pinned "scheduled trace digests" pinned_scheduled (fun n ->
+      Livermore.scheduled_trace (Livermore.loop n))
+
+let test_pinned_scale3 () =
+  check_pinned "scale-3 trace digests" pinned_scale3 (fun n ->
+      Livermore.trace (Livermore.scaled ~scale:3 n))
+
+let test_pinned_point_key () =
+  let p =
+    {
+      Mfu_explore.Axes.machine =
+        Mfu_explore.Axes.Ruu
+          {
+            issue_units = 4;
+            ruu_size = 50;
+            bus = Mfu_sim.Sim_types.N_bus;
+            branches = Mfu_sim.Ruu.Stall;
+          };
+      config = Mfu_isa.Config.m11br5;
+      loop = 1;
+      scale = 1;
+    }
+  in
+  Alcotest.(check string)
+    "key"
+    "mfu-point/v1 sim=mfu-sim/1 \
+     machine=ruu(units=4,size=50,bus=N-Bus,branches=stall) \
+     config=M11BR5{aa=2,am=6,lg=1,sh=2,sa=3,fa=6,fm=7,rc=14,me=11,br=5,tr=1} \
+     loop=LL1 scale=1 trace=a1b5daf4f03c5c77d791d898b4da0b70"
+    (Mfu_explore.Axes.key p)
 
 let test_header_checked () =
   match Trace_io.of_string "not a trace\n" with
@@ -139,7 +282,17 @@ let () =
           Alcotest.test_case "missing file" `Quick test_missing_file;
           Alcotest.test_case "reloaded trace simulates identically" `Quick
             test_simulators_agree_on_reloaded_trace;
+          Alcotest.test_case "edge integers match oracle" `Quick
+            test_edge_integers_match_oracle;
+        ] );
+      ( "pinned keys",
+        [
+          Alcotest.test_case "raw traces" `Quick test_pinned_raw;
+          Alcotest.test_case "scheduled traces" `Quick test_pinned_scheduled;
+          Alcotest.test_case "scale 3" `Quick test_pinned_scale3;
+          Alcotest.test_case "point key" `Quick test_pinned_point_key;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_random_roundtrip ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_roundtrip; prop_matches_oracle ] );
     ]
