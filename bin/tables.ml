@@ -201,8 +201,10 @@ let scale =
     "Multiply every Livermore loop's problem size by $(docv) (default 1: \
      the paper-sized workloads). Loop 2 is rounded up to a power of two \
      and loop 6 scales by the square root, keeping all traces roughly \
-     $(docv) times longer. Large-N runs are telescoped exactly by the \
-     steady-state fast-forward, so the tables stay fast."
+     $(docv) times longer. The steady-state fast-forward telescopes \
+     periodic regions exactly, so most tables cost far less than $(docv) \
+     times their paper-sized time. Tables 2 and 7 are the exceptions: \
+     from scale 1 to 16 they grow about 14x and 7x."
   in
   let positive =
     let parse s =

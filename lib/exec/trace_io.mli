@@ -8,11 +8,14 @@
     Format: a header line [mfu-trace 1], then one line per entry:
 
     {v
-    <static_index> <unit> <dest|-> <src,src,...|-> <parcels> <kind>
+    <static_index> <unit> <dest|-> <src,src,...|-> <parcels> <kind> <vl>
     v}
 
     where <kind> is [plain], [load@ADDR], [store@ADDR], [taken] or
-    [untaken]. The format is stable and diff-friendly. *)
+    [untaken], and <vl> is the entry's vector length (1 for a scalar
+    instruction). {!to_string} always writes all seven fields;
+    {!of_string} also reads a six-field line, as [vl = 1]. The format is
+    stable and diff-friendly. *)
 
 val to_string : Trace.t -> string
 

@@ -100,16 +100,6 @@ let family_key p =
 (* -- surrogate ranking -------------------------------------------------------- *)
 
 let rank points =
-  let scored =
-    List.map
-      (fun p ->
-        let pred =
-          Mfu_model.predict_rate ~config:p.config ~loop:p.loop ~scale:p.scale
-            p.machine
-        in
-        (p, pred))
-      points
-  in
   (* Pareto depth per (machine, config, scale, loop class): a machine's
      figure of merit is its predicted class rate — the harmonic mean of
      its per-loop predictions over the class loops present, the same
@@ -127,11 +117,22 @@ let rank points =
       p.scale,
       class_of p.loop )
   in
+  (* The machine key is two [sprintf]s: build it once per point, not
+     once per comparison of the final sort. *)
+  let scored =
+    List.map
+      (fun p ->
+        let pred =
+          Mfu_model.predict_rate ~config:p.config ~loop:p.loop ~scale:p.scale
+            p.machine
+        in
+        (p, pred, mk_of p))
+      points
+  in
   (* machine key -> (cost, per-loop predictions) *)
   let machines = Hashtbl.create 64 in
   List.iter
-    (fun ((p : point), pred) ->
-      let mk = mk_of p in
+    (fun ((p : point), pred, mk) ->
       match Hashtbl.find_opt machines mk with
       | Some (_, r) -> r := pred :: !r
       | None -> Hashtbl.add machines mk (cost p.machine, ref [ pred ]))
@@ -185,21 +186,24 @@ let rank points =
       in
       peel 0 !members)
     groups;
-  List.stable_sort
-    (fun ((a : point), _) (b, _) ->
-      let ka = mk_of a and kb = mk_of b in
-      match compare (Hashtbl.find depth_tbl ka) (Hashtbl.find depth_tbl kb) with
-      | 0 -> (
-          match compare (cost a.machine) (cost b.machine) with
-          | 0 -> (
-              match
-                compare (Hashtbl.find class_pred kb) (Hashtbl.find class_pred ka)
-              with
-              | 0 -> compare a b
-              | c -> c)
-          | c -> c)
-      | c -> c)
+  (* Depth, then cost, then the higher class rate, then the point. *)
+  List.map
+    (fun ((p : point), pred, mk) ->
+      ( Hashtbl.find depth_tbl mk,
+        cost p.machine,
+        Hashtbl.find class_pred mk,
+        p,
+        pred ))
     scored
+  |> List.stable_sort (fun (da, ca, qa, a, _) (db, cb, qb, b, _) ->
+         match Int.compare da db with
+         | 0 -> (
+             match Float.compare ca cb with
+             | 0 -> (
+                 match Float.compare qb qa with 0 -> compare a b | c -> c)
+             | c -> c)
+         | c -> c)
+  |> List.map (fun (_, _, _, p, pred) -> (p, pred))
 
 (* -- axis specification ------------------------------------------------------ *)
 

@@ -51,12 +51,14 @@ let ttl t = t.ttl
 let path t ~key =
   Filename.concat t.dir (Store.digest_of_key key ^ ".lease")
 
-let lease_json t ~key ~deadline =
+(* No [key] field: the file name is the key's digest, and nothing reads
+   one back. Key-less text is what lets one staged file stand for every
+   key of a batch. *)
+let lease_json t ~deadline =
   Json.to_string ~indent:0
     (Json.Obj
        [
          ("schema", Json.String schema);
-         ("key", Json.String key);
          ("pid", Json.Int (Unix.getpid ()));
          ("token", Json.String t.token);
          ("deadline", Json.Float deadline);
@@ -91,14 +93,13 @@ let parse text =
           Some (pid, token, deadline)
       | _ -> None)
 
-(* Atomically replace [dest] with our fresh lease. Two concurrent
-   stealers both rename complete files; the loser's lease is simply
-   overwritten, and idempotent publication makes the double computation
-   harmless. *)
-let steal t ~key ~dest =
+(* A complete lease of ours, at a fresh private name in the lease dir
+   ([prefix.<token>.<n>.tmp]); the caller renames or links it into
+   place, so no reader ever sees a half-written lease. *)
+let write_temp t ~prefix =
   let temp =
     Filename.concat t.dir
-      (Printf.sprintf "steal.%s.%d.tmp" t.token
+      (Printf.sprintf "%s.%s.%d.tmp" prefix t.token
          (Atomic.fetch_and_add t.counter 1))
   in
   let oc = open_out temp in
@@ -106,45 +107,89 @@ let steal t ~key ~dest =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc
-        (lease_json t ~key ~deadline:(Unix.gettimeofday () +. t.ttl)));
-  Sys.rename temp dest;
+        (lease_json t ~deadline:(Unix.gettimeofday () +. t.ttl)));
+  temp
+
+(* Atomically replace [dest] with our fresh lease. Two concurrent
+   stealers both rename complete files; the loser's lease is simply
+   overwritten, and idempotent publication makes the double computation
+   harmless. A rename replaces the name only, so the other keys linked
+   to the same staged inode keep their leases. *)
+let steal t ~dest =
+  Sys.rename (write_temp t ~prefix:"steal") dest;
   Atomic.incr t.stolen;
   Atomic.incr t.acquired;
   Acquired
 
-let try_acquire t ~key =
-  let dest = path t ~key in
-  let fresh () =
-    match
-      Unix.openfile dest [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-    with
-    | fd ->
-        let text = lease_json t ~key ~deadline:(Unix.gettimeofday () +. t.ttl) in
-        Fun.protect
-          ~finally:(fun () -> Unix.close fd)
-          (fun () ->
-            ignore (Unix.write_substring fd text 0 (String.length text)));
+(* What [dest]'s existing lease ([Some text]) means to us: someone
+   holds, held, or just released it. *)
+let contended t ~dest text =
+  match Option.bind text parse with
+  | None ->
+      (* Torn or vanished. Leases are only ever linked or renamed into
+         place whole, so a torn one was written by something else (a
+         killed writer of the older create-then-write protocol, say); a
+         vanished one was just released. Either way it is free. *)
+      steal t ~dest
+  | Some (pid, token, deadline) ->
+      let now = Unix.gettimeofday () in
+      if deadline <= now then steal t ~dest
+      else if token = t.token then begin
+        (* Re-acquiring our own live lease (e.g. retry loop). *)
         Atomic.incr t.acquired;
-        Some Acquired
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> None
+        Acquired
+      end
+      else Held { pid; expires_in = deadline -. now }
+
+(* One staged inode serves this many keys before the next is written:
+   far below any file system's hard-link limit (ext4: 65000). *)
+let links_per_stage = 1000
+
+(* A fresh lease is a hard link from a complete staged lease to
+   [<digest>.lease]: link(2) fails with EEXIST exactly as O_EXCL does,
+   and costs no new inode, so a batch of N keys creates one file instead
+   of N. Every lease of a batch shares the staged deadline. An existing
+   lease is read first, so polling a held key stages nothing; one that
+   appears between that read and the link is read again on EEXIST. *)
+let try_acquire_many t keys =
+  let stage = ref None in
+  let drop () =
+    Option.iter
+      (fun (staged, _) ->
+        stage := None;
+        try Sys.remove staged with Sys_error _ -> ())
+      !stage
   in
-  match fresh () with
-  | Some outcome -> outcome
-  | None -> (
-      match Option.bind (read_file dest) parse with
-      | None ->
-          (* Torn or vanished: only a killed writer leaves a torn lease;
-             a vanished one was just released. Either way it is free. *)
-          steal t ~key ~dest
-      | Some (pid, token, deadline) ->
-          let now = Unix.gettimeofday () in
-          if deadline <= now then steal t ~key ~dest
-          else if token = t.token then begin
-            (* Re-acquiring our own live lease (e.g. retry loop). *)
-            Atomic.incr t.acquired;
-            Acquired
-          end
-          else Held { pid; expires_in = deadline -. now })
+  let staged () =
+    match !stage with
+    | Some (staged, links) when links < links_per_stage ->
+        stage := Some (staged, links + 1);
+        staged
+    | _ ->
+        drop ();
+        let staged = write_temp t ~prefix:"stage" in
+        stage := Some (staged, 1);
+        staged
+  in
+  Fun.protect ~finally:drop (fun () ->
+      List.map
+        (fun key ->
+          let dest = path t ~key in
+          match read_file dest with
+          | Some _ as text -> contended t ~dest text
+          | None -> (
+              match Unix.link (staged ()) dest with
+              | () ->
+                  Atomic.incr t.acquired;
+                  Acquired
+              | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
+                  contended t ~dest (read_file dest)))
+        keys)
+
+let try_acquire t ~key =
+  match try_acquire_many t [ key ] with
+  | [ outcome ] -> outcome
+  | _ -> assert false
 
 (* Read-check-remove is not atomic: between parsing our token and the
    remove, our *expired* lease can be stolen (renamed over) by another

@@ -9,11 +9,22 @@
     <store>.leases/<md5-of-key>.lease    mfu-lease/v1 JSON
     v}
 
-    Acquisition is atomic ([O_CREAT | O_EXCL]); a lease names its owner
-    (pid + a random token) and a deadline, and an expired lease is
-    {e stolen} — atomically replaced via temp + rename — rather than
-    trusted, so a worker killed mid-computation only delays its keys by
-    one TTL instead of wedging them forever.
+    A lease names its owner (pid + a random token) and a deadline, not
+    its key: the file name is the key's digest. Acquisition is a hard
+    link ([link(2)], atomic, failing with [EEXIST] exactly as
+    [O_CREAT | O_EXCL] would) from one complete staged lease,
+    [stage.<token>.<n>.tmp] in the same directory, to
+    [<digest>.lease]. One call links a whole batch of keys to one
+    staged inode (a fresh one every 1000 links) and unlinks the staged
+    name before it returns, so a cold batch of N keys costs one new
+    inode, not N. Since a lease only ever appears whole, a reader never
+    sees a half-written fresh lease.
+
+    An expired lease is {e stolen} — atomically replaced via temp +
+    rename, which moves the name only and leaves the other keys linked
+    to the old inode alone — rather than trusted, so a worker killed
+    mid-computation only delays its keys by one TTL instead of wedging
+    them forever.
 
     Leases are an {e optimization}, not a correctness mechanism: if a
     steal races a slow-but-alive owner, both compute the point and both
@@ -32,8 +43,9 @@ val default_dir : store_root:string -> string
     directories stay byte-comparable across serving and batch runs. *)
 
 val create : ?ttl:float -> dir:string -> unit -> t
-(** Open (and create) the lease directory. [ttl] (default 60 s) is the
-    lifetime written into every lease this holder acquires. *)
+(** Open (and create) the lease directory, which must be on a file
+    system with hard links. [ttl] (default 60 s) is the lifetime written
+    into every lease this holder acquires. *)
 
 val ttl : t -> float
 
@@ -42,10 +54,16 @@ type outcome =
   | Held of { pid : int; expires_in : float }
       (** another live lease owns it; retry after [expires_in] *)
 
+val try_acquire_many : t -> string list -> outcome list
+(** Try to claim each key, linking every fresh lease to one staged file
+    (whose deadline they all share); the outcomes come back in key
+    order. A key that already has a lease falls back to reading it: an
+    expired, vanished or unparseable one is stolen, our own live one is
+    re-acquired, a foreign live one is [Held]. No staged file is left
+    behind, even on an exception. Never blocks. *)
+
 val try_acquire : t -> key:string -> outcome
-(** Try to claim [key]. An existing lease that is expired — or torn /
-    unparseable, which only a killed writer leaves behind — is stolen.
-    Never blocks. *)
+(** [try_acquire_many] on one key. *)
 
 val release : t -> key:string -> unit
 (** Drop the claim if this holder still owns it; a lease meanwhile
@@ -56,4 +74,5 @@ val stolen : t -> int
 (** Number of expired/torn leases this holder has stolen so far. *)
 
 val acquired : t -> int
-(** Number of successful {!try_acquire} calls (steals included). *)
+(** Number of keys acquired so far (steals and re-acquisitions
+    included). *)

@@ -585,12 +585,10 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
          the point recomputed here — at worst both compute it, and
          idempotent publication keeps that harmless. *)
       let mine, held =
-        List.partition
-          (fun (_, k) ->
-            match Lease.try_acquire l ~key:k with
-            | Lease.Acquired -> true
-            | Lease.Held _ -> false)
-          missing
+        List.combine missing (Lease.try_acquire_many l (List.map snd missing))
+        |> List.partition_map (function
+             | pk, Lease.Acquired -> Either.Left pk
+             | pk, Lease.Held _ -> Either.Right pk)
       in
       compute mine;
       let rec settle pending =
@@ -599,25 +597,33 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
           let still =
             List.filter
               (fun (p, k) ->
-                match Store.lookup store ~key:k with
-                | `Hit _ ->
-                    incr deferred;
-                    (match progress with
-                    | Some f ->
-                        f
-                          ~done_:(Atomic.fetch_and_add done_ 1 + 1)
-                          ~total:expected
-                    | None -> ());
-                    false
-                | `Miss | `Corrupt -> (
-                    match Lease.try_acquire l ~key:k with
-                    | Lease.Acquired ->
-                        Atomic.incr computed;
-                        publish (p, k) (Axes.run p);
-                        false
-                    | Lease.Held { expires_in; _ } ->
-                        wait := Float.min !wait expires_in;
-                        true))
+                (* An owner publishes before it releases, so a key freed
+                   between our lookup and our acquire is already in the
+                   store: look once more before computing it. *)
+                let rec go ~acquired =
+                  match Store.lookup store ~key:k with
+                  | `Hit _ ->
+                      if acquired then Lease.release l ~key:k;
+                      incr deferred;
+                      (match progress with
+                      | Some f ->
+                          f
+                            ~done_:(Atomic.fetch_and_add done_ 1 + 1)
+                            ~total:expected
+                      | None -> ());
+                      false
+                  | `Miss | `Corrupt when acquired ->
+                      Atomic.incr computed;
+                      publish (p, k) (Axes.run p);
+                      false
+                  | `Miss | `Corrupt -> (
+                      match Lease.try_acquire l ~key:k with
+                      | Lease.Acquired -> go ~acquired:true
+                      | Lease.Held { expires_in; _ } ->
+                          wait := Float.min !wait expires_in;
+                          true)
+                in
+                go ~acquired:false)
               pending
           in
           if still <> [] then Unix.sleepf (Float.max 0.01 !wait);

@@ -194,12 +194,10 @@ let process st ~emit keyed =
     match st.lease with
     | None -> (owned, [])
     | Some l ->
-        List.partition
-          (fun (_p, k) ->
-            match Lease.try_acquire l ~key:k with
-            | Lease.Acquired -> true
-            | Lease.Held _ -> false)
-          owned
+        List.combine owned (Lease.try_acquire_many l (List.map snd owned))
+        |> List.partition_map (function
+             | pk, Lease.Acquired -> Either.Left pk
+             | pk, Lease.Held _ -> Either.Right pk)
   in
   (* Pass 4: compute what is ours on the pool, best predicted machines
      first: the surrogate's Pareto-optimality ranking decides service
@@ -318,7 +316,10 @@ let process st ~emit keyed =
   List.iter
     (fun (p, k) ->
       let l = Option.get st.lease in
-      let rec settle () =
+      (* The owner publishes before it releases, so a key freed between
+         our lookup and our acquire is already in the store: look once
+         more before computing it. *)
+      let rec settle ~acquired =
         match Store.lookup st.store ~key:k with
         | `Hit r ->
             tally.lease_deferred <- tally.lease_deferred + 1;
@@ -326,19 +327,20 @@ let process st ~emit keyed =
             release_lease st ~key:k;
             Inflight.publish st.inflight ~key:k;
             emit_point p k r Protocol.Store
+        | `Miss | `Corrupt when acquired ->
+            let r = compute_single st p k in
+            tally.lease_stolen <- tally.lease_stolen + 1;
+            tally.computed <- tally.computed + 1;
+            Metrics.add_lease_stolen st.metrics 1;
+            emit_point p k r Protocol.Computed
         | `Miss | `Corrupt -> (
             match Lease.try_acquire l ~key:k with
-            | Lease.Acquired ->
-                let r = compute_single st p k in
-                tally.lease_stolen <- tally.lease_stolen + 1;
-                tally.computed <- tally.computed + 1;
-                Metrics.add_lease_stolen st.metrics 1;
-                emit_point p k r Protocol.Computed
+            | Lease.Acquired -> settle ~acquired:true
             | Lease.Held { expires_in; _ } ->
                 Unix.sleepf (Float.max 0.01 (Float.min 0.05 expires_in));
-                settle ())
+                settle ~acquired:false)
       in
-      settle ())
+      settle ~acquired:false)
     held;
   Metrics.add_store_hits st.metrics tally.store_hits;
   Metrics.add_cache_hits st.metrics tally.cache_hits;

@@ -198,6 +198,19 @@ let test_rank_is_deterministic_permutation () =
     (List.map Axes.key ranked)
     (List.map (fun (p, _) -> Axes.key p) (Axes.rank (List.rev points)))
 
+(* The table7 rank order, pinned: one line per ranked point, its key
+   and its predicted rate in hex, so a reorder or a changed prediction
+   shows up here rather than only as a slower stream. The serve tests
+   compare streams against [Axes.rank] itself and cannot catch one. *)
+let test_rank_order_pinned () =
+  let lines =
+    List.map
+      (fun (p, pred) -> Axes.key p ^ Printf.sprintf " %h" pred)
+      (Axes.rank (Axes.enumerate Axes.table7))
+  in
+  Alcotest.(check string) "table7 rank md5" "1bfcd52b441e2651f478e5f14bb1f0f9"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let test_scale_axis () =
   (* the scale axis parses, roundtrips and crosses into the enumeration *)
   (match Axes.of_string "org=cray; loops=5; scale=1,3" with
@@ -787,6 +800,8 @@ let () =
           Alcotest.test_case "family key labels" `Quick test_family_key;
           Alcotest.test_case "rank is a deterministic permutation" `Quick
             test_rank_is_deterministic_permutation;
+          Alcotest.test_case "table7 rank order pinned" `Quick
+            test_rank_order_pinned;
         ] );
       ( "store",
         [

@@ -91,6 +91,155 @@ let test_steal_on_torn_file () =
       | Lease.Held _ -> Alcotest.fail "torn lease should be stolen");
       Alcotest.(check int) "torn file counts as a steal" 1 (Lease.stolen a))
 
+let keys n = List.init n (Printf.sprintf "mfu-point/v1 lease-batch-key-%04d")
+let lease_path dir k = Filename.concat dir (Store.digest_of_key k ^ ".lease")
+
+let staged_files dir =
+  List.filter
+    (String.starts_with ~prefix:"stage.")
+    (Array.to_list (Sys.readdir dir))
+
+let check_all_acquired what outcomes =
+  List.iteri
+    (fun i -> function
+      | Lease.Acquired -> ()
+      | Lease.Held _ -> Alcotest.failf "%s: key %d held" what i)
+    outcomes
+
+(* A table7-sized batch: 960 fresh leases are 960 names of one inode. *)
+let test_batch_shares_one_inode () =
+  with_dir (fun dir ->
+      let a = Lease.create ~ttl:60. ~dir () in
+      let ks = keys 960 in
+      check_all_acquired "fresh batch" (Lease.try_acquire_many a ks);
+      let stats = List.map (fun k -> Unix.stat (lease_path dir k)) ks in
+      let ino = (List.hd stats).Unix.st_ino in
+      List.iter
+        (fun st ->
+          Alcotest.(check int) "same inode" ino st.Unix.st_ino;
+          Alcotest.(check int) "one link per key" 960 st.Unix.st_nlink)
+        stats;
+      Alcotest.(check (list string)) "no staged file left" []
+        (staged_files dir);
+      Alcotest.(check int) "every key counted" 960 (Lease.acquired a);
+      (* Releasing drops one name; the others keep their leases. *)
+      Lease.release a ~key:(List.hd ks);
+      let b = Lease.create ~ttl:60. ~dir () in
+      (match Lease.try_acquire b ~key:(List.nth ks 1) with
+      | Lease.Held _ -> ()
+      | Lease.Acquired -> Alcotest.fail "sibling lease must stay live");
+      Alcotest.(check int) "one name fewer" 959
+        (Unix.stat (lease_path dir (List.nth ks 1))).Unix.st_nlink)
+
+(* A staged inode serves 1000 links; the 1001st key gets a fresh one. *)
+let test_batch_rolls_over_staged_file () =
+  with_dir (fun dir ->
+      let a = Lease.create ~ttl:60. ~dir () in
+      let ks = keys 1001 in
+      check_all_acquired "fresh batch" (Lease.try_acquire_many a ks);
+      let st k = Unix.stat (lease_path dir k) in
+      let first = st (List.hd ks) and last = st (List.nth ks 1000) in
+      Alcotest.(check int) "first inode links" 1000 first.Unix.st_nlink;
+      Alcotest.(check int) "second inode links" 1 last.Unix.st_nlink;
+      Alcotest.(check bool) "two inodes" true
+        (first.Unix.st_ino <> last.Unix.st_ino);
+      Alcotest.(check (list string)) "no staged file left" []
+        (staged_files dir))
+
+(* Free, foreign-live, expired and own-live keys in one call: outcomes
+   come back in key order, the expired lease is stolen, and only the
+   free key costs a link. *)
+let test_batch_mixed_outcomes () =
+  with_dir (fun dir ->
+      let a = Lease.create ~ttl:60. ~dir () in
+      let foreign = Lease.create ~ttl:60. ~dir () in
+      let dead = Lease.create ~ttl:0.05 ~dir () in
+      let k_free, k_foreign, k_expired, k_own =
+        match keys 4 with
+        | [ w; x; y; z ] -> (w, x, y, z)
+        | _ -> assert false
+      in
+      check_all_acquired "setup"
+        [
+          Lease.try_acquire foreign ~key:k_foreign;
+          Lease.try_acquire dead ~key:k_expired;
+          Lease.try_acquire a ~key:k_own;
+        ];
+      Unix.sleepf 0.08;
+      let outcomes =
+        Lease.try_acquire_many a [ k_foreign; k_free; k_expired; k_own ]
+      in
+      (match outcomes with
+      | [ Lease.Held { pid; expires_in }; Lease.Acquired; Lease.Acquired;
+          Lease.Acquired ] ->
+          Alcotest.(check int) "holder pid" (Unix.getpid ()) pid;
+          Alcotest.(check bool) "holder live" true (expires_in > 0.)
+      | _ -> Alcotest.fail "expected Held, Acquired, Acquired, Acquired");
+      Alcotest.(check int) "one steal (the expired key)" 1 (Lease.stolen a);
+      Alcotest.(check int) "free key is a lone link" 1
+        (Unix.stat (lease_path dir k_free)).Unix.st_nlink;
+      (* The stolen key is ours now, and still live for everyone else. *)
+      (match Lease.try_acquire foreign ~key:k_expired with
+      | Lease.Held _ -> ()
+      | Lease.Acquired -> Alcotest.fail "stolen lease must be live");
+      Alcotest.(check (list string)) "no staged file left" []
+        (staged_files dir))
+
+(* An exception mid-batch still unlinks the staged file: a directory in
+   a lease's place makes the steal's rename fail. *)
+let test_batch_cleans_up_on_error () =
+  with_dir (fun dir ->
+      let a = Lease.create ~ttl:60. ~dir () in
+      let k_ok, k_dir =
+        match keys 2 with [ x; y ] -> (x, y) | _ -> assert false
+      in
+      Sys.mkdir (lease_path dir k_dir) 0o755;
+      (match Lease.try_acquire_many a [ k_ok; k_dir ] with
+      | _ -> Alcotest.fail "a directory cannot be stolen"
+      | exception Sys_error _ -> ());
+      Alcotest.(check (list string)) "no staged file left" []
+        (staged_files dir))
+
+(* A fresh lease is whole the moment its name exists: every file parses
+   with schema, pid, token and deadline (and no key), and two holders
+   racing over the same fresh keys from two domains never see a torn
+   lease to steal; each key goes to exactly one of them. *)
+let test_fresh_lease_always_parses () =
+  with_dir (fun dir ->
+      let a = Lease.create ~ttl:60. ~dir () in
+      let b = Lease.create ~ttl:60. ~dir () in
+      let ks = keys 400 in
+      let other =
+        Domain.spawn (fun () -> Lease.try_acquire_many b (List.rev ks))
+      in
+      let mine = Lease.try_acquire_many a ks in
+      let theirs = List.rev (Domain.join other) in
+      List.iter2
+        (fun x y ->
+          match (x, y) with
+          | Lease.Acquired, Lease.Held _ | Lease.Held _, Lease.Acquired -> ()
+          | _ -> Alcotest.fail "each key has exactly one holder")
+        mine theirs;
+      Alcotest.(check int) "a stole nothing" 0 (Lease.stolen a);
+      Alcotest.(check int) "b stole nothing" 0 (Lease.stolen b);
+      List.iter
+        (fun k ->
+          let ic = open_in (lease_path dir k) in
+          let text = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          match Mfu_util.Json.of_string text with
+          | Error e -> Alcotest.failf "lease does not parse: %s" e
+          | Ok json ->
+              let has f = Option.is_some (Mfu_util.Json.member f json) in
+              Alcotest.(check (option string)) "schema" (Some "mfu-lease/v1")
+                (Option.bind
+                   (Mfu_util.Json.member "schema" json)
+                   Mfu_util.Json.to_str);
+              Alcotest.(check bool) "pid, token, deadline" true
+                (List.for_all has [ "pid"; "token"; "deadline" ]);
+              Alcotest.(check bool) "no key field" false (has "key"))
+        ks)
+
 let point =
   {
     Axes.machine = Axes.Single Mfu_sim.Single_issue.Cray_like;
@@ -198,6 +347,19 @@ let () =
             test_steal_on_torn_file;
           Alcotest.test_case "lease dir outside store" `Quick
             test_lease_dir_is_outside_store;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "one inode for a batch" `Quick
+            test_batch_shares_one_inode;
+          Alcotest.test_case "staged file rolls over at 1000 links" `Quick
+            test_batch_rolls_over_staged_file;
+          Alcotest.test_case "mixed outcomes in key order" `Quick
+            test_batch_mixed_outcomes;
+          Alcotest.test_case "staged file removed on error" `Quick
+            test_batch_cleans_up_on_error;
+          Alcotest.test_case "fresh lease always parses" `Quick
+            test_fresh_lease_always_parses;
         ] );
       ( "sweep integration",
         [
