@@ -40,10 +40,34 @@ type point = { machine : machine; config : Config.t; loop : int; scale : int }
    spells out the full latency assignment rather than trusting the name. *)
 let config_to_key (c : Config.t) =
   let l = c.Config.latencies in
-  Printf.sprintf "%s{aa=%d,am=%d,lg=%d,sh=%d,sa=%d,fa=%d,fm=%d,rc=%d,me=%d,br=%d,tr=%d}"
-    (Config.name c) l.Fu.address_add l.Fu.address_multiply l.Fu.scalar_logical
-    l.Fu.scalar_shift l.Fu.scalar_add l.Fu.float_add l.Fu.float_multiply
-    l.Fu.reciprocal l.Fu.memory l.Fu.branch l.Fu.transfer
+  let i = string_of_int in
+  String.concat ""
+    [
+      Config.name c;
+      "{aa=";
+      i l.Fu.address_add;
+      ",am=";
+      i l.Fu.address_multiply;
+      ",lg=";
+      i l.Fu.scalar_logical;
+      ",sh=";
+      i l.Fu.scalar_shift;
+      ",sa=";
+      i l.Fu.scalar_add;
+      ",fa=";
+      i l.Fu.float_add;
+      ",fm=";
+      i l.Fu.float_multiply;
+      ",rc=";
+      i l.Fu.reciprocal;
+      ",me=";
+      i l.Fu.memory;
+      ",br=";
+      i l.Fu.branch;
+      ",tr=";
+      i l.Fu.transfer;
+      "}";
+    ]
 
 (* Trace digests are memoized per (loop number, scale). The table is
    guarded by a mutex because the serve daemon keys points from
@@ -71,13 +95,24 @@ let trace_digest loop scale =
 
 (* [scale] appears both as an explicit key dimension and through the trace
    digest, so a scaled run can never alias the default-size result even if
-   two scales were ever to produce identical traces. *)
+   two scales were ever to produce identical traces. Concatenated, not
+   [sprintf]'d: every sweep and query keys each of its points. *)
 let key p =
-  Printf.sprintf
-    "mfu-point/v1 sim=%s machine=%s config=%s loop=LL%d scale=%d trace=%s"
-    sim_version (machine_to_string p.machine) (config_to_key p.config) p.loop
-    p.scale
-    (trace_digest p.loop p.scale)
+  String.concat ""
+    [
+      "mfu-point/v1 sim=";
+      sim_version;
+      " machine=";
+      machine_to_string p.machine;
+      " config=";
+      config_to_key p.config;
+      " loop=LL";
+      string_of_int p.loop;
+      " scale=";
+      string_of_int p.scale;
+      " trace=";
+      trace_digest p.loop p.scale;
+    ]
 
 let run ?metrics p =
   let trace = Livermore.trace (Livermore.scaled ~scale:p.scale p.loop) in
@@ -117,8 +152,8 @@ let rank points =
       p.scale,
       class_of p.loop )
   in
-  (* The machine key is two [sprintf]s: build it once per point, not
-     once per comparison of the final sort. *)
+  (* Build the machine key once per point, not once per comparison of
+     the final sort. *)
   let scored =
     List.map
       (fun p ->

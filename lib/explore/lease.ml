@@ -9,6 +9,9 @@ type t = {
   stolen : int Atomic.t;
   acquired : int Atomic.t;
   counter : int Atomic.t;  (* staging-name uniqueness within the process *)
+  prefix : string;
+      (* every lease this holder writes begins with these bytes: all
+         its fields but the deadline's value *)
 }
 
 let default_dir ~store_root =
@@ -37,6 +40,15 @@ let create ?(ttl = 60.) ~dir () =
          (Random.State.make_self_init ())
          Int64.max_int)
   in
+  let head =
+    Json.to_string ~indent:0
+      (Json.Obj
+         [
+           ("schema", Json.String schema);
+           ("pid", Json.Int (Unix.getpid ()));
+           ("token", Json.String token);
+         ])
+  in
   {
     dir;
     ttl;
@@ -44,6 +56,8 @@ let create ?(ttl = 60.) ~dir () =
     stolen = Atomic.make 0;
     acquired = Atomic.make 0;
     counter = Atomic.make 0;
+    (* [head] without its closing brace, opening the last field *)
+    prefix = String.sub head 0 (String.length head - 1) ^ ",\"deadline\":";
   }
 
 let ttl t = t.ttl
@@ -55,15 +69,7 @@ let path t ~key =
    one back. Key-less text is what lets one staged file stand for every
    key of a batch. *)
 let lease_json t ~deadline =
-  Json.to_string ~indent:0
-    (Json.Obj
-       [
-         ("schema", Json.String schema);
-         ("pid", Json.Int (Unix.getpid ()));
-         ("token", Json.String t.token);
-         ("deadline", Json.Float deadline);
-       ])
-  ^ "\n"
+  t.prefix ^ Json.to_string ~indent:0 (Json.Float deadline) ^ "}\n"
 
 type outcome = Acquired | Held of { pid : int; expires_in : float }
 
@@ -110,13 +116,15 @@ let write_temp t ~prefix =
         (lease_json t ~deadline:(Unix.gettimeofday () +. t.ttl)));
   temp
 
-(* Atomically replace [dest] with our fresh lease. Two concurrent
-   stealers both rename complete files; the loser's lease is simply
+(* Atomically replace [dest] with a fresh lease of ours. Two concurrent
+   replacers both rename complete files; the loser's lease is simply
    overwritten, and idempotent publication makes the double computation
    harmless. A rename replaces the name only, so the other keys linked
    to the same staged inode keep their leases. *)
+let replace t ~dest = Sys.rename (write_temp t ~prefix:"steal") dest
+
 let steal t ~dest =
-  Sys.rename (write_temp t ~prefix:"steal") dest;
+  replace t ~dest;
   Atomic.incr t.stolen;
   Atomic.incr t.acquired;
   Acquired
@@ -124,22 +132,22 @@ let steal t ~dest =
 (* What [dest]'s existing lease ([Some text]) means to us: someone
    holds, held, or just released it. *)
 let contended t ~dest text =
+  let now = Unix.gettimeofday () in
   match Option.bind text parse with
-  | None ->
-      (* Torn or vanished. Leases are only ever linked or renamed into
-         place whole, so a torn one was written by something else (a
-         killed writer of the older create-then-write protocol, say); a
-         vanished one was just released. Either way it is free. *)
-      steal t ~dest
-  | Some (pid, token, deadline) ->
-      let now = Unix.gettimeofday () in
-      if deadline <= now then steal t ~dest
-      else if token = t.token then begin
+  | Some (pid, token, deadline) when deadline > now ->
+      if token = t.token then begin
         (* Re-acquiring our own live lease (e.g. retry loop). *)
         Atomic.incr t.acquired;
         Acquired
       end
       else Held { pid; expires_in = deadline -. now }
+  | _ ->
+      (* Expired, torn or vanished. Leases are only ever linked or
+         renamed into place whole, so a torn one was written by
+         something else (a killed writer of the older
+         create-then-write protocol, say); a vanished one was just
+         released. Either way it is free. *)
+      steal t ~dest
 
 (* One staged inode serves this many keys before the next is written:
    far below any file system's hard-link limit (ext4: 65000). *)
@@ -191,20 +199,59 @@ let try_acquire t ~key =
   | [ outcome ] -> outcome
   | _ -> assert false
 
-(* Read-check-remove is not atomic: between parsing our token and the
-   remove, our *expired* lease can be stolen (renamed over) by another
-   process, and the remove then deletes the new owner's file. That is
-   within the advisory contract — the key merely re-opens, and at worst
-   two processes compute it, which idempotent publication absorbs —
-   but it costs duplicated work. Closing the window would need
-   flock/renameat2-style atomicity, not worth it for a lease that only
-   dedups effort. *)
-let release t ~key =
-  let dest = path t ~key in
-  match Option.bind (read_file dest) parse with
-  | Some (_, token, _) when token = t.token -> (
-      try Sys.remove dest with Sys_error _ -> ())
-  | _ -> ()
+(* Ownership is proved by bytes, without parsing: every lease this
+   holder writes begins with its [prefix] — schema, pid and token — so a
+   file that still begins so is ours, and a lease stolen by another
+   holder (another token) is left alone. Read-check-remove is not
+   atomic: between the read and the remove, our *expired* lease can be
+   stolen (renamed over) by another process, and the remove then
+   deletes the new owner's file. That is within the advisory contract —
+   the key merely re-opens, and at worst two processes compute it,
+   which idempotent publication absorbs — but it costs duplicated work.
+   Closing the window would need flock/renameat2-style atomicity, not
+   worth it for a lease that only dedups effort. *)
+let holds t path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let len = String.length t.prefix in
+          let buf = Bytes.create len in
+          match Unix.read fd buf 0 len with
+          | n -> n = len && String.equal (Bytes.unsafe_to_string buf) t.prefix
+          | exception Unix.Unix_error _ -> false)
+
+let release_path t ~dest =
+  if holds t dest then try Sys.remove dest with Sys_error _ -> ()
+
+let release t ~key = release_path t ~dest:(path t ~key)
+
+(* One listing of the directory; each expired (or torn) lease goes the
+   way a settling sweep takes it — stolen, then released — so a lease
+   renewed between our read and our rename is overwritten at worst,
+   exactly as in a steal race, and a live one is never touched. *)
+let collect_expired t =
+  let now = Unix.gettimeofday () in
+  Array.fold_left
+    (fun collected f ->
+      let dest = Filename.concat t.dir f in
+      if not (Filename.check_suffix f ".lease") then collected
+      else
+        match read_file dest with
+        | None -> collected
+        | Some text -> (
+            match parse text with
+            | Some (_, _, deadline) when deadline > now -> collected
+            | _ -> (
+                match replace t ~dest with
+                | () ->
+                    release_path t ~dest;
+                    collected + 1
+                | exception Sys_error _ -> collected)))
+    0
+    (try Sys.readdir t.dir with Sys_error _ -> [||])
 
 let stolen t = Atomic.get t.stolen
 let acquired t = Atomic.get t.acquired

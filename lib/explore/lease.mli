@@ -26,6 +26,17 @@
     mid-computation only delays its keys by one TTL instead of wedging
     them forever.
 
+    A holder proves ownership on release by bytes, not by parsing: every
+    lease it writes begins with one prefix — schema, pid and token, up
+    to the deadline's value — and it unlinks a name only while the file
+    still begins with that prefix. A lease stolen by another holder
+    carries another token, so it is never unlinked.
+
+    A worker killed between publishing a key and releasing it leaves
+    that key's lease behind for good: no sweep needs the key any more,
+    so none steals it. {!collect_expired} removes such leftovers; a
+    leased {!Sweep.run} calls it once at its end.
+
     Leases are an {e optimization}, not a correctness mechanism: if a
     steal races a slow-but-alive owner, both compute the point and both
     publish, which is safe because [mfu-point/v1] publication is
@@ -66,9 +77,17 @@ val try_acquire : t -> key:string -> outcome
 (** [try_acquire_many] on one key. *)
 
 val release : t -> key:string -> unit
-(** Drop the claim if this holder still owns it; a lease meanwhile
-    stolen by someone else is left untouched. Safe to call on keys never
-    acquired. *)
+(** Drop the claim if this holder still owns it — the file still begins
+    with this holder's prefix; a lease meanwhile stolen by someone else
+    is left untouched. Reads the lease file but parses nothing.
+    Safe to call on keys never acquired or already released. *)
+
+val collect_expired : t -> int
+(** Read the lease directory once and remove every expired lease (and
+    every torn one) by the steal-then-release path: each is replaced by
+    a fresh lease of this holder, then released. Live leases are never
+    touched; staged files are not leases and are left to their writers.
+    Returns the number removed; they do not count in {!stolen}. *)
 
 val stolen : t -> int
 (** Number of expired/torn leases this holder has stolen so far. *)

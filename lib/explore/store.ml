@@ -20,20 +20,24 @@ type packed = {
   result : Sim_types.result;
 }
 
-(* Index entry for one key digest. [loose] is the size of the loose
-   entry file known to exist at scan/put time; its contents are still
-   read and validated on every access, exactly as before packing
-   existed, so external writers and external corruption stay visible
-   without reopening the store. [packed] is the decoded segment record.
-   A loose file shadows a packed record for the same digest: new writes
-   always land loose, so the loose side is never staler than the pack. *)
+(* Index entry for one key digest. [loose] says a loose entry file was
+   seen at scan/put time; its contents are still read and validated on
+   every access, exactly as before packing existed, so external writers
+   and external corruption stay visible without reopening the store.
+   [loose_bytes] is that file's size once something learnt it ([put]
+   and [unpack] wrote it, {!stats} stats the file on first need), -1
+   before: the open scan reads directory names only. [packed] is the
+   decoded segment record. A loose file shadows a packed record for the
+   same digest: new writes always land loose, so the loose side is never
+   staler than the pack. *)
 type ent = {
   digest : string;  (* 16 raw bytes *)
-  mutable loose : int option;
+  mutable loose : bool;
+  mutable loose_bytes : int;
   mutable packed : packed option;
 }
 
-let ent_live e = e.loose <> None || e.packed <> None
+let ent_live e = e.loose || e.packed <> None
 
 (* Open-addressing table keyed by key digest ({!Mfu_util.Int_table}
    style: linear probing over a power-of-two array, load kept under
@@ -100,7 +104,7 @@ module Dtbl = struct
     match t.ents.(i) with
     | Some e -> e
     | None ->
-        let e = { digest; loose = None; packed = None } in
+        let e = { digest; loose = false; loose_bytes = -1; packed = None } in
         t.hashes.(i) <- h;
         t.ents.(i) <- Some e;
         t.size <- t.size + 1;
@@ -120,7 +124,12 @@ type index = {
   mutable seg_stamp : float;  (* segments/ mtime at the last scan *)
 }
 
-type t = { root : string; lock : Mutex.t; idx : index }
+type t = {
+  root : string;
+  lock : Mutex.t;
+  idx : index;
+  loose_reads : int Atomic.t;  (* loose entry files read by this handle *)
+}
 
 let root t = t.root
 
@@ -143,15 +152,8 @@ let manifest_path t = Filename.concat t.root "MANIFEST.json"
 let digest_of_key key = Digest.to_hex (Digest.string key)
 let shard_dir t digest = Filename.concat (objects_dir t) (String.sub digest 0 2)
 
-let entry_path t ~key =
-  let digest = digest_of_key key in
-  Filename.concat (shard_dir t digest) (digest ^ ".json")
-
-let loose_path_of_raw t raw =
-  let hex = Digest.to_hex raw in
-  Filename.concat
-    (Filename.concat (objects_dir t) (String.sub hex 0 2))
-    (hex ^ ".json")
+let loose_path t hex = Filename.concat (shard_dir t hex) (hex ^ ".json")
+let entry_path t ~key = loose_path t (digest_of_key key)
 
 let segment_pack_path t ~seq =
   Filename.concat (segments_dir t) (Printf.sprintf "%08d.pack" seq)
@@ -260,15 +262,37 @@ let validate ~digest text =
             with
             | Some cycles, Some instructions
               when cycles >= 0 && instructions >= 0 ->
-                Ok { Sim_types.cycles; instructions }
+                Ok (key, { Sim_types.cycles; instructions })
             | _ -> Error "bad result payload")
       | _ -> Error "missing required field")
 
-(* Extract the key string from a validated entry payload. *)
-let key_of_payload payload =
-  match Json.of_string payload with
-  | Error _ -> None
-  | Ok j -> Option.bind (Json.member "key" j) Json.to_str
+(* A whole regular file with one open, one fstat and as many reads as
+   its size needs (one for an entry) — no channel and no 64 KiB channel
+   buffer per file. A directory or other non-regular file is [`Foreign]:
+   it is no entry, so it is neither served nor quarantined. *)
+let read_regular path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> `Vanished
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          match Unix.fstat fd with
+          | { Unix.st_kind = Unix.S_REG; st_size; _ } -> (
+              let buf = Bytes.create st_size in
+              let rec fill off =
+                if off = st_size then off
+                else
+                  match Unix.read fd buf off (st_size - off) with
+                  | 0 -> off
+                  | n -> fill (off + n)
+              in
+              match fill 0 with
+              | n when n = st_size -> `Text (Bytes.unsafe_to_string buf)
+              | _ -> `Short
+              | exception Unix.Unix_error _ -> `Short)
+          | _ -> `Foreign
+          | exception Unix.Unix_error _ -> `Short)
 
 (* ------------------------------------------------------------------ *)
 (* Segment format                                                     *)
@@ -337,14 +361,7 @@ let idx_render entries =
   Buffer.contents buf
 
 let read_file_opt path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          try Some (really_input_string ic (in_channel_length ic))
-          with End_of_file | Sys_error _ -> None)
+  match read_regular path with `Text s -> Some s | _ -> None
 
 let idx_parse ~pack_len text =
   let m = String.length pack_idx_magic in
@@ -423,7 +440,7 @@ let load_segment t seq =
       let accept ~off key payload reclen =
         let raw = Digest.string key in
         match validate ~digest:(Digest.to_hex raw) payload with
-        | Ok r ->
+        | Ok (_, r) ->
             let e = Dtbl.upsert t.idx.tbl raw in
             insert_packed t ~seg_meta e
               {
@@ -515,43 +532,49 @@ let rescan_segments_locked t =
 let is_hex s =
   String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
-let is_dir_no_err path = try Sys.is_directory path with Sys_error _ -> false
-
-(* Record the loose entries by name only — contents are read (and fully
-   validated) on access. Anything that is not a well-formed entry file
-   for its shard is skipped and counted, never a reason to fail the
-   open: store roots drained by several lease processes accumulate
-   stray files (editor droppings, partial transfers, foreign tooling). *)
+(* Record the loose entries by name only: one listing per shard and no
+   syscall per entry — contents are read (and fully validated) on
+   access, sizes stat'ed only by {!stats}. Anything that is not named
+   like an entry of its shard is skipped and counted, never a reason to
+   fail the open: store roots drained by several lease processes
+   accumulate stray files (editor droppings, partial transfers, foreign
+   tooling). A non-regular file named like an entry is indexed here and
+   demoted to foreign by the first read or {!stats} that meets it. *)
 let scan_loose t =
   let dir = objects_dir t in
   if Sys.file_exists dir then
     Array.iter
       (fun shard ->
-        let sub = Filename.concat dir shard in
-        if String.length shard = 2 && is_hex shard && is_dir_no_err sub then
-          Array.iter
-            (fun f ->
-              let path = Filename.concat sub f in
-              if
-                String.length f = 37
-                && Filename.check_suffix f ".json"
-                && is_hex (String.sub f 0 32)
-                && String.equal (String.sub f 0 2) shard
-                && not (is_dir_no_err path)
-              then begin
-                match Unix.stat path with
-                | st ->
-                    let e =
-                      Dtbl.upsert t.idx.tbl
-                        (Digest.from_hex (String.sub f 0 32))
-                    in
-                    e.loose <- Some st.Unix.st_size
-                | exception Unix.Unix_error _ -> ()
-              end
-              else t.idx.foreign <- t.idx.foreign + 1)
-            (Sys.readdir sub)
-        else t.idx.foreign <- t.idx.foreign + 1)
+        let files =
+          if String.length shard = 2 && is_hex shard then
+            try Some (Sys.readdir (Filename.concat dir shard))
+            with Sys_error _ -> None
+          else None
+        in
+        match files with
+        | None -> t.idx.foreign <- t.idx.foreign + 1
+        | Some files ->
+            Array.iter
+              (fun f ->
+                if
+                  String.length f = 37
+                  && Filename.check_suffix f ".json"
+                  && is_hex (String.sub f 0 32)
+                  && String.equal (String.sub f 0 2) shard
+                then
+                  (Dtbl.upsert t.idx.tbl (Digest.from_hex (String.sub f 0 32)))
+                    .loose <- true
+                else t.idx.foreign <- t.idx.foreign + 1)
+              files)
       (Sys.readdir dir)
+
+(* A non-regular file sits where [e]'s loose entry would: it is no
+   entry, so count it with the foreign files, once. *)
+let demote_foreign_locked t e =
+  if e.loose then begin
+    e.loose <- false;
+    t.idx.foreign <- t.idx.foreign + 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Stats and manifest                                                 *)
@@ -569,11 +592,31 @@ type stats = {
   fanout_histogram : int array;
 }
 
-(* O(index): one pass over the in-memory table, no directory walk. The
-   numbers describe this handle's view — entries other processes
-   published after our open and that we have not looked up yet are not
-   counted (seeing those would need the directory walk this replaced). *)
+(* Size the loose files nobody has sized yet, one stat each, demoting
+   the ones that are not regular files to foreign. A file gone since the
+   scan (another process compacted) leaves the index, and the segments
+   it moved to are folded in, as a lookup would. *)
+let size_loose_locked t =
+  let vanished = ref false in
+  Dtbl.iter
+    (fun e ->
+      if e.loose && e.loose_bytes < 0 then
+        match Unix.stat (loose_path t (Digest.to_hex e.digest)) with
+        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> e.loose_bytes <- st_size
+        | _ -> demote_foreign_locked t e
+        | exception Unix.Unix_error _ ->
+            e.loose <- false;
+            vanished := true)
+    t.idx.tbl;
+  if !vanished then rescan_segments_locked t
+
+(* One pass over the in-memory table, no directory walk, plus a stat per
+   loose file not sized yet. The numbers describe this handle's view —
+   entries other processes published after our open and that we have
+   not looked up yet are not counted (seeing those would need the
+   directory walk this replaced). *)
 let stats_locked t =
+  size_loose_locked t;
   let fanout = Array.make 256 0 in
   let entries = ref 0 in
   let bytes = ref 0 in
@@ -585,18 +628,17 @@ let stats_locked t =
       if ent_live e then begin
         incr entries;
         fanout.(Char.code e.digest.[0]) <- fanout.(Char.code e.digest.[0]) + 1;
-        match (e.loose, e.packed) with
-        | Some sz, None ->
-            incr loose;
-            bytes := !bytes + sz
-        | Some sz, Some _ ->
-            incr loose;
-            incr shadow_pairs;
-            bytes := !bytes + sz
-        | None, Some p ->
-            incr packed;
-            bytes := !bytes + p.payload_bytes
-        | None, None -> ()
+        if e.loose then begin
+          incr loose;
+          if e.packed <> None then incr shadow_pairs;
+          bytes := !bytes + e.loose_bytes
+        end
+        else
+          Option.iter
+            (fun p ->
+              incr packed;
+              bytes := !bytes + p.payload_bytes)
+            e.packed
       end)
     t.idx.tbl;
   {
@@ -613,7 +655,14 @@ let stats_locked t =
   }
 
 let stats t = Mutex.protect t.lock (fun () -> stats_locked t)
-let entry_count t = (stats t).entries
+
+(* Live entries by the index alone — no stat, so the manifest refresh
+   that ends every sweep costs no syscall per entry. *)
+let entry_count t =
+  Mutex.protect t.lock (fun () ->
+      let n = ref 0 in
+      Dtbl.iter (fun e -> if ent_live e then incr n) t.idx.tbl;
+      !n)
 
 let manifest_json ~entries ~segments =
   Json.Obj
@@ -626,11 +675,10 @@ let manifest_json ~entries ~segments =
     ]
 
 let refresh_manifest t =
-  let s = stats t in
+  let entries = entry_count t in
+  let segments = Mutex.protect t.lock (fun () -> List.length t.idx.segs) in
   write_atomically t ~temp_name:"MANIFEST.json.tmp" ~dest:(manifest_path t)
-    (Json.to_string
-       (manifest_json ~entries:s.entries ~segments:s.segment_count)
-    ^ "\n")
+    (Json.to_string (manifest_json ~entries ~segments) ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* Open                                                               *)
@@ -649,6 +697,7 @@ let open_ root_path =
           foreign = 0;
           seg_stamp = 0.;
         };
+      loose_reads = Atomic.make 0;
     }
   in
   mkdir_p (objects_dir t);
@@ -692,21 +741,29 @@ let put ?(meta = []) t ~key result =
     ~dest:(entry_path t ~key) text;
   Mutex.protect t.lock (fun () ->
       let e = Dtbl.upsert t.idx.tbl (Digest.string key) in
-      e.loose <- Some (String.length text))
+      e.loose <- true;
+      e.loose_bytes <- String.length text)
 
+let loose_reads t = Atomic.get t.loose_reads
+
+(* One loose entry, read once and validated: the verbatim text comes
+   back with the key and result, so a caller needing the bytes (the
+   compactor) never reads the file again. *)
 let read_loose t path ~digest =
-  match open_in_bin path with
-  | exception Sys_error _ -> `Vanished
-  | ic -> (
-      let text =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () ->
-            try Ok (really_input_string ic (in_channel_length ic))
-            with End_of_file | Sys_error _ -> Error "short read")
+  match read_regular path with
+  | `Vanished -> `Vanished
+  | `Foreign -> `Foreign
+  | (`Text _ | `Short) as read -> (
+      Atomic.incr t.loose_reads;
+      let checked =
+        match read with
+        | `Text text ->
+            Result.map (fun (key, result) -> (text, key, result))
+              (validate ~digest text)
+        | `Short -> Error "short read"
       in
-      match Result.bind text (validate ~digest) with
-      | Ok result -> `Valid result
+      match checked with
+      | Ok v -> `Valid v
       | Error _ ->
           quarantine t path;
           `Invalid)
@@ -717,8 +774,6 @@ let lookup t ~key =
   (* hex digest and loose path are only materialized on the slow
      branches: the warm packed hit below must stay one hash and one
      table probe, nothing else *)
-  let hex () = Digest.to_hex raw in
-  let path () = loose_path_of_raw t raw in
   let packed_hit () =
     Mutex.protect t.lock (fun () ->
         match Dtbl.find t.idx.tbl raw with
@@ -726,43 +781,45 @@ let lookup t ~key =
         | _ -> None)
   in
   match ent with
-  | Some { packed = Some p; loose = None; _ } ->
+  | Some { packed = Some p; loose = false; _ } ->
       (* Warm packed hit: the record was digest-verified and decoded
          when its segment loaded — no syscall here. *)
       `Hit p.result
-  | Some ({ loose = Some _; _ } as e) -> (
-      match read_loose t (path ()) ~digest:(hex ()) with
-      | `Valid result -> `Hit result
+  | Some ({ loose = true; _ } as e) -> (
+      let hex = Digest.to_hex raw in
+      match read_loose t (loose_path t hex) ~digest:hex with
+      | `Valid (_, _, result) -> `Hit result
       | `Invalid -> (
-          Mutex.protect t.lock (fun () -> e.loose <- None);
+          Mutex.protect t.lock (fun () -> e.loose <- false);
           (* A valid packed copy underneath the quarantined loose file
              still answers: same key, same content address. *)
           match packed_hit () with Some r -> `Hit r | None -> `Corrupt)
+      | `Foreign -> (
+          Mutex.protect t.lock (fun () -> demote_foreign_locked t e);
+          match packed_hit () with Some r -> `Hit r | None -> `Miss)
       | `Vanished -> (
           (* The loose file went away under us — almost certainly a
              compaction by another process. Fold in any new segments
              and retry from memory before conceding a miss. *)
           Mutex.protect t.lock (fun () ->
-              e.loose <- None;
+              e.loose <- false;
               rescan_segments_locked t);
           match packed_hit () with Some r -> `Hit r | None -> `Miss))
-  | Some { packed = None; loose = None; _ } | None -> (
+  | Some { packed = None; loose = false; _ } | None -> (
       (* Not live in the index: either truly absent or published by
          another process after our open. Probe the loose path
          (publications always land loose), then check for segments we
          have not seen. *)
-      let path = path () in
-      match read_loose t path ~digest:(hex ()) with
-      | `Valid result ->
+      let hex = Digest.to_hex raw in
+      match read_loose t (loose_path t hex) ~digest:hex with
+      | `Valid (text, _, result) ->
           Mutex.protect t.lock (fun () ->
               let e = Dtbl.upsert t.idx.tbl raw in
-              e.loose <-
-                Some
-                  (match Unix.stat path with
-                  | st -> st.Unix.st_size
-                  | exception Unix.Unix_error _ -> 0));
+              e.loose <- true;
+              e.loose_bytes <- String.length text);
           `Hit result
       | `Invalid -> `Corrupt
+      | `Foreign -> `Miss
       | `Vanished ->
           let stamp = seg_dir_stamp t in
           if stamp > Mutex.protect t.lock (fun () -> t.idx.seg_stamp) then begin
@@ -829,7 +886,7 @@ let pread_record t p =
 let compact_locked ?(full = false) ?crash t =
   let live_loose = ref [] in
   Dtbl.iter
-    (fun e -> if e.loose <> None then live_loose := e :: !live_loose)
+    (fun e -> if e.loose then live_loose := e :: !live_loose)
     t.idx.tbl;
   (* Gather loose entries, re-validating: only bytes that pass the same
      checks a read applies are worth making durable. A loose file that
@@ -837,21 +894,15 @@ let compact_locked ?(full = false) ?crash t =
   let loose_items =
     List.filter_map
       (fun e ->
-        let path = loose_path_of_raw t e.digest in
-        match read_loose t path ~digest:(Digest.to_hex e.digest) with
-        | `Valid result -> (
-            match read_file_opt path with
-            | Some payload -> (
-                match key_of_payload payload with
-                | Some key -> Some (e, path, key, payload, result)
-                | None ->
-                    e.loose <- None;
-                    None)
-            | None ->
-                e.loose <- None;
-                None)
+        let hex = Digest.to_hex e.digest in
+        let path = loose_path t hex in
+        match read_loose t path ~digest:hex with
+        | `Valid (payload, key, result) -> Some (e, path, key, payload, result)
+        | `Foreign ->
+            demote_foreign_locked t e;
+            None
         | `Invalid | `Vanished ->
-            e.loose <- None;
+            e.loose <- false;
             None)
       (List.rev !live_loose)
   in
@@ -863,7 +914,7 @@ let compact_locked ?(full = false) ?crash t =
       Dtbl.iter
         (fun e ->
           match (e.loose, e.packed) with
-          | None, Some p -> (
+          | false, Some p -> (
               match pread_record t p with
               | Some (key, payload) -> acc := (e, p, key, payload) :: !acc
               | None -> e.packed <- None)
@@ -982,7 +1033,7 @@ let compact_locked ?(full = false) ?crash t =
     List.iter
       (fun (e, _path, result, off, key, payload) ->
         install e ~off ~key ~payload result;
-        e.loose <- None)
+        e.loose <- false)
       loose_offs;
     t.idx.segs <- (if full then [ seg_meta ] else t.idx.segs @ [ seg_meta ]);
     t.idx.max_seq <- seq;
@@ -1013,14 +1064,15 @@ let unpack t =
         Dtbl.iter
           (fun e ->
             match (e.loose, e.packed) with
-            | None, Some p -> (
+            | false, Some p -> (
                 match pread_record t p with
                 | Some (key, payload) ->
                     write_atomically t
                       ~temp_name:(digest_of_key key ^ ".json.tmp")
-                      ~dest:(loose_path_of_raw t e.digest)
+                      ~dest:(loose_path t (Digest.to_hex e.digest))
                       payload;
-                    e.loose <- Some (String.length payload);
+                    e.loose <- true;
+                    e.loose_bytes <- String.length payload;
                     e.packed <- None;
                     incr restored
                 | None -> e.packed <- None)

@@ -30,12 +30,13 @@
     {!open_} builds an in-memory index over both worlds: segment
     records are digest-verified, validated, and decoded {e once}, so a
     warm packed hit is a pure memory read; loose entries are indexed by
-    name and keep the original read-and-validate-per-access contract,
-    so entries published (or corrupted) by other processes stay visible
-    without reopening. A loose file shadows a packed record of the same
-    digest, and within segments a higher sequence number wins, so a
-    crash between segment publication and loose-file deletion leaves
-    harmless duplicates, never losses.
+    name alone — no syscall per entry — and keep the original
+    read-and-validate-per-access contract, so entries published (or
+    corrupted) by other processes stay visible without reopening. A
+    loose file shadows a packed record of the same digest, and within
+    segments a higher sequence number wins, so a crash between segment
+    publication and loose-file deletion leaves harmless duplicates,
+    never losses.
 
     Reads of loose entries re-validate everything: JSON
     well-formedness, the [mfu-result/v1] schema tag, agreement between
@@ -61,10 +62,14 @@ val open_ : string -> t
 (** Open (creating directories and an initial manifest as needed) and
     build the in-memory index: load every segment sequentially —
     validating and decoding each record once, quarantining corrupt ones
-    — then scan [objects/] shard directories for loose entry names.
-    Foreign files in the shard directories (anything that is not
-    [<32 hex>.json] in its own shard) are skipped and counted, never a
-    reason to fail the open. *)
+    — then list the [objects/] shard directories for loose entry names.
+    The listing is the whole cost of the loose side: no entry file is
+    opened or stat'ed. Foreign files in the shard directories (anything
+    that is not [<32 hex>.json] in its own shard) are skipped and
+    counted, never a reason to fail the open; a directory or other
+    non-regular file that is named like an entry is counted as foreign
+    by the first read or {!stats} that meets it, and is never served or
+    quarantined. *)
 
 val root : t -> string
 
@@ -109,8 +114,14 @@ val lookup :
 val find : t -> key:string -> Mfu_sim.Sim_types.result option
 (** [lookup] with [`Corrupt] collapsed to [None]. *)
 
+val loose_reads : t -> int
+(** Loose entry files this handle has read so far — by {!lookup},
+    {!find} and {!compact}; a probe of a path holding no file is not a
+    read. The read path's cost counter: a warm {!Sweep.run} over [n]
+    loose entries adds exactly [n], a cold one none. *)
+
 val entry_count : t -> int
-(** Number of live entries in this handle's index. *)
+(** Number of live entries in this handle's index, from memory alone. *)
 
 val quarantined : t -> string list
 (** File names currently in [quarantine/], sorted. *)
@@ -143,7 +154,9 @@ type stats = {
 
 val stats : t -> stats
 (** O(index): one pass over the in-memory table plus a [quarantine/]
-    listing — no [objects/] walk. [sweep.exe --store-stats] prints it
+    listing — no [objects/] walk — and one [stat] per loose file whose
+    size this handle has not learnt yet (the open scan reads names
+    only; [put] knows the size it wrote). [sweep.exe --store-stats] prints it
     and the serve daemon's [/stats] endpoint embeds it. The numbers are
     this handle's view: entries other processes published after our
     open and that we have not looked up yet are not counted. *)
@@ -168,6 +181,8 @@ type crash_point = Crash_before_publish | Crash_after_publish
 val compact : ?full:bool -> ?crash:crash_point -> t -> compaction
 (** Fold every loose entry into one new segment, re-validating each on
     the way in (failures are quarantined, exactly as a read would).
+    Each loose file is read once: the bytes that were validated are the
+    bytes packed.
     Loose files are deleted only {e after} the pack and its sidecar are
     fsynced and renamed into place — the deletion barrier that makes a
     crash at any instant lose nothing. With [full], live records of

@@ -39,20 +39,23 @@ let keyed points =
     keyed;
   keyed
 
-let misses ~store keyed =
+(* One validated lookup per key: the hits with their results, the
+   points to compute (corrupt entries quarantine and count as missing)
+   and the number quarantined. *)
+let lookup_all ~store keyed =
   let quarantined = ref 0 in
-  let missing =
-    List.filter
-      (fun (_, k) ->
+  let hits, missing =
+    List.partition_map
+      (fun ((_, k) as pk) ->
         match Store.lookup store ~key:k with
-        | `Hit _ -> false
-        | `Miss -> true
+        | `Hit r -> Either.Left (k, r)
+        | `Miss -> Either.Right pk
         | `Corrupt ->
             incr quarantined;
-            true)
+            Either.Right pk)
       keyed
   in
-  (missing, !quarantined)
+  (hits, missing, !quarantined)
 
 (* -- guided mode -------------------------------------------------------------- *)
 
@@ -122,8 +125,8 @@ let class_to_tag = function
 let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
   let calib0 = Mfu_model.calibration_runs () in
   let keyed = keyed points in
-  let missing, quarantined =
-    if resume then misses ~store keyed else (keyed, 0)
+  let _, missing, quarantined =
+    if resume then lookup_all ~store keyed else ([], keyed, 0)
   in
   let total = List.length keyed in
   let expected = List.length missing in
@@ -549,11 +552,16 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
   (* Keying generates and digests traces; do it once, on this domain, so
      workers only simulate and write. *)
   let keyed = keyed points in
-  let missing, quarantined =
-    if resume then misses ~store keyed else (keyed, 0)
+  let hits, missing, quarantined =
+    if resume then lookup_all ~store keyed else ([], keyed, 0)
   in
   let total = List.length keyed in
   let expected = List.length missing in
+  (* Every result this run returns is one it already holds: a validated
+     lookup hit, a result it computed and published, or a hit while
+     settling held keys. No key is read back from the store. *)
+  let results : (string, Sim_types.result) Hashtbl.t = Hashtbl.create total in
+  List.iter (fun (k, r) -> Hashtbl.replace results k r) hits;
   let done_ = Atomic.make 0 in
   let computed = Atomic.make 0 in
   let deferred = ref 0 in
@@ -569,12 +577,14 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
     | None -> ()
   in
   let compute pks =
-    ignore
-      (Pool.map ?jobs
-         (fun (p, k) ->
-           Atomic.incr computed;
-           publish (p, k) (Axes.run p))
-         pks)
+    Pool.map ?jobs
+      (fun (p, k) ->
+        Atomic.incr computed;
+        let r = Axes.run p in
+        publish (p, k) r;
+        (k, r))
+      pks
+    |> List.iter (fun (k, r) -> Hashtbl.replace results k r)
   in
   (match lease with
   | None -> compute missing
@@ -602,8 +612,9 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
                    store: look once more before computing it. *)
                 let rec go ~acquired =
                   match Store.lookup store ~key:k with
-                  | `Hit _ ->
+                  | `Hit r ->
                       if acquired then Lease.release l ~key:k;
+                      Hashtbl.replace results k r;
                       incr deferred;
                       (match progress with
                       | Some f ->
@@ -614,7 +625,9 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
                       false
                   | `Miss | `Corrupt when acquired ->
                       Atomic.incr computed;
-                      publish (p, k) (Axes.run p);
+                      let r = Axes.run p in
+                      publish (p, k) r;
+                      Hashtbl.replace results k r;
                       false
                   | `Miss | `Corrupt -> (
                       match Lease.try_acquire l ~key:k with
@@ -630,19 +643,13 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
           settle still
         end
       in
-      settle held);
+      settle held;
+      (* A killed worker leaves a lease behind for every key it
+         published but had not released; nothing else would ever
+         remove them. *)
+      ignore (Lease.collect_expired l));
   Store.refresh_manifest store;
-  let results =
-    List.map
-      (fun (p, k) ->
-        match Store.find store ~key:k with
-        | Some r -> (p, r)
-        | None ->
-            (* can only happen if the store is being destroyed under us *)
-            failwith ("Sweep.run: entry vanished for " ^ k))
-      keyed
-  in
-  ( results,
+  ( List.map (fun (p, k) -> (p, Hashtbl.find results k)) keyed,
     {
       total;
       computed = Atomic.get computed;

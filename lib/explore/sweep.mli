@@ -7,9 +7,10 @@
     recomputed, and each freshly computed result is published atomically
     {e as soon as it finishes} — so a sweep killed at any moment loses
     at most the points that were mid-flight, and a rerun with resume
-    recomputes only those. The returned results are re-read from disk,
-    not taken from memory: what the caller analyses is exactly what the
-    store persisted. *)
+    recomputes only those. The returned results are the ones the run
+    already holds — a validated store hit, or a result it computed and
+    published — never read back: a warm run reads each stored entry
+    once, a cold run reads none. *)
 
 type stats = {
   total : int;  (** points requested *)
@@ -49,12 +50,6 @@ val keyed : Axes.point list -> (Axes.point * string) list
 
     @raise Invalid_argument on a duplicate key. *)
 
-val misses : store:Store.t -> (Axes.point * string) list -> (Axes.point * string) list * int
-(** The store-miss iteration shared by {!run} and the serve scheduler:
-    validated lookup of every key, returning the points that need
-    computing (corrupt entries quarantine and count as missing) and the
-    number quarantined. *)
-
 val run :
   ?jobs:int ->
   ?resume:bool ->
@@ -80,7 +75,10 @@ val run :
     only then released, and the set-aside keys settle afterwards —
     normally by the owner's entry appearing in the store (counted in
     [deferred]), otherwise by stealing the lease once it expires and
-    recomputing here (counted in [stolen]). Safe against every
+    recomputing here (counted in [stolen]). At the end the lease
+    directory is read once and every expired lease left in it — a
+    killed worker's, for keys it published but never released — is
+    collected ({!Lease.collect_expired}). Safe against every
     interleaving because publication is idempotent; leases only remove
     duplicated work, they are not needed for correctness.
 

@@ -25,20 +25,38 @@ type machine =
       branches : Ruu.branch_handling;
     }
 
+(* Part of every mfu-point/v1 key, so built by concatenation: keying a
+   table-sized sweep calls it once per point. *)
 let machine_to_string = function
   | Single org ->
-      Printf.sprintf "single(%s)" (Single_issue.organization_to_string org)
-  | Dep scheme -> Printf.sprintf "dep(%s)" (Dep_single.scheme_to_string scheme)
+      String.concat ""
+        [ "single("; Single_issue.organization_to_string org; ")" ]
+  | Dep scheme ->
+      String.concat "" [ "dep("; Dep_single.scheme_to_string scheme; ")" ]
   | Buffer { policy; stations; bus } ->
-      Printf.sprintf "buffer(%s,stations=%d,bus=%s)"
-        (Buffer_issue.policy_to_string policy)
-        stations
-        (Sim_types.bus_model_to_string bus)
+      String.concat ""
+        [
+          "buffer(";
+          Buffer_issue.policy_to_string policy;
+          ",stations=";
+          string_of_int stations;
+          ",bus=";
+          Sim_types.bus_model_to_string bus;
+          ")";
+        ]
   | Ruu { issue_units; ruu_size; bus; branches } ->
-      Printf.sprintf "ruu(units=%d,size=%d,bus=%s,branches=%s)" issue_units
-        ruu_size
-        (Sim_types.bus_model_to_string bus)
-        (Ruu.branch_handling_to_string branches)
+      String.concat ""
+        [
+          "ruu(units=";
+          string_of_int issue_units;
+          ",size=";
+          string_of_int ruu_size;
+          ",bus=";
+          Sim_types.bus_model_to_string bus;
+          ",branches=";
+          Ruu.branch_handling_to_string branches;
+          ")";
+        ]
 
 let issue_units_of = function
   | Single _ | Dep _ -> 1

@@ -347,6 +347,8 @@ let test_store_stats () =
       in
       Alcotest.(check int) "bytes are the entry files' sizes" on_disk
         s.Store.bytes;
+      Alcotest.(check int) "reopened: sizes stat'ed on demand" on_disk
+        (Store.stats (Store.open_ (Store.root store))).Store.bytes;
       Alcotest.(check int) "no quarantine" 0 s.Store.quarantined_count;
       (* Quarantine one and recount. *)
       let victim = List.hd keys in
@@ -590,6 +592,47 @@ let test_foreign_files_tolerated () =
         s.Store.foreign_files;
       check_all_hit ~msg:"entries still served" reopened 2)
 
+(* A directory named like an entry is no entry, wherever the store
+   meets it: the open scan indexes names only, so the first read or
+   stats call demotes it to foreign — counted once, never served, never
+   quarantined, never folded by a compaction. *)
+let test_entry_named_directory_is_foreign () =
+  with_store (fun store ->
+      populate store 2;
+      let impostor = Store.entry_path store ~key:(pack_key 7) in
+      (try Sys.mkdir (Filename.dirname impostor) 0o755
+       with Sys_error _ -> ());
+      Sys.mkdir impostor 0o755;
+      let untouched what store =
+        Alcotest.(check bool) (what ^ ": directory still in place") true
+          (Sys.is_directory impostor);
+        Alcotest.(check (list string)) (what ^ ": nothing quarantined") []
+          (Store.quarantined store)
+      in
+      let by_stats = Store.open_ (Store.root store) in
+      let s = Store.stats by_stats in
+      Alcotest.(check int) "stats: two entries" 2 s.Store.entries;
+      Alcotest.(check int) "stats: one foreign" 1 s.Store.foreign_files;
+      Alcotest.(check bool) "stats: then a miss" true
+        (Store.lookup by_stats ~key:(pack_key 7) = `Miss);
+      untouched "stats first" by_stats;
+      let by_read = Store.open_ (Store.root store) in
+      Alcotest.(check bool) "read: a miss" true
+        (Store.lookup by_read ~key:(pack_key 7) = `Miss);
+      Alcotest.(check bool) "read: again a miss" true
+        (Store.lookup by_read ~key:(pack_key 7) = `Miss);
+      let s = Store.stats by_read in
+      Alcotest.(check int) "read: two entries" 2 s.Store.entries;
+      Alcotest.(check int) "read: counted once" 1 s.Store.foreign_files;
+      untouched "read first" by_read;
+      let by_compact = Store.open_ (Store.root store) in
+      let c = Store.compact by_compact in
+      Alcotest.(check int) "compact: folds the real entries" 2 c.Store.folded;
+      Alcotest.(check int) "compact: one foreign" 1
+        (Store.stats by_compact).Store.foreign_files;
+      untouched "compact" by_compact;
+      check_all_hit ~msg:"entries still served" by_compact 2)
+
 (* Two processes racing to publish the same mfu-point/v1 key: exactly
    one valid entry must survive, and every reader must see one writer's
    complete bytes. The children synchronize on a pipe so both write
@@ -695,6 +738,53 @@ let test_sweep_mixed_families_jobs_identical () =
                 (read_file (Store.entry_path par ~key)))
             points))
 
+(* What a sweep returns is what the store holds: every result equals
+   [Store.find] of its key. *)
+let check_results_match_store ~what store results =
+  List.iter
+    (fun (p, r) ->
+      Alcotest.(check bool) (what ^ ": result is the stored one") true
+        (Store.find store ~key:(Axes.key p) = Some r))
+    results
+
+(* The read path, counted: a cold sweep reads no entry (its lookups
+   probe paths holding nothing, and it returns what it published), a
+   warm sweep over loose entries reads each exactly once, a compaction
+   reads each loose file once, and a warm sweep over packed entries
+   reads none. *)
+let test_sweep_reads_each_entry_once () =
+  with_store (fun store ->
+      let points = Axes.enumerate { small_axes with Axes.sizes = [ 10; 20 ] } in
+      let n = List.length points in
+      Alcotest.(check int) "four points" 4 n;
+      let reads_of store f =
+        let before = Store.loose_reads store in
+        let v = f () in
+        (Store.loose_reads store - before, v)
+      in
+      let cold_reads, (cold, _) =
+        reads_of store (fun () -> Sweep.run ~jobs:1 ~store points)
+      in
+      Alcotest.(check int) "cold: no reads" 0 cold_reads;
+      check_results_match_store ~what:"cold" store cold;
+      let warm = Store.open_ (Store.root store) in
+      let loose_reads, (loose, stats) =
+        reads_of warm (fun () -> Sweep.run ~jobs:1 ~store:warm points)
+      in
+      Alcotest.(check int) "warm loose: all reused" n stats.Sweep.reused;
+      Alcotest.(check int) "warm loose: one read per entry" n loose_reads;
+      check_results_match_store ~what:"warm loose" warm loose;
+      let compact_reads, c = reads_of warm (fun () -> Store.compact warm) in
+      Alcotest.(check int) "compact: all folded" n c.Store.folded;
+      Alcotest.(check int) "compact: one read per loose file" n compact_reads;
+      let packed_reads, (packed, _) =
+        reads_of warm (fun () -> Sweep.run ~jobs:1 ~store:warm points)
+      in
+      Alcotest.(check int) "warm packed: no reads" 0 packed_reads;
+      check_results_match_store ~what:"warm packed" warm packed;
+      Alcotest.(check bool) "same results on every path" true
+        (cold = loose && loose = packed))
+
 let test_sweep_heals_truncated_entry () =
   with_store (fun store ->
       let points = Axes.enumerate small_axes in
@@ -719,7 +809,8 @@ let test_sweep_heals_truncated_entry () =
       List.iter
         (fun (p, r) ->
           Alcotest.(check bool) "healed results correct" true (r = Axes.run p))
-        results)
+        results;
+      check_results_match_store ~what:"healed" store results)
 
 let test_sweep_rejects_duplicate_keys () =
   with_store (fun store ->
@@ -834,6 +925,8 @@ let () =
             test_put_shadows_packed;
           Alcotest.test_case "foreign files tolerated" `Quick
             test_foreign_files_tolerated;
+          Alcotest.test_case "directory named like an entry is foreign"
+            `Quick test_entry_named_directory_is_foreign;
         ] );
       ( "sweep",
         [
@@ -841,6 +934,8 @@ let () =
             test_sweep_resume_counts;
           Alcotest.test_case "mixed families identical across jobs" `Quick
             test_sweep_mixed_families_jobs_identical;
+          Alcotest.test_case "reads each entry once" `Quick
+            test_sweep_reads_each_entry_once;
           Alcotest.test_case "heals truncated entry" `Quick
             test_sweep_heals_truncated_entry;
           Alcotest.test_case "rejects duplicate keys" `Quick

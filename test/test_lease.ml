@@ -79,6 +79,79 @@ let test_steal_on_expiry () =
       | Lease.Held _ -> ()
       | Lease.Acquired -> Alcotest.fail "stolen lease still live for others")
 
+let lease_path dir k = Filename.concat dir (Store.digest_of_key k ^ ".lease")
+
+let lease_files dir =
+  List.filter
+    (fun f -> Filename.check_suffix f ".lease")
+    (Array.to_list (Sys.readdir dir))
+
+let read_all path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A batch-linked lease stolen after expiry, then released by its old
+   owner along with the rest of the batch: the thief's lease stays,
+   byte for byte, and the old owner's other leases go. *)
+let test_old_owner_release_spares_stolen_key () =
+  with_dir (fun dir ->
+      let a = Lease.create ~ttl:0.05 ~dir () in
+      let ks = List.init 3 (Printf.sprintf "mfu-point/v1 stolen-batch-%d") in
+      List.iter
+        (function
+          | Lease.Acquired -> () | Lease.Held _ -> Alcotest.fail "fresh batch")
+        (Lease.try_acquire_many a ks);
+      Unix.sleepf 0.08;
+      let stolen_key = List.nth ks 1 in
+      let thief = Lease.create ~ttl:60. ~dir () in
+      (match Lease.try_acquire thief ~key:stolen_key with
+      | Lease.Acquired -> ()
+      | Lease.Held _ -> Alcotest.fail "expired lease should be stolen");
+      let path = lease_path dir stolen_key in
+      let thiefs = read_all path in
+      List.iter (fun key -> Lease.release a ~key) ks;
+      Alcotest.(check (list string)) "only the stolen lease is left"
+        [ Filename.basename path ] (lease_files dir);
+      Alcotest.(check string) "the thief's bytes, untouched" thiefs
+        (read_all path);
+      Lease.release thief ~key:stolen_key;
+      Alcotest.(check (list string)) "the thief releases its own" []
+        (lease_files dir))
+
+(* Expired and torn leases are collected in one pass; live ones, ours
+   or another holder's, and staged files are not. *)
+let test_collect_expired () =
+  with_dir (fun dir ->
+      let dead = Lease.create ~ttl:0.05 ~dir () in
+      let live = Lease.create ~ttl:60. ~dir () in
+      let k = Printf.sprintf "mfu-point/v1 collect-%d" in
+      ignore (Lease.try_acquire_many dead [ k 0; k 1 ]);
+      ignore (Lease.try_acquire live ~key:(k 2));
+      let torn = lease_path dir (k 3) in
+      let oc = open_out torn in
+      output_string oc "{ \"schema\": \"mfu-lease/v1\", \"pid";
+      close_out oc;
+      let staged = Filename.concat dir "stage.someone.0.tmp" in
+      close_out (open_out staged);
+      Unix.sleepf 0.08;
+      let collector = Lease.create ~ttl:60. ~dir () in
+      Alcotest.(check int) "two expired and one torn" 3
+        (Lease.collect_expired collector);
+      Alcotest.(check (list string)) "the live lease is left"
+        [ Store.digest_of_key (k 2) ^ ".lease" ]
+        (lease_files dir);
+      Alcotest.(check bool) "staged file left alone" true
+        (Sys.file_exists staged);
+      (match Lease.try_acquire collector ~key:(k 2) with
+      | Lease.Held _ -> ()
+      | Lease.Acquired -> Alcotest.fail "live lease must stay held");
+      Alcotest.(check int) "collection is not stealing" 0
+        (Lease.stolen collector);
+      Alcotest.(check int) "nothing left to collect" 0
+        (Lease.collect_expired collector))
+
 let test_steal_on_torn_file () =
   with_dir (fun dir ->
       let a = Lease.create ~ttl:60. ~dir () in
@@ -92,7 +165,6 @@ let test_steal_on_torn_file () =
       Alcotest.(check int) "torn file counts as a steal" 1 (Lease.stolen a))
 
 let keys n = List.init n (Printf.sprintf "mfu-point/v1 lease-batch-key-%04d")
-let lease_path dir k = Filename.concat dir (Store.digest_of_key k ^ ".lease")
 
 let staged_files dir =
   List.filter
@@ -283,7 +355,9 @@ let test_sweep_defers_to_live_owner () =
           Alcotest.(check int) "no steal" 0 stats.Sweep.stolen;
           match results with
           | [ (_, r) ] ->
-              Alcotest.(check bool) "owner's result served" true (r = expected)
+              Alcotest.(check bool) "owner's result served" true (r = expected);
+              Alcotest.(check bool) "the stored result" true
+                (Store.find store ~key:k = Some r)
           | _ -> Alcotest.fail "one result expected"))
 
 (* Sweep against a dead owner: the lease expires, the sweep steals it
@@ -311,7 +385,39 @@ let test_sweep_steals_from_dead_owner () =
           match results with
           | [ (_, r) ] ->
               Alcotest.(check bool) "stolen point simulated exactly" true
-                (r = Axes.run point)
+                (r = Axes.run point);
+              Alcotest.(check bool) "the stored result" true
+                (Store.find store ~key:k = Some r)
+          | _ -> Alcotest.fail "one result expected"))
+
+(* A worker killed between publishing a key and releasing its lease:
+   no later sweep needs the key, so only the end-of-run collection
+   removes the lease, and it leaves the run's own numbers alone. *)
+let test_sweep_collects_orphan_leases () =
+  with_dir (fun store_dir ->
+      let store = Store.open_ store_dir in
+      let lease_dir = Lease.default_dir ~store_root:store_dir in
+      Fun.protect
+        ~finally:(fun () -> rm_rf lease_dir)
+        (fun () ->
+          let killed = Lease.create ~ttl:0.05 ~dir:lease_dir () in
+          let k = Axes.key point in
+          ignore (Lease.try_acquire killed ~key:k);
+          Store.put ~meta:(Sweep.meta_of_point point) store ~key:k
+            (Axes.run point);
+          Unix.sleepf 0.08;
+          let ours = Lease.create ~ttl:60. ~dir:lease_dir () in
+          let results, stats =
+            Sweep.run ~jobs:1 ~lease:ours ~store [ point ]
+          in
+          Alcotest.(check int) "reused" 1 stats.Sweep.reused;
+          Alcotest.(check int) "nothing stolen" 0 stats.Sweep.stolen;
+          Alcotest.(check (list string)) "no lease left" []
+            (lease_files lease_dir);
+          match results with
+          | [ (_, r) ] ->
+              Alcotest.(check bool) "stored result served" true
+                (Store.find store ~key:k = Some r)
           | _ -> Alcotest.fail "one result expected"))
 
 let test_lease_dir_is_outside_store () =
@@ -345,6 +451,10 @@ let () =
           Alcotest.test_case "steal on expiry" `Quick test_steal_on_expiry;
           Alcotest.test_case "steal on torn file" `Quick
             test_steal_on_torn_file;
+          Alcotest.test_case "old owner's release spares a stolen key"
+            `Quick test_old_owner_release_spares_stolen_key;
+          Alcotest.test_case "expired and torn leases collected" `Quick
+            test_collect_expired;
           Alcotest.test_case "lease dir outside store" `Quick
             test_lease_dir_is_outside_store;
         ] );
@@ -367,5 +477,7 @@ let () =
             test_sweep_defers_to_live_owner;
           Alcotest.test_case "steals from a dead owner" `Quick
             test_sweep_steals_from_dead_owner;
+          Alcotest.test_case "collects a killed worker's orphan leases"
+            `Quick test_sweep_collects_orphan_leases;
         ] );
     ]

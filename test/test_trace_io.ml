@@ -221,6 +221,70 @@ let test_pinned_point_key () =
      loop=LL1 scale=1 trace=a1b5daf4f03c5c77d791d898b4da0b70"
     (Mfu_explore.Axes.key p)
 
+(* [Axes.key] concatenates its fields; these are the [sprintf] formats
+   it replaced, so every family, interconnect, branch policy and
+   configuration must key byte-identically through either. *)
+let trace_md5 =
+  let memo = Hashtbl.create 4 in
+  fun loop scale ->
+    match Hashtbl.find_opt memo (loop, scale) with
+    | Some d -> d
+    | None ->
+        let d = md5 (Livermore.trace (Livermore.scaled ~scale loop)) in
+        Hashtbl.add memo (loop, scale) d;
+        d
+
+let printf_key (p : Mfu_explore.Axes.point) =
+  let module A = Mfu_explore.Axes in
+  let module S = Mfu_sim in
+  let bus = S.Sim_types.bus_model_to_string in
+  let machine =
+    match p.A.machine with
+    | A.Single org ->
+        Printf.sprintf "single(%s)"
+          (S.Single_issue.organization_to_string org)
+    | A.Dep scheme ->
+        Printf.sprintf "dep(%s)" (S.Dep_single.scheme_to_string scheme)
+    | A.Buffer { policy; stations; bus = b } ->
+        Printf.sprintf "buffer(%s,stations=%d,bus=%s)"
+          (S.Buffer_issue.policy_to_string policy)
+          stations (bus b)
+    | A.Ruu { issue_units; ruu_size; bus = b; branches } ->
+        Printf.sprintf "ruu(units=%d,size=%d,bus=%s,branches=%s)" issue_units
+          ruu_size (bus b)
+          (S.Ruu.branch_handling_to_string branches)
+  in
+  let c = p.A.config in
+  let l = c.Mfu_isa.Config.latencies in
+  let module Fu = Mfu_isa.Fu in
+  Printf.sprintf
+    "mfu-point/v1 sim=%s machine=%s \
+     config=%s{aa=%d,am=%d,lg=%d,sh=%d,sa=%d,fa=%d,fm=%d,rc=%d,me=%d,br=%d,tr=%d} \
+     loop=LL%d scale=%d trace=%s"
+    A.sim_version machine (Mfu_isa.Config.name c) l.Fu.address_add
+    l.Fu.address_multiply l.Fu.scalar_logical l.Fu.scalar_shift
+    l.Fu.scalar_add l.Fu.float_add l.Fu.float_multiply l.Fu.reciprocal
+    l.Fu.memory l.Fu.branch l.Fu.transfer p.A.loop p.A.scale
+    (trace_md5 p.A.loop p.A.scale)
+
+let test_keys_match_printf_format () =
+  match
+    Mfu_explore.Axes.of_string
+      "org=all; dep=all; policy=all; stations=1-2; units=1-3; size=10,120; \
+       bus=all; branch=stall,oracle,bimodal:64; config=all; loops=5; \
+       scale=1,3"
+  with
+  | Error e -> Alcotest.fail e
+  | Ok axes ->
+      let points = Mfu_explore.Axes.enumerate axes in
+      Alcotest.(check bool) "a few hundred points" true
+        (List.length points > 200);
+      List.iter
+        (fun p ->
+          Alcotest.(check string) "key bytes" (printf_key p)
+            (Mfu_explore.Axes.key p))
+        points
+
 let test_header_checked () =
   match Trace_io.of_string "not a trace\n" with
   | Error _ -> ()
@@ -291,6 +355,8 @@ let () =
           Alcotest.test_case "scheduled traces" `Quick test_pinned_scheduled;
           Alcotest.test_case "scale 3" `Quick test_pinned_scale3;
           Alcotest.test_case "point key" `Quick test_pinned_point_key;
+          Alcotest.test_case "every key matches the printf format" `Quick
+            test_keys_match_printf_format;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
