@@ -9,7 +9,7 @@ module Server = Mfu_serve.Server
 open Cmdliner
 
 let run listen store_dir jobs max_points no_lease lease_ttl
-    request_timeout queue_capacity cache_entries =
+    request_timeout queue_capacity =
   match Server.addr_of_string listen with
   | Error e -> `Error (false, e)
   | Ok addr ->
@@ -23,7 +23,6 @@ let run listen store_dir jobs max_points no_lease lease_ttl
           lease_ttl;
           request_timeout;
           queue_capacity;
-          cache_entries;
         };
       `Ok ()
 
@@ -74,14 +73,6 @@ let queue_capacity =
   in
   Arg.(value & opt int 256 & info [ "queue-capacity" ] ~docv:"N" ~doc)
 
-let cache_entries =
-  let doc =
-    "Capacity of the in-memory decoded-result cache consulted before \
-     every store lookup (LRU; 0 disables). Hits show up as \
-     $(b,cache_hits) in query summaries and on $(b,/stats)."
-  in
-  Arg.(value & opt int 8192 & info [ "cache" ] ~docv:"N" ~doc)
-
 let cmd =
   let doc = "serve the multiple-functional-unit result store" in
   let info = Cmd.info "mfu-serve" ~doc in
@@ -89,7 +80,6 @@ let cmd =
     Term.(
       ret
         (const run $ listen $ store_dir $ jobs $ max_points
-       $ no_lease $ lease_ttl $ request_timeout $ queue_capacity
-       $ cache_entries))
+       $ no_lease $ lease_ttl $ request_timeout $ queue_capacity))
 
 let () = exit (Cmd.eval cmd)

@@ -8,8 +8,6 @@ type t = {
   queries : int Atomic.t;
   errors : int Atomic.t;
   store_hits : int Atomic.t;
-  cache_hits : int Atomic.t;
-  cache_misses : int Atomic.t;
   computed : int Atomic.t;
   inflight_hits : int Atomic.t;
   lease_deferred : int Atomic.t;
@@ -26,8 +24,6 @@ let create () =
     queries = Atomic.make 0;
     errors = Atomic.make 0;
     store_hits = Atomic.make 0;
-    cache_hits = Atomic.make 0;
-    cache_misses = Atomic.make 0;
     computed = Atomic.make 0;
     inflight_hits = Atomic.make 0;
     lease_deferred = Atomic.make 0;
@@ -42,8 +38,6 @@ let incr_requests t = add t.requests 1
 let incr_queries t = add t.queries 1
 let incr_errors t = add t.errors 1
 let add_store_hits t n = add t.store_hits n
-let add_cache_hits t n = add t.cache_hits n
-let add_cache_misses t n = add t.cache_misses n
 let add_computed t n = add t.computed n
 let add_inflight_hits t n = add t.inflight_hits n
 let add_lease_deferred t n = add t.lease_deferred n
@@ -77,18 +71,16 @@ let families_json t =
         t.families []
       |> List.sort (fun (a, _) (b, _) -> compare a b))
 
-let to_json t ~in_flight ~dedups ~pool_inflight ~cache_entries ~cache_capacity
+let to_json t ~in_flight ~dedups ~pool_inflight
     ~store:(s : Mfu_explore.Store.stats) =
   Json.Obj
     [
-      ("schema", Json.String "mfu-serve-stats/v1");
+      ("schema", Json.String "mfu-serve-stats/v2");
       ("uptime_seconds", Json.Float (Unix.gettimeofday () -. t.started));
       ("requests", Json.Int (Atomic.get t.requests));
       ("queries", Json.Int (Atomic.get t.queries));
       ("errors", Json.Int (Atomic.get t.errors));
       ("store_hits", Json.Int (Atomic.get t.store_hits));
-      ("cache_hits", Json.Int (Atomic.get t.cache_hits));
-      ("cache_misses", Json.Int (Atomic.get t.cache_misses));
       ("computed", Json.Int (Atomic.get t.computed));
       ("inflight_hits", Json.Int (Atomic.get t.inflight_hits));
       ("inflight_dedups", Json.Int dedups);
@@ -97,12 +89,6 @@ let to_json t ~in_flight ~dedups ~pool_inflight ~cache_entries ~cache_capacity
       ("lease_stolen", Json.Int (Atomic.get t.lease_stolen));
       ("rejected_points", Json.Int (Atomic.get t.rejected_points));
       ("pool_inflight", Json.Int pool_inflight);
-      ( "cache",
-        Json.Obj
-          [
-            ("entries", Json.Int cache_entries);
-            ("capacity", Json.Int cache_capacity);
-          ] );
       ( "store",
         Json.Obj
           [

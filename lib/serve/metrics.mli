@@ -14,8 +14,6 @@ val incr_requests : t -> unit
 val incr_queries : t -> unit
 val incr_errors : t -> unit
 val add_store_hits : t -> int -> unit
-val add_cache_hits : t -> int -> unit
-val add_cache_misses : t -> int -> unit
 val add_computed : t -> int -> unit
 val add_inflight_hits : t -> int -> unit
 val add_lease_deferred : t -> int -> unit
@@ -31,10 +29,10 @@ val to_json :
   in_flight:int ->
   dedups:int ->
   pool_inflight:int ->
-  cache_entries:int ->
-  cache_capacity:int ->
   store:Mfu_explore.Store.stats ->
   Mfu_util.Json.t
-(** The [/stats] document. Gauges the metrics object cannot observe on
-    its own (in-flight table size, pool occupancy, result-cache fill,
+(** The [/stats] document, schema [mfu-serve-stats/v2] ([v1] also
+    carried the [cache_hits], [cache_misses] and [cache] fields of the
+    result cache the server no longer has). Gauges the metrics object
+    cannot observe on its own (in-flight table size, pool occupancy,
     store footprint) are passed in by the server at snapshot time. *)

@@ -41,9 +41,6 @@ type aborted_event = {
 type summary = {
   total : int;
   store_hits : int;
-  cache_hits : int;
-      (* store hits answered from the server's decoded-result LRU; a
-         subset of [store_hits], never in addition to it *)
   computed : int;
   inflight_hits : int;
   quarantined : int;
@@ -111,7 +108,6 @@ let event_to_json = function
           ("schema", Json.String version);
           ("total", Json.Int s.total);
           ("store_hits", Json.Int s.store_hits);
-          ("cache_hits", Json.Int s.cache_hits);
           ("computed", Json.Int s.computed);
           ("inflight_hits", Json.Int s.inflight_hits);
           ("quarantined", Json.Int s.quarantined);
@@ -154,10 +150,6 @@ let event_of_json j =
   | "summary" ->
       let* total = field "total" Json.to_int j in
       let* store_hits = field "store_hits" Json.to_int j in
-      (* Absent in summaries from pre-cache servers; default 0. *)
-      let cache_hits =
-        Option.value ~default:0 (Option.bind (Json.member "cache_hits" j) Json.to_int)
-      in
       let* computed = field "computed" Json.to_int j in
       let* inflight_hits = field "inflight_hits" Json.to_int j in
       let* quarantined = field "quarantined" Json.to_int j in
@@ -169,7 +161,6 @@ let event_of_json j =
            {
              total;
              store_hits;
-             cache_hits;
              computed;
              inflight_hits;
              quarantined;

@@ -44,10 +44,6 @@ type aborted_event = {
 type summary = {
   total : int;
   store_hits : int;
-  cache_hits : int;
-      (** store hits answered from the server's decoded-result LRU — a
-          subset of [store_hits], never in addition to it. Absent (0)
-          in summaries from pre-cache servers. *)
   computed : int;
   inflight_hits : int;
   quarantined : int;
@@ -76,6 +72,8 @@ val aborted_event :
 
 val event_to_json : event -> Mfu_util.Json.t
 val event_of_json : Mfu_util.Json.t -> (event, string) result
+(** Fields an event does not define are ignored, so a summary from an
+    older server that still carries [cache_hits] decodes. *)
 
 val event_line : event -> string
 (** Compact JSON followed by ["\n"] — one chunk of a query stream. *)

@@ -51,7 +51,6 @@ type config = {
   lease_ttl : float;
   request_timeout : float;
   queue_capacity : int;
-  cache_entries : int;
 }
 
 let default_config ~store_dir ~listen =
@@ -64,7 +63,6 @@ let default_config ~store_dir ~listen =
     lease_ttl = 60.;
     request_timeout = 30.;
     queue_capacity = 256;
-    cache_entries = 8192;
   }
 
 type conn = { fd : Unix.file_descr; thread : Thread.t option ref }
@@ -72,7 +70,6 @@ type conn = { fd : Unix.file_descr; thread : Thread.t option ref }
 type t = {
   cfg : config;
   store : Store.t;
-  cache : Cache.t;
   lease : Lease.t option;
   inflight : Inflight.t;
   metrics : Metrics.t;
@@ -91,7 +88,6 @@ type t = {
 
 type tally = {
   mutable store_hits : int;
-  mutable cache_hits : int;
   mutable computed : int;
   mutable inflight_hits : int;
   mutable quarantined : int;
@@ -139,7 +135,6 @@ let process st ~emit keyed =
   let tally =
     {
       store_hits = 0;
-      cache_hits = 0;
       computed = 0;
       inflight_hits = 0;
       quarantined = 0;
@@ -149,8 +144,6 @@ let process st ~emit keyed =
     }
   in
   let emit_point point key result source =
-    (* Every settled point warms the LRU, whatever path settled it. *)
-    Cache.add st.cache key result;
     emit (Protocol.Point (Protocol.point_event ~point ~key ~result ~source))
   in
   (* A point this query gives up on still gets an event: the stream
@@ -159,27 +152,20 @@ let process st ~emit keyed =
     tally.aborted <- tally.aborted + 1;
     emit (Protocol.Aborted (Protocol.aborted_event ~point ~key ~reason))
   in
-  (* Pass 1: stream store hits as they are found, consulting the
-     decoded-result LRU before touching the store. A cache hit counts
-     as a store hit on the wire (same provenance, same bytes) and is
-     additionally tallied as such. *)
+  (* Pass 1: stream store hits as they are found. Packed records and
+     entries this server published are answered from the store's
+     index without a read. *)
   let misses = ref [] in
   List.iter
     (fun ((p, k) as pk) ->
-      match Cache.find st.cache k with
-      | Some r ->
+      match Store.lookup st.store ~key:k with
+      | `Hit r ->
           tally.store_hits <- tally.store_hits + 1;
-          tally.cache_hits <- tally.cache_hits + 1;
           emit_point p k r Protocol.Store
-      | None -> (
-          match Store.lookup st.store ~key:k with
-          | `Hit r ->
-              tally.store_hits <- tally.store_hits + 1;
-              emit_point p k r Protocol.Store
-          | `Corrupt ->
-              tally.quarantined <- tally.quarantined + 1;
-              misses := pk :: !misses
-          | `Miss -> misses := pk :: !misses))
+      | `Corrupt ->
+          tally.quarantined <- tally.quarantined + 1;
+          misses := pk :: !misses
+      | `Miss -> misses := pk :: !misses)
     keyed;
   let misses = List.rev !misses in
   (* Pass 2: claim each miss; one owner per key process-wide. *)
@@ -343,8 +329,6 @@ let process st ~emit keyed =
       settle ~acquired:false)
     held;
   Metrics.add_store_hits st.metrics tally.store_hits;
-  Metrics.add_cache_hits st.metrics tally.cache_hits;
-  Metrics.add_cache_misses st.metrics (List.length keyed - tally.cache_hits);
   Metrics.add_computed st.metrics tally.computed;
   Metrics.add_inflight_hits st.metrics tally.inflight_hits;
   tally
@@ -353,7 +337,6 @@ let summary_of_tally total (t : tally) =
   {
     Protocol.total;
     store_hits = t.store_hits;
-    cache_hits = t.cache_hits;
     computed = t.computed;
     inflight_hits = t.inflight_hits;
     quarantined = t.quarantined;
@@ -429,27 +412,18 @@ let handle_point st fd (req : Http.request) =
   | Some spec -> (
       match parse_spec spec with
       | Error e -> respond_error st fd 400 e
-      | Ok [ point ] ->
+      | Ok [ point ] -> (
           Metrics.incr_queries st.metrics;
-          let keyed = Sweep.keyed [ point ] in
-          let tally = process st ~emit:(fun _ -> ()) keyed in
-          let _, key = List.hd keyed in
-          (* Re-read from disk: the reply is exactly what the store
-             persisted, and the source is whatever path settled it. *)
-          (match Store.lookup st.store ~key with
-          | `Hit result ->
-              let source =
-                if tally.computed > 0 then Protocol.Computed
-                else if tally.inflight_hits > 0 then Protocol.Inflight
-                else Protocol.Store
-              in
-              let ev =
-                Protocol.Point
-                  (Protocol.point_event ~point ~key ~result ~source)
-              in
+          (* The reply is the one event [process] emitted for the point:
+             its result and the source of whatever path settled it. *)
+          let settled = ref None in
+          let emit ev = settled := Some ev in
+          ignore (process st ~emit (Sweep.keyed [ point ]) : tally);
+          match !settled with
+          | Some (Protocol.Point _ as ev) ->
               Http.respond fd
                 (Json.to_string ~indent:0 (Protocol.event_to_json ev))
-          | `Miss | `Corrupt ->
+          | Some (Protocol.Aborted _ | Protocol.Summary _) | None ->
               respond_error st fd 500 "point failed to resolve")
       | Ok points ->
           respond_error st fd 400
@@ -463,8 +437,6 @@ let handle_stats st fd =
       ~in_flight:(Inflight.active st.inflight)
       ~dedups:(Inflight.dedups st.inflight)
       ~pool_inflight:(Pool.inflight ())
-      ~cache_entries:(Cache.length st.cache)
-      ~cache_capacity:(Cache.capacity st.cache)
       ~store:(Store.stats st.store)
   in
   Http.respond fd (Json.to_string ~indent:0 doc)
@@ -580,7 +552,6 @@ let start cfg =
     {
       cfg;
       store;
-      cache = Cache.create ~capacity:cfg.cache_entries;
       lease;
       inflight = Inflight.create ();
       metrics = Metrics.create ();

@@ -68,11 +68,11 @@ let spec_1pt = "units=1;size=10;bus=nbus;config=m11br5;loops=5"
 
 let summ = Alcotest.of_pp (fun ppf (s : Protocol.summary) ->
     Format.fprintf ppf
-      "{total=%d; store=%d; cache=%d; computed=%d; inflight=%d; quar=%d; \
-       def=%d; stolen=%d; aborted=%d}"
-      s.Protocol.total s.Protocol.store_hits s.Protocol.cache_hits
-      s.Protocol.computed s.Protocol.inflight_hits s.Protocol.quarantined
-      s.Protocol.lease_deferred s.Protocol.lease_stolen s.Protocol.aborted)
+      "{total=%d; store=%d; computed=%d; inflight=%d; quar=%d; def=%d; \
+       stolen=%d; aborted=%d}"
+      s.Protocol.total s.Protocol.store_hits s.Protocol.computed
+      s.Protocol.inflight_hits s.Protocol.quarantined s.Protocol.lease_deferred
+      s.Protocol.lease_stolen s.Protocol.aborted)
 
 let query_ok ?on_event c ~spec =
   match Client.query ?on_event c ~spec with
@@ -92,7 +92,6 @@ let test_cold_then_warm () =
             {
               Protocol.total = 2;
               store_hits = 0;
-              cache_hits = 0;
               computed = 2;
               inflight_hits = 0;
               quarantined = 0;
@@ -110,7 +109,6 @@ let test_cold_then_warm () =
             {
               Protocol.total = 2;
               store_hits = 2;
-              cache_hits = 2;
               computed = 0;
               inflight_hits = 0;
               quarantined = 0;
@@ -306,7 +304,6 @@ let test_concurrent_clients_dedup () =
                 {
                   Protocol.total = 1;
                   store_hits = 0;
-                  cache_hits = 0;
                   computed = 0;
                   inflight_hits = 1;
                   quarantined = 0;
@@ -383,8 +380,13 @@ let test_stats_endpoint () =
                 | None -> Alcotest.failf "missing field %s" name
               in
               Alcotest.(check (option string)) "schema"
-                (Some "mfu-serve-stats/v1")
+                (Some "mfu-serve-stats/v2")
                 (Option.bind (Json.member "schema" doc) Json.to_str);
+              List.iter
+                (fun name ->
+                  Alcotest.(check bool) (name ^ " is gone") true
+                    (Json.member name doc = None))
+                [ "cache_hits"; "cache_misses"; "cache" ];
               Alcotest.(check int) "computed once" 1 (int_field "computed");
               Alcotest.(check int) "one store hit" 1 (int_field "store_hits");
               Alcotest.(check bool) "uptime present" true
@@ -530,9 +532,8 @@ let test_multi_chunk_store_bytes_match_sweep () =
             points))
 
 (* Serving straight off a packed store: sweep + compact a store before
-   the server ever opens it, then check the first query is pure store
-   hits (decoded segment records, no recomputation) and the second is
-   answered from the hot-entry cache. *)
+   the server ever opens it, then check both queries are pure store hits
+   (decoded segment records, no recomputation). *)
 let test_serve_from_packed_store () =
   let dir = temp_dir () in
   Fun.protect
@@ -566,12 +567,10 @@ let test_serve_from_packed_store () =
         ~finally:(fun () -> Server.stop t)
         (fun () ->
           with_client t (fun cl ->
-              let first = query_ok cl ~spec:spec_2pts in
-              Alcotest.check summ "first query: pure packed store hits"
+              let packed_hits =
                 {
                   Protocol.total = 2;
                   store_hits = 2;
-                  cache_hits = 0;
                   computed = 0;
                   inflight_hits = 0;
                   quarantined = 0;
@@ -579,12 +578,13 @@ let test_serve_from_packed_store () =
                   lease_stolen = 0;
                   aborted = 0;
                 }
-                first;
-              let second = query_ok cl ~spec:spec_2pts in
-              Alcotest.(check int) "second query served from the cache" 2
-                second.Protocol.cache_hits;
-              Alcotest.(check int) "cache hits still count as store hits" 2
-                second.Protocol.store_hits;
+              in
+              Alcotest.check summ "first query: pure packed store hits"
+                packed_hits
+                (query_ok cl ~spec:spec_2pts);
+              Alcotest.check summ "second query: pure packed store hits"
+                packed_hits
+                (query_ok cl ~spec:spec_2pts);
               (* the server's stats expose the packed layout *)
               match Client.stats cl with
               | Error e -> Alcotest.failf "stats failed: %s" e
@@ -595,8 +595,8 @@ let test_serve_from_packed_store () =
                     (Option.get (Json.to_int (member "packed" store_doc)));
                   Alcotest.(check int) "stats: no loose entries" 0
                     (Option.get (Json.to_int (member "loose" store_doc)));
-                  Alcotest.(check bool) "stats: cache hits recorded" true
-                    (Option.get (Json.to_int (member "cache_hits" doc)) >= 2))))
+                  Alcotest.(check int) "stats: four store hits" 4
+                    (Option.get (Json.to_int (member "store_hits" doc))))))
 
 (* connect_retry rides out a server that binds late, and still fails
    cleanly when nobody ever listens. *)
@@ -838,7 +838,6 @@ let test_protocol_roundtrip () =
     {
       Protocol.total = 9;
       store_hits = 4;
-      cache_hits = 2;
       computed = 3;
       inflight_hits = 2;
       quarantined = 1;
@@ -859,6 +858,31 @@ let test_protocol_roundtrip () =
   Alcotest.(check (option string)) "error body round-trips" (Some "boom")
     (Protocol.error_of_body (Protocol.error_body "boom"))
 
+(* Servers before the result cache was removed sent a [cache_hits]
+   field in every summary; a current client still reads their streams. *)
+let test_summary_with_cache_hits_decodes () =
+  let line =
+    "{\"event\":\"summary\",\"schema\":\"mfu-serve/v1\",\"total\":9,\
+     \"store_hits\":4,\"cache_hits\":2,\"computed\":3,\"inflight_hits\":2,\
+     \"quarantined\":1,\"lease_deferred\":1,\"lease_stolen\":0,\"aborted\":1}"
+  in
+  match Result.bind (Json.of_string line) Protocol.event_of_json with
+  | Ok (Protocol.Summary s) ->
+      Alcotest.check summ "every other field read"
+        {
+          Protocol.total = 9;
+          store_hits = 4;
+          computed = 3;
+          inflight_hits = 2;
+          quarantined = 1;
+          lease_deferred = 1;
+          lease_stolen = 0;
+          aborted = 1;
+        }
+        s
+  | Ok _ -> Alcotest.fail "decoded as another event"
+  | Error e -> Alcotest.failf "old summary rejected: %s" e
+
 let () =
   Alcotest.run "serve"
     [
@@ -871,6 +895,8 @@ let () =
           Alcotest.test_case "inflight dedup table" `Quick test_inflight_unit;
           Alcotest.test_case "protocol round-trip" `Quick
             test_protocol_roundtrip;
+          Alcotest.test_case "summary with cache_hits decodes" `Quick
+            test_summary_with_cache_hits_decodes;
           Alcotest.test_case "stalled reader times the writer out" `Quick
             test_write_timeout;
         ] );
@@ -904,8 +930,8 @@ let () =
             test_store_bytes_match_sweep;
           Alcotest.test_case "multi-chunk store bytes match a plain sweep"
             `Quick test_multi_chunk_store_bytes_match_sweep;
-          Alcotest.test_case "serves a packed store, caches warm hits"
-            `Quick test_serve_from_packed_store;
+          Alcotest.test_case "serves a packed store from memory" `Quick
+            test_serve_from_packed_store;
           Alcotest.test_case "connect retry rides out a late bind" `Quick
             test_connect_retry;
         ] );
