@@ -17,7 +17,7 @@
      the telescoping gain, expected in the hundreds;
    - "store/packed": warm reads of a 2000-point result store, packed
      segments vs loose files;
-   - "trace/digest": the trace digest in every point key, hand-written
+   - "trace/digest": the trace digest of a scaled point's key, hand-written
      serializer vs the original Printf one (Mfu_oracle.Trace_io);
    - "model/..." (ungated): the calibrated surrogate's [Mfu_model.predict]
      vs exactly simulating the same machine on Livermore loop 7.
@@ -141,11 +141,11 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-(* A loose store pays open(2) + read(2) + close(2) + JSON parse + MD5 per
-   lookup; a packed store decodes each segment record once at
-   [Store.open_] and serves lookups from memory. The store is synthetic
-   (sequential keys, small distinct results), so the row measures the
-   store, not the simulator. *)
+(* A loose store pays open(2) + read(2) + close(2) + JSON parse + MD5 on
+   a handle's first lookup of each entry; a packed store decodes each
+   segment record once at [Store.open_] and serves lookups from memory.
+   The store is synthetic (sequential keys, small distinct results), so
+   the row measures the store, not the simulator. *)
 let store_row =
   let points = 2000 in
   let key i = Printf.sprintf "mfu-point/v1 bench-key-%06d" i in
@@ -166,23 +166,25 @@ let store_row =
     let loose, _ = fill () in
     let packed, store = fill () in
     ignore (Store.compact store : Store.compaction);
-    (* fresh handles: the loose one indexes names only, so every read
-       goes to the filesystem, as in a resumed sweep *)
-    let reads dir =
-      let store = Store.open_ dir in
-      fun () ->
-        for i = 0 to points - 1 do
-          if Store.find store ~key:(key i) <> Some (result i) then
-            failwith ("wrong or missing store entry " ^ key i)
-        done;
-        points
+    let reads store =
+      for i = 0 to points - 1 do
+        if Store.find store ~key:(key i) <> Some (result i) then
+          failwith ("wrong or missing store entry " ^ key i)
+      done;
+      points
     in
-    (reads packed, reads loose)
+    (* The packed side reads through one handle, opened here. A handle
+       keeps each loose entry it has read, so the loose side opens a
+       fresh one per pass and every read goes to the filesystem, as in
+       a resumed sweep. *)
+    let packed_store = Store.open_ packed in
+    ((fun () -> reads packed_store), fun () -> reads (Store.open_ loose))
   in
   { name = "store/packed"; floor = Some 10.0; unit = "points"; sides }
 
-(* Keying a point (Mfu_explore.Axes.key) hashes its loop's Trace_io
-   text, so a warm sweep pays this before its first store lookup. Both
+(* Keying a scaled point (Mfu_explore.Axes.key) hashes its loop's
+   Trace_io text, so a sweep at [scale > 1] pays this before its first
+   store lookup; paper-sized digests are computed at build time. Both
    sides serialize and MD5 the 14 paper-sized traces. On a 2-vCPU host
    the row measured 5.4-6.6x; spelling the integers with
    [string_of_int] instead of the digit writer measured 2.1-2.4x, under

@@ -36,11 +36,12 @@ let reg_of_string s =
 let reg_of_string s = if s = "VL" then Some Reg.VL else reg_of_string s
 
 (* The writer appends straight into the buffer, with no [Printf]: this
-   text is hashed into every [mfu-point/v1] key (Axes.key), so a warm
-   sweep serializes every trace it touches. Its bytes are part of the key
-   contract. The test suite's oracle (test/oracle/trace_io.ml) keeps the
-   original [Printf] writer; test_trace_io checks this one against it
-   and pins the digests. *)
+   text is hashed into every [mfu-point/v1] key (Axes.key). The 14
+   paper-sized digests are computed when the explore library is built;
+   a process serializes a scaled trace the first time it keys one. Its
+   bytes are part of the key contract. The test suite's oracle
+   (test/oracle/trace_io.ml) keeps the original [Printf] writer;
+   test_trace_io checks this one against it and pins the digests. *)
 
 (* Decimal digits of [n <= 0], most significant first. Counting on the
    non-positive side lets [min_int] through, whose magnitude is no [int]. *)
@@ -134,6 +135,8 @@ let to_string (trace : Trace.t) =
   Buffer.add_char buf '\n';
   Array.iter (add_entry buf) trace;
   Buffer.contents buf
+
+let digest trace = Digest.to_hex (Digest.string (to_string trace))
 
 let of_string text =
   match String.split_on_char '\n' text with

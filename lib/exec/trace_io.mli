@@ -19,6 +19,10 @@
 
 val to_string : Trace.t -> string
 
+val digest : Trace.t -> string
+(** The hex MD5 of {!to_string}: the [trace=] field of every
+    [mfu-point/v1] key. *)
+
 val of_string : string -> (Trace.t, string) result
 (** Errors carry the offending line number. *)
 

@@ -69,29 +69,32 @@ let config_to_key (c : Config.t) =
       "}";
     ]
 
-(* Trace digests are memoized per (loop number, scale). The table is
-   guarded by a mutex because the serve daemon keys points from
-   concurrent client threads; the lock is uncontended in the batch
-   drivers, which key every point on the calling domain before fanning
-   out. The trace generation itself runs outside the lock (Trace_cache
-   is already domain-safe), so a slow first digest never serializes
-   unrelated keys. *)
+(* A paper-sized digest is read from [Paper_digests], which the build
+   computes with [Livermore.trace_digest] (see dune), so keying a
+   scale-1 point generates no trace. Scaled digests are memoized per
+   (loop number, scale). The table is guarded by a mutex because the
+   serve daemon keys points from concurrent client threads; the lock is
+   uncontended in the batch drivers, which key every point on the
+   calling domain before fanning out. The trace generation itself runs
+   outside the lock (Trace_cache is already domain-safe), so a slow first
+   digest never serializes unrelated keys. *)
 let trace_digests : (int * int, string) Hashtbl.t = Hashtbl.create 16
 let trace_digests_lock = Mutex.create ()
 
 let trace_digest loop scale =
-  let memoized =
-    Mutex.protect trace_digests_lock (fun () ->
-        Hashtbl.find_opt trace_digests (loop, scale))
-  in
-  match memoized with
-  | Some d -> d
-  | None ->
-      let trace = Livermore.trace (Livermore.scaled ~scale loop) in
-      let d = Digest.to_hex (Digest.string (Mfu_exec.Trace_io.to_string trace)) in
+  if scale = 1 then Paper_digests.table.(loop - 1)
+  else
+    let memoized =
       Mutex.protect trace_digests_lock (fun () ->
-          Hashtbl.replace trace_digests (loop, scale) d);
-      d
+          Hashtbl.find_opt trace_digests (loop, scale))
+    in
+    match memoized with
+    | Some d -> d
+    | None ->
+        let d = Livermore.trace_digest (Livermore.scaled ~scale loop) in
+        Mutex.protect trace_digests_lock (fun () ->
+            Hashtbl.replace trace_digests (loop, scale) d);
+        d
 
 (* [scale] appears both as an explicit key dimension and through the trace
    digest, so a scaled run can never alias the default-size result even if
@@ -487,7 +490,7 @@ let apply_clause axes clause =
       | "scale" ->
           let* scales = int_list_of_string "scale" values in
           if List.for_all (fun s -> s >= 1) scales then Ok { axes with scales }
-          else Error "scale: factors must be >= 1" 
+          else Error "scale: factors must be >= 1"
       | other -> Error (Printf.sprintf "unknown axis %S" other))
 
 let of_string s =

@@ -81,8 +81,10 @@ val key : point -> string
     keys are the same experiment on the same workload under the same
     simulators; the scale appears both explicitly and through the trace
     digest, so a scaled run can never alias the default-size result.
-    Trace digests are memoized per (loop, scale); the first call for a
-    pair generates its trace.
+    A paper-sized ([scale = 1]) digest is read from a table the build
+    computes with {!Mfu_loops.Livermore.trace_digest}, so keying it
+    generates no trace; a scaled digest is memoized per (loop, scale),
+    and the first call for a pair generates its trace.
 
     Steady-state acceleration ({!Mfu_sim.Steady}) is deliberately {e not}
     a key dimension: accelerated and full runs are bit-identical by

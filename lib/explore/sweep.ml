@@ -549,8 +549,8 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
         invalid_arg "Sweep.run: guided sweeps do not take a lease";
       guided_run ?jobs ~resume ?progress ~store ~guided:g points
   | None ->
-  (* Keying generates and digests traces; do it once, on this domain, so
-     workers only simulate and write. *)
+  (* Keying a scaled point generates and digests its trace; key once, on
+     this domain, so workers only simulate and write. *)
   let keyed = keyed points in
   let hits, missing, quarantined =
     if resume then lookup_all ~store keyed else ([], keyed, 0)

@@ -778,6 +778,8 @@ let trace l =
       (Codegen.run ~max_instructions:(step_budget l) (compiled l) l.inputs)
         .Cpu.trace)
 
+let trace_digest l = Mfu_exec.Trace_io.digest (trace l)
+
 let scheduled_trace l =
   let number, sizes = cache_key l in
   Trace_cache.find_or_generate ~number ~sizes ~kind:Trace_cache.Scheduled

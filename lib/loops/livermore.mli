@@ -110,6 +110,11 @@ val trace : loop -> Mfu_exec.Trace.t
     physical array, even under concurrent access from {!Mfu_util.Pool}
     worker domains. *)
 
+val trace_digest : loop -> string
+(** [Mfu_exec.Trace_io.digest (trace l)]: the workload identity in every
+    [mfu-point/v1] key. The 14 paper-sized digests are also computed when
+    the explore library is built (see [Mfu_explore.Axes.key]). *)
+
 val scheduled_trace : loop -> Mfu_exec.Trace.t
 (** Like {!trace}, but the compiled program is first passed through the
     basic-block list scheduler ({!Mfu_asm.Scheduler}) with CRAY-1 M11BR5

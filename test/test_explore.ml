@@ -143,6 +143,21 @@ let test_keys_distinguish () =
       Alcotest.(check bool) "distinct keys" false (Axes.key p = Axes.key base))
     variants
 
+(* A paper-sized digest comes from the table the build generates, so
+   keying the whole Table 7/8 grid generates no trace. *)
+let test_paper_keys_generate_no_trace () =
+  let points =
+    match Axes.of_string "paper-ruu" with
+    | Ok axes -> Axes.enumerate axes
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "paper-ruu points" 2688 (List.length points);
+  Mfu_loops.Trace_cache.clear ();
+  List.iter (fun p -> ignore (Axes.key p : string)) points;
+  let s = Mfu_loops.Trace_cache.stats () in
+  Alcotest.(check (pair int int)) "trace cache misses, entries" (0, 0)
+    (s.misses, s.entries)
+
 (* The serve daemon's /stats attributes compute time under these
    labels, and consumers sum them by name: the strings are part of the
    interface. Machine parameters and the latency configuration collapse
@@ -966,6 +981,8 @@ let () =
           Alcotest.test_case "keys distinguish" `Quick test_keys_distinguish;
           Alcotest.test_case "scale axis" `Quick test_scale_axis;
           Alcotest.test_case "family key labels" `Quick test_family_key;
+          Alcotest.test_case "paper-sized keys generate no trace" `Quick
+            test_paper_keys_generate_no_trace;
           Alcotest.test_case "rank is a deterministic permutation" `Quick
             test_rank_is_deterministic_permutation;
           Alcotest.test_case "table7 rank order pinned" `Quick

@@ -132,8 +132,6 @@ let test_edge_integers_match_oracle () =
    and orphans every existing store; these digests make that loud. They
    were computed with the original [Printf] serializer and the
    list-building [Cpu.run]. *)
-let md5 t = Digest.to_hex (Digest.string (Trace_io.to_string t))
-
 let pinned_raw =
   [
     (1, "a1b5daf4f03c5c77d791d898b4da0b70");
@@ -183,7 +181,7 @@ let check_pinned what pinned trace_of =
   let label (n, d) = (Printf.sprintf "LL%d" n, d) in
   Alcotest.(check (list (pair string string)))
     what (List.map label pinned)
-    (List.map (fun (n, _) -> label (n, md5 (trace_of n))) pinned)
+    (List.map (fun (n, _) -> label (n, Trace_io.digest (trace_of n))) pinned)
 
 let test_pinned_raw () =
   check_pinned "raw trace digests" pinned_raw (fun n ->
@@ -197,29 +195,45 @@ let test_pinned_scale3 () =
   check_pinned "scale-3 trace digests" pinned_scale3 (fun n ->
       Livermore.trace (Livermore.scaled ~scale:3 n))
 
+let ll1_point =
+  {
+    Mfu_explore.Axes.machine =
+      Mfu_explore.Axes.Ruu
+        {
+          issue_units = 4;
+          ruu_size = 50;
+          bus = Mfu_sim.Sim_types.N_bus;
+          branches = Mfu_sim.Ruu.Stall;
+        };
+    config = Mfu_isa.Config.m11br5;
+    loop = 1;
+    scale = 1;
+  }
+
 let test_pinned_point_key () =
-  let p =
-    {
-      Mfu_explore.Axes.machine =
-        Mfu_explore.Axes.Ruu
-          {
-            issue_units = 4;
-            ruu_size = 50;
-            bus = Mfu_sim.Sim_types.N_bus;
-            branches = Mfu_sim.Ruu.Stall;
-          };
-      config = Mfu_isa.Config.m11br5;
-      loop = 1;
-      scale = 1;
-    }
-  in
   Alcotest.(check string)
     "key"
     "mfu-point/v1 sim=mfu-sim/1 \
      machine=ruu(units=4,size=50,bus=N-Bus,branches=stall) \
      config=M11BR5{aa=2,am=6,lg=1,sh=2,sa=3,fa=6,fm=7,rc=14,me=11,br=5,tr=1} \
      loop=LL1 scale=1 trace=a1b5daf4f03c5c77d791d898b4da0b70"
-    (Mfu_explore.Axes.key p)
+    (Mfu_explore.Axes.key ll1_point)
+
+(* [Axes.key] reads a paper-sized digest from the table the build
+   generates (lib/explore/gen), LL1 first; each entry must be its own
+   loop's digest, and each key must carry it. *)
+let test_paper_digest_table () =
+  let expected =
+    List.init 14 (fun i -> Livermore.trace_digest (Livermore.scaled (i + 1)))
+  in
+  Alcotest.(check (list string)) "generated table" expected
+    (Array.to_list Mfu_explore.Paper_digests.table);
+  let key_digest loop =
+    let k = Mfu_explore.Axes.key { ll1_point with loop } in
+    String.sub k (String.length k - 32) 32
+  in
+  Alcotest.(check (list string)) "key trace fields" expected
+    (List.init 14 (fun i -> key_digest (i + 1)))
 
 (* [Axes.key] concatenates its fields; these are the [sprintf] formats
    it replaced, so every family, interconnect, branch policy and
@@ -230,7 +244,7 @@ let trace_md5 =
     match Hashtbl.find_opt memo (loop, scale) with
     | Some d -> d
     | None ->
-        let d = md5 (Livermore.trace (Livermore.scaled ~scale loop)) in
+        let d = Livermore.trace_digest (Livermore.scaled ~scale loop) in
         Hashtbl.add memo (loop, scale) d;
         d
 
@@ -355,6 +369,8 @@ let () =
           Alcotest.test_case "scheduled traces" `Quick test_pinned_scheduled;
           Alcotest.test_case "scale 3" `Quick test_pinned_scale3;
           Alcotest.test_case "point key" `Quick test_pinned_point_key;
+          Alcotest.test_case "generated paper-sized digests" `Quick
+            test_paper_digest_table;
           Alcotest.test_case "every key matches the printf format" `Quick
             test_keys_match_printf_format;
         ] );
