@@ -19,6 +19,8 @@
      segments vs loose files;
    - "trace/digest": the trace digest of a scaled point's key, hand-written
      serializer vs the original Printf one (Mfu_oracle.Trace_io);
+   - "json/parse": decoding mfu-result/v1 entry texts, the index scanner
+     vs the original char-option parser (Mfu_oracle.Json);
    - "model/..." (ungated): the calibrated surrogate's [Mfu_model.predict]
      vs exactly simulating the same machine on Livermore loop 7.
 
@@ -39,6 +41,7 @@ module Limits = Mfu_limits.Limits
 module Oracle = Mfu_oracle
 module Livermore = Mfu_loops.Livermore
 module Store = Mfu_explore.Store
+module Axes = Mfu_explore.Axes
 module Model = Mfu_model
 module Json = Mfu_util.Json
 
@@ -203,6 +206,52 @@ let digest_row =
   in
   { name = "trace/digest"; floor = Some 3.5; unit = "entries"; sides }
 
+(* Decoding a stored entry is most of what [Store.open_] pays per packed
+   record. The texts are the entries of Table 7's first 240 points,
+   written by [Store.put] with a sweep's metadata and read back. On a
+   2-vCPU host the row measured 2.35-2.94x over 6 runs; peeking a
+   [char option] per byte again measured 1.16-1.19x, under the 1.8x
+   floor. *)
+let json_row =
+  let sides () =
+    let dir = Filename.temp_file "mfu_bench_json" "" in
+    Sys.remove dir;
+    at_exit (fun () -> rm_rf dir);
+    let store = Store.open_ dir in
+    List.iteri
+      (fun i (p : Axes.point) ->
+        if i < 240 then
+          Store.put store ~key:(Axes.key p)
+            ~meta:
+              [
+                ("machine", Json.String (Axes.machine_to_string p.machine));
+                ("config", Json.String (Config.name p.config));
+                ("loop", Json.Int p.loop);
+                ("scale", Json.Int p.scale);
+                ("sim_version", Json.String Axes.sim_version);
+              ]
+            { Sim_types.cycles = 10_000 + i; instructions = 8_000 + i })
+      (Axes.enumerate Axes.table7);
+    let rec texts path =
+      if Sys.is_directory path then
+        Array.to_list (Sys.readdir path)
+        |> List.concat_map (fun f -> texts (Filename.concat path f))
+      else [ In_channel.with_open_bin path In_channel.input_all ]
+    in
+    let texts = texts (Filename.concat dir "objects") in
+    let pass of_string () =
+      List.iter
+        (fun text ->
+          match of_string text with
+          | Ok _ -> ()
+          | Error e -> failwith ("bench entry does not parse: " ^ e))
+        texts;
+      List.length texts
+    in
+    (pass Json.of_string, pass Oracle.Json.of_string)
+  in
+  { name = "json/parse"; floor = Some 1.8; unit = "entries"; sides }
+
 (* Per-point cost of pricing a machine with the surrogate (pure arithmetic
    over memoized histograms) against simulating it; calibration, itself
    a handful of exact runs, happens before the timing. *)
@@ -242,7 +291,7 @@ let model_rows =
           } );
     ]
 
-let specs = families @ [ store_row; digest_row ] @ model_rows
+let specs = families @ [ store_row; digest_row; json_row ] @ model_rows
 
 (* Work per second of [f], best of the rounds it is timed in. A timing
    repeats [f] until it covers [min_time] seconds; the repeat count it

@@ -245,7 +245,28 @@ let quarantine_bytes t ~name text =
       (fun () -> output_string oc text)
   with Sys_error _ -> ()
 
-let validate ~digest text =
+let hex_digits = "0123456789abcdef"
+
+(* [hex] is [raw]'s {!Digest.to_hex} spelling, without building it. *)
+let spells_digest hex raw =
+  String.length hex = 32
+  &&
+  let rec from i =
+    i = 16
+    ||
+    let b = Char.code raw.[i] in
+    hex.[2 * i] = hex_digits.[b lsr 4]
+    && hex.[(2 * i) + 1] = hex_digits.[b land 15]
+    && from (i + 1)
+  in
+  from 0
+
+(* Check an entry's text against [digest], the 16 raw bytes of the key
+   it is filed under. A caller that knows that key (a record's framing
+   key, a lookup's key) passes it, and the entry's "key" field must equal
+   it; without one (compaction of a loose file) the field must hash to
+   [digest]. *)
+let validate ?key ~digest text =
   match Json.of_string text with
   | Error e -> Error ("unparseable JSON: " ^ e)
   | Ok json -> (
@@ -257,10 +278,15 @@ let validate ~digest text =
           field "result" )
       with
       | Some s, _, _, _ when s <> schema -> Error ("wrong schema " ^ s)
-      | Some _, Some key, Some stored_digest, Some result -> (
-          if stored_digest <> digest then Error "digest field mismatch"
-          else if digest_of_key key <> digest then
-            Error "key does not hash to file digest"
+      | Some _, Some stored_key, Some stored_digest, Some result -> (
+          if not (spells_digest stored_digest digest) then
+            Error "digest field mismatch"
+          else if
+            not
+              (match key with
+              | Some key -> String.equal stored_key key
+              | None -> String.equal (Digest.string stored_key) digest)
+          then Error "key field does not match the file's key"
           else
             match
               ( Option.bind (Json.member "cycles" result) Json.to_int,
@@ -268,7 +294,7 @@ let validate ~digest text =
             with
             | Some cycles, Some instructions
               when cycles >= 0 && instructions >= 0 ->
-                Ok (key, { Sim_types.cycles; instructions })
+                Ok (stored_key, { Sim_types.cycles; instructions })
             | _ -> Error "bad result payload")
       | _ -> Error "missing required field")
 
@@ -321,7 +347,8 @@ let record_append buf ~key ~payload =
 let record_length ~key ~payload =
   8 + String.length key + String.length payload + 16
 
-(* Parse and digest-check the record at [off]. *)
+(* Parse and digest-check the record at [off]: the MD5 is taken over
+   the key and payload where they lie, and compared in place. *)
 let record_read pack off =
   let len = String.length pack in
   if off + 8 > len then Error "record header out of bounds"
@@ -331,12 +358,18 @@ let record_read pack off =
     if klen <= 0 || plen <= 0 || klen > 65536 || off + 8 + klen + plen + 16 > len
     then Error "record frame out of bounds"
     else
-      let key = String.sub pack (off + 8) klen in
-      let payload = String.sub pack (off + 8 + klen) plen in
-      let stored = String.sub pack (off + 8 + klen + plen) 16 in
-      if not (String.equal stored (Digest.string (key ^ payload))) then
-        Error "record digest mismatch"
-      else Ok (key, payload, 8 + klen + plen + 16)
+      let body = off + 8 in
+      let stored = body + klen + plen in
+      let d = Digest.substring pack body (klen + plen) in
+      if
+        String.get_int64_ne pack stored <> String.get_int64_ne d 0
+        || String.get_int64_ne pack (stored + 8) <> String.get_int64_ne d 8
+      then Error "record digest mismatch"
+      else
+        Ok
+          ( String.sub pack body klen,
+            String.sub pack (body + klen) plen,
+            8 + klen + plen + 16 )
 
 (* The .idx sidecar — u32BE count, then per record a 16-byte key digest
    and u64BE offset, closed by an MD5 of the entry area. It is advisory
@@ -443,11 +476,11 @@ let load_segment t seq =
           (read_file_opt (segment_idx_path t ~seq))
           (idx_parse ~pack_len:(String.length pack))
       in
-      let accept ~off key payload reclen =
-        let raw = Digest.string key in
-        match validate ~digest:(Digest.to_hex raw) payload with
+      (* [digest] is the key's, taken once per record by the caller. *)
+      let accept ~off ~digest key payload reclen =
+        match validate ~key ~digest payload with
         | Ok (_, r) ->
-            let e = Dtbl.upsert t.idx.tbl raw in
+            let e = Dtbl.upsert t.idx.tbl digest in
             insert_packed t ~seg_meta e
               {
                 seg = seq;
@@ -470,7 +503,7 @@ let load_segment t seq =
               match record_read pack off with
               | Ok (key, payload, reclen)
                 when String.equal (Digest.string key) digest ->
-                  ignore (accept ~off key payload reclen)
+                  ignore (accept ~off ~digest key payload reclen)
               | Ok (_, _, reclen) ->
                   quarantine_bytes t
                     ~name:(Printf.sprintf "pack-%08d-%d.record" seq off)
@@ -494,8 +527,9 @@ let load_segment t seq =
           while (not !stop) && !off < String.length pack do
             match record_read pack !off with
             | Ok (key, payload, reclen) ->
-                if accept ~off:!off key payload reclen then
-                  rebuilt := (Digest.string key, !off) :: !rebuilt;
+                let digest = Digest.string key in
+                if accept ~off:!off ~digest key payload reclen then
+                  rebuilt := (digest, !off) :: !rebuilt;
                 off := !off + reclen
             | Error _ ->
                 quarantine_bytes t
@@ -535,8 +569,36 @@ let rescan_segments_locked t =
     (fun seq -> if seq > t.idx.max_seq then load_segment t seq)
     (seg_seqs_on_disk t)
 
-let is_hex s =
-  String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | _ -> -1
+
+let is_hex s = String.for_all (fun c -> hex_value c >= 0) s
+
+(* The raw digest a file of directory [shard] names, if the name is an
+   entry's of that shard: 32 lower-case hex digits, the first two the
+   shard's, then [.json]. One pass over the name, no substring. *)
+let entry_name_digest ~shard f =
+  if
+    String.length f <> 37
+    || f.[0] <> shard.[0]
+    || f.[1] <> shard.[1]
+    || not (String.ends_with ~suffix:".json" f)
+  then None
+  else
+    let raw = Bytes.create 16 in
+    let rec decode i =
+      if i = 16 then Some (Bytes.unsafe_to_string raw)
+      else
+        let hi = hex_value f.[2 * i] and lo = hex_value f.[(2 * i) + 1] in
+        if hi < 0 || lo < 0 then None
+        else begin
+          Bytes.unsafe_set raw i (Char.unsafe_chr ((hi lsl 4) lor lo));
+          decode (i + 1)
+        end
+    in
+    decode 0
 
 (* Record the loose entries by name only: one listing per shard and no
    syscall per entry — contents are read (and fully validated) on
@@ -562,15 +624,9 @@ let scan_loose t =
         | Some files ->
             Array.iter
               (fun f ->
-                if
-                  String.length f = 37
-                  && Filename.check_suffix f ".json"
-                  && is_hex (String.sub f 0 32)
-                  && String.equal (String.sub f 0 2) shard
-                then
-                  (Dtbl.upsert t.idx.tbl (Digest.from_hex (String.sub f 0 32)))
-                    .loose <- Unread
-                else t.idx.foreign <- t.idx.foreign + 1)
+                match entry_name_digest ~shard f with
+                | Some digest -> (Dtbl.upsert t.idx.tbl digest).loose <- Unread
+                | None -> t.idx.foreign <- t.idx.foreign + 1)
               files)
       (Sys.readdir dir)
 
@@ -680,11 +736,15 @@ let manifest_json ~entries ~segments =
       ("segments", Json.Int segments);
     ]
 
+(* Written only when its bytes change: a warm sweep, which ends here,
+   leaves the file as it found it. *)
 let refresh_manifest t =
   let entries = entry_count t in
   let segments = Mutex.protect t.lock (fun () -> List.length t.idx.segs) in
-  write_atomically t ~temp_name:"MANIFEST.json.tmp" ~dest:(manifest_path t)
-    (Json.to_string (manifest_json ~entries ~segments) ^ "\n")
+  let text = Json.to_string (manifest_json ~entries ~segments) ^ "\n" in
+  if read_file_opt (manifest_path t) <> Some text then
+    write_atomically t ~temp_name:"MANIFEST.json.tmp" ~dest:(manifest_path t)
+      text
 
 (* ------------------------------------------------------------------ *)
 (* Open                                                               *)
@@ -755,7 +815,7 @@ let loose_reads t = Atomic.get t.loose_reads
 (* One loose entry, read once and validated: the verbatim text comes
    back with the key and result, so a caller needing the bytes (the
    compactor) never reads the file again. *)
-let read_loose t path ~digest =
+let read_loose ?key t path ~digest =
   match read_regular path with
   | `Vanished -> `Vanished
   | `Foreign -> `Foreign
@@ -765,7 +825,7 @@ let read_loose t path ~digest =
         match read with
         | `Text text ->
             Result.map (fun (key, result) -> (text, key, result))
-              (validate ~digest text)
+              (validate ?key ~digest text)
         | `Short -> Error "short read"
       in
       match checked with
@@ -794,7 +854,7 @@ let lookup t ~key =
       `Hit p.result
   | Some ({ loose = Unread; _ } as e) -> (
       let hex = Digest.to_hex raw in
-      match read_loose t (loose_path t hex) ~digest:hex with
+      match read_loose ~key t (loose_path t hex) ~digest:raw with
       | `Valid (text, _, result) ->
           (* Remembered, unless the file left the index meanwhile (a
              compaction through this handle folded it). *)
@@ -827,7 +887,7 @@ let lookup t ~key =
          (publications always land loose), then check for segments we
          have not seen. *)
       let hex = Digest.to_hex raw in
-      match read_loose t (loose_path t hex) ~digest:hex with
+      match read_loose ~key t (loose_path t hex) ~digest:raw with
       | `Valid (text, _, result) ->
           Mutex.protect t.lock (fun () ->
               let e = Dtbl.upsert t.idx.tbl raw in
@@ -913,9 +973,8 @@ let compact_locked ?(full = false) ?crash t =
   let loose_items =
     List.filter_map
       (fun e ->
-        let hex = Digest.to_hex e.digest in
-        let path = loose_path t hex in
-        match read_loose t path ~digest:hex with
+        let path = loose_path t (Digest.to_hex e.digest) in
+        match read_loose t path ~digest:e.digest with
         | `Valid (payload, key, result) -> Some (e, path, key, payload, result)
         | `Foreign ->
             demote_foreign_locked t e;

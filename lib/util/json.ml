@@ -89,165 +89,216 @@ let of_int_array a = List (Array.to_list (Array.map (fun i -> Int i) a))
 
 (* -- parsing ---------------------------------------------------------------- *)
 
+(* An index scanner over [text]: the cursor is an int, bytes are read in
+   place, and an escape-free string is one [String.sub] — a [Buffer] is
+   made only for a string holding a backslash. The grammar and every
+   [Error] string match the original char-option parser, kept as the
+   test oracle (test/oracle/json.ml). *)
+
 exception Parse_error of int * string
+
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* encode one Unicode scalar value; enough for re-reading our output *)
+let add_utf8 buf cp =
+  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
+  else if cp < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xc0 lor (cp lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xe0 lor (cp lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
+    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
+  end
 
 let of_string text =
   let n = String.length text in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
+  let at c = !pos < n && String.unsafe_get text !pos = c in
   let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | Some d -> fail (Printf.sprintf "expected %C, found %C" c d)
-    | None -> fail (Printf.sprintf "expected %C, found end of input" c)
+    if at c then incr pos
+    else if !pos < n then
+      fail (Printf.sprintf "expected %C, found %C" c text.[!pos])
+    else fail (Printf.sprintf "expected %C, found end of input" c)
   in
   let skip_ws () =
     while
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> true
+      !pos < n
+      &&
+      match String.unsafe_get text !pos with
+      | ' ' | '\t' | '\n' | '\r' -> true
       | _ -> false
     do
-      advance ()
+      incr pos
     done
   in
   let literal word value =
     let l = String.length word in
-    if !pos + l <= n && String.sub text !pos l = word then begin
+    let rec matches i =
+      i = l || (text.[!pos + i] = word.[i] && matches (i + 1))
+    in
+    if !pos + l <= n && matches 0 then begin
       pos := !pos + l;
       value
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let utf8 buf cp =
-    (* encode one Unicode scalar value; enough for re-reading our output *)
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
+  (* The four bytes after [\u], read as [int_of_string ("0x" ^ hex)]
+     reads them: a hex digit, then hex digits or underscores. *)
+  let unicode_escape () =
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let cp = ref (hex_value text.[!pos]) in
+    if !cp < 0 then fail "bad \\u escape";
+    for i = 1 to 3 do
+      match text.[!pos + i] with
+      | '_' -> ()
+      | c ->
+          let d = hex_value c in
+          if d < 0 then fail "bad \\u escape";
+          cp := (!cp lsl 4) lor d
+    done;
+    pos := !pos + 4;
+    !cp
+  in
+  (* Advance over bytes a string holds verbatim. *)
+  let skip_plain () =
+    while
+      !pos < n
+      &&
+      let c = String.unsafe_get text !pos in
+      c <> '"' && c <> '\\' && Char.code c >= 0x20
+    do
+      incr pos
+    done
+  in
+  (* The rest of a string whose decoded bytes so far are in [buf]; the
+     cursor is on the byte that ended a verbatim run. *)
+  let rec string_tail buf =
+    if !pos >= n then fail "unterminated string";
+    match text.[!pos] with
+    | '"' ->
+        incr pos;
+        Buffer.contents buf
+    | '\\' ->
+        incr pos;
+        if !pos >= n then fail "unterminated escape";
+        let c = text.[!pos] in
+        incr pos;
+        (match c with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'u' -> add_utf8 buf (unicode_escape ())
+        | _ -> fail (Printf.sprintf "bad escape \\%C" c));
+        let start = !pos in
+        skip_plain ();
+        Buffer.add_substring buf text start (!pos - start);
+        string_tail buf
+    | _ -> fail "raw control character"
   in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> fail "unterminated escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | '/' -> Buffer.add_char buf '/'
-              | 'b' -> Buffer.add_char buf '\b'
-              | 'f' -> Buffer.add_char buf '\012'
-              | 'n' -> Buffer.add_char buf '\n'
-              | 'r' -> Buffer.add_char buf '\r'
-              | 't' -> Buffer.add_char buf '\t'
-              | 'u' ->
-                  if !pos + 4 > n then fail "truncated \\u escape";
-                  let hex = String.sub text !pos 4 in
-                  let cp =
-                    match int_of_string_opt ("0x" ^ hex) with
-                    | Some cp -> cp
-                    | None -> fail "bad \\u escape"
-                  in
-                  pos := !pos + 4;
-                  utf8 buf cp
-              | _ -> fail (Printf.sprintf "bad escape \\%C" c));
-              loop ())
-      | Some c when Char.code c < 0x20 -> fail "raw control character"
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
+    let start = !pos in
+    skip_plain ();
+    if at '"' then begin
+      incr pos;
+      String.sub text start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (2 * (!pos - start) + 16) in
+      Buffer.add_substring buf text start (!pos - start);
+      string_tail buf
+    end
+  in
+  let skip_digits () =
+    while !pos < n && match text.[!pos] with '0' .. '9' -> true | _ -> false do
+      incr pos
+    done
   in
   let parse_number () =
     let start = !pos in
     let fractional = ref false in
-    if peek () = Some '-' then advance ();
-    let digit () =
-      match peek () with Some '0' .. '9' -> true | _ -> false
-    in
-    while digit () do
-      advance ()
-    done;
-    if peek () = Some '.' then begin
+    if at '-' then incr pos;
+    let first_digit = !pos in
+    skip_digits ();
+    let digits = !pos - first_digit in
+    if at '.' then begin
       fractional := true;
-      advance ();
-      while digit () do
-        advance ()
-      done
+      incr pos;
+      skip_digits ()
     end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        fractional := true;
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        while digit () do
-          advance ()
-        done
-    | _ -> ());
-    let token = String.sub text start (!pos - start) in
-    if !fractional then
-      match float_of_string_opt token with
-      | Some f -> Float f
-      | None -> fail (Printf.sprintf "bad number %S" token)
+    if at 'e' || at 'E' then begin
+      fractional := true;
+      incr pos;
+      if at '+' || at '-' then incr pos;
+      skip_digits ()
+    end;
+    if (not !fractional) && digits > 0 && digits <= 18 then begin
+      (* at most 18 digits: no [int] overflow, no token to allocate *)
+      let v = ref 0 in
+      for i = first_digit to !pos - 1 do
+        v := (10 * !v) + Char.code text.[i] - 48
+      done;
+      Int (if first_digit > start then - !v else !v)
+    end
     else
-      match int_of_string_opt token with
-      | Some i -> Int i
-      | None -> (
-          (* out of int range: fall back to float *)
-          match float_of_string_opt token with
-          | Some f -> Float f
-          | None -> fail (Printf.sprintf "bad number %S" token))
+      let token = String.sub text start (!pos - start) in
+      if !fractional then
+        match float_of_string_opt token with
+        | Some f -> Float f
+        | None -> fail (Printf.sprintf "bad number %S" token)
+      else
+        match int_of_string_opt token with
+        | Some i -> Int i
+        | None -> (
+            (* out of int range: fall back to float *)
+            match float_of_string_opt token with
+            | Some f -> Float f
+            | None -> fail (Printf.sprintf "bad number %S" token))
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some '[' ->
-        advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match text.[!pos] with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '-' | '0' .. '9' -> parse_number ()
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
+        if at ']' then begin
+          incr pos;
           List []
         end
         else begin
           let items = ref [ parse_value () ] in
           skip_ws ();
-          while peek () = Some ',' do
-            advance ();
+          while at ',' do
+            incr pos;
             items := parse_value () :: !items;
             skip_ws ()
           done;
           expect ']';
           List (List.rev !items)
         end
-    | Some '{' ->
-        advance ();
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
+        if at '}' then begin
+          incr pos;
           Obj []
         end
         else begin
@@ -261,15 +312,15 @@ let of_string text =
           in
           let fields = ref [ field () ] in
           skip_ws ();
-          while peek () = Some ',' do
-            advance ();
+          while at ',' do
+            incr pos;
             fields := field () :: !fields;
             skip_ws ()
           done;
           expect '}';
           Obj (List.rev !fields)
         end
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+    | c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
     let v = parse_value () in

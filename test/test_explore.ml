@@ -721,6 +721,160 @@ let test_entry_named_directory_is_foreign () =
       untouched "compact" by_compact;
       check_all_hit ~msg:"entries still served" by_compact 2)
 
+(* The open scan accepts exactly [<32 lower-case hex>.json] in the shard
+   its first two digits name, and counts every other name as foreign. *)
+let test_loose_name_scan () =
+  with_store (fun store ->
+      let key = pack_key 0 in
+      Store.put store ~key (pack_result 0);
+      let path = Store.entry_path store ~key in
+      let shard_dir = Filename.dirname path in
+      let shard = Filename.basename shard_dir in
+      let hex = Filename.chop_suffix (Filename.basename path) ".json" in
+      let other_shard = if shard = "00" then "01" else "00" in
+      let touch dir name =
+        (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+        close_out (open_out (Filename.concat dir name))
+      in
+      (* accepted: a well-formed name of this shard (with no valid
+         entry inside, which only a read would find) *)
+      let accepted = shard ^ String.make 30 'e' in
+      touch shard_dir (accepted ^ ".json");
+      let foreign =
+        [
+          (* mixed-case hex *)
+          shard ^ "ABCDEF" ^ String.make 24 'a' ^ ".json";
+          shard ^ String.make 29 'a' ^ "F.json";
+          (* a well-formed name filed under the wrong shard *)
+          other_shard ^ String.make 30 'a' ^ ".json";
+          (* a staging name *)
+          hex ^ ".json.tmp";
+          (* 36 and 38 bytes *)
+          String.sub hex 0 31 ^ ".json";
+          hex ^ "0.json";
+          (* 37 bytes, not hex, or not .json *)
+          shard ^ String.make 29 'a' ^ "g.json";
+          hex ^ ".jsom";
+        ]
+      in
+      List.iter (touch shard_dir) foreign;
+      (* a shard directory named in upper case is foreign as a whole *)
+      touch
+        (Filename.concat (Filename.dirname shard_dir) (String.uppercase_ascii "ab"))
+        ("ab" ^ String.make 30 'a' ^ ".json");
+      let reopened = Store.open_ (Store.root store) in
+      let s = Store.stats reopened in
+      Alcotest.(check int) "entry and well-formed name accepted" 2
+        s.Store.entries;
+      Alcotest.(check int) "every other name foreign" (List.length foreign + 1)
+        s.Store.foreign_files;
+      (* the accepted name decodes to the digest of its key *)
+      let reads = Store.loose_reads reopened in
+      Alcotest.(check bool) "scanned entry hits" true
+        (Store.lookup reopened ~key = `Hit (pack_result 0));
+      Alcotest.(check int) "read from the scanned name" (reads + 1)
+        (Store.loose_reads reopened))
+
+(* The manifest is rewritten only when its bytes would change: a warm
+   sweep leaves the file (inode and mtime) alone, and a tampered or
+   missing one is repaired. *)
+let test_manifest_written_when_changed () =
+  with_store (fun store ->
+      let manifest = Filename.concat (Store.root store) "MANIFEST.json" in
+      let points = Axes.enumerate small_axes in
+      ignore (Sweep.run ~jobs:1 ~store points);
+      let text = read_file manifest in
+      let before = Unix.stat manifest in
+      let warm = Store.open_ (Store.root store) in
+      let _, stats = Sweep.run ~jobs:1 ~store:warm points in
+      Alcotest.(check int) "warm sweep computes nothing" 0 stats.Sweep.computed;
+      let after = Unix.stat manifest in
+      Alcotest.(check int) "same inode" before.Unix.st_ino after.Unix.st_ino;
+      Alcotest.(check (float 0.)) "same mtime" before.Unix.st_mtime
+        after.Unix.st_mtime;
+      Alcotest.(check string) "same bytes" text (read_file manifest);
+      let oc = open_out manifest in
+      output_string oc "{\"entries\": 99}\n";
+      close_out oc;
+      ignore (Sweep.run ~jobs:1 ~store:warm points);
+      Alcotest.(check string) "tampered manifest rewritten" text
+        (read_file manifest);
+      Sys.remove manifest;
+      Store.refresh_manifest warm;
+      Alcotest.(check string) "missing manifest rewritten" text
+        (read_file manifest))
+
+(* A packed record whose framing and MD5 are intact but whose entry
+   names another key is no entry of its framing key: quarantined at
+   open, served under neither key. *)
+let test_packed_key_mismatch () =
+  with_store (fun store ->
+      populate store 2;
+      ignore (Store.compact store);
+      let framed = "mfu-point/v1 framed-key" and named = "mfu-point/v1 named-key" in
+      let payload =
+        Mfu_util.Json.(
+          to_string
+            (Obj
+               [
+                 ("schema", String Store.schema);
+                 ("key", String named);
+                 ("digest", String (Store.digest_of_key framed));
+                 ("result", Obj [ ("cycles", Int 5); ("instructions", Int 3) ]);
+               ]))
+        ^ "\n"
+      in
+      let buf = Buffer.create 1024 in
+      Buffer.add_string buf Store.pack_magic;
+      let u32 n =
+        let b = Bytes.create 4 in
+        Bytes.set_int32_be b 0 (Int32.of_int n);
+        Buffer.add_bytes buf b
+      in
+      u32 (String.length framed);
+      u32 (String.length payload);
+      Buffer.add_string buf framed;
+      Buffer.add_string buf payload;
+      Buffer.add_string buf (Digest.string (framed ^ payload));
+      let oc = open_out_bin (Store.segment_pack_path store ~seq:2) in
+      Buffer.output_buffer oc buf;
+      close_out oc;
+      let reopened = Store.open_ (Store.root store) in
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) ("never served: " ^ key) true
+            (Store.lookup reopened ~key = `Miss))
+        [ framed; named ];
+      Alcotest.(check (list string)) "record quarantined"
+        [ Printf.sprintf "pack-%08d-%d.record" 2 (String.length Store.pack_magic) ]
+        (Store.quarantined reopened);
+      check_all_hit ~msg:"first segment still served" reopened 2;
+      Alcotest.(check int) "two entries" 2 (Store.entry_count reopened))
+
+(* A key holding a quote and a backslash takes the parser's escape
+   path: it survives every layout change byte for byte. *)
+let test_escaped_key_roundtrip () =
+  with_store (fun store ->
+      let key = "mfu-point/v1 q\"uote\\back\\\"slash" in
+      let result = { Sim_types.cycles = 66; instructions = 22 } in
+      Store.put store ~key result;
+      let path = Store.entry_path store ~key in
+      let text = read_file path in
+      let reader = Store.open_ (Store.root store) in
+      Alcotest.(check bool) "read back by a fresh handle" true
+        (Store.lookup reader ~key = `Hit result);
+      Alcotest.(check int) "compaction folds it" 1
+        (Store.compact reader).Store.folded;
+      let reopened = Store.open_ (Store.root store) in
+      Alcotest.(check bool) "served from the pack" true
+        (Store.lookup reopened ~key = `Hit result);
+      Alcotest.(check (list string)) "nothing quarantined" []
+        (Store.quarantined reopened);
+      Alcotest.(check int) "unpacked" 1 (Store.unpack reopened);
+      Alcotest.(check string) "loose bytes restored" text (read_file path);
+      Alcotest.(check bool) "unpacked entry read by a fresh handle" true
+        (Store.lookup (Store.open_ (Store.root store)) ~key = `Hit result))
+
 (* Two processes racing to publish the same mfu-point/v1 key: exactly
    one valid entry must survive, and every reader must see one writer's
    complete bytes. The children synchronize on a pipe so both write
@@ -1023,11 +1177,18 @@ let () =
             test_foreign_files_tolerated;
           Alcotest.test_case "directory named like an entry is foreign"
             `Quick test_entry_named_directory_is_foreign;
+          Alcotest.test_case "loose name scan" `Quick test_loose_name_scan;
+          Alcotest.test_case "packed entry naming another key" `Quick
+            test_packed_key_mismatch;
+          Alcotest.test_case "escaped key round trip" `Quick
+            test_escaped_key_roundtrip;
         ] );
       ( "sweep",
         [
           Alcotest.test_case "resume counts invocations" `Quick
             test_sweep_resume_counts;
+          Alcotest.test_case "manifest written only when changed" `Quick
+            test_manifest_written_when_changed;
           Alcotest.test_case "mixed families identical across jobs" `Quick
             test_sweep_mixed_families_jobs_identical;
           Alcotest.test_case "reads each entry once" `Quick

@@ -1,8 +1,10 @@
-(* Escaping and edge cases of the JSON emitter, and emit/parse round
-   trips: the result store depends on [of_string] re-reading anything
-   [to_string] writes. *)
+(* Escaping and edge cases of the JSON emitter, emit/parse round trips
+   (the result store depends on [of_string] re-reading anything
+   [to_string] writes), and a differential fuzz of the parser against
+   the original one, kept as the oracle. *)
 
 module Json = Mfu_util.Json
+module Oracle = Mfu_oracle.Json
 
 let compact j = Json.to_string ~indent:0 j
 
@@ -109,6 +111,145 @@ let prop_roundtrip indent =
     ~count:300 arb_json (fun j ->
       Json.of_string (Json.to_string ~indent j) = Ok j)
 
+(* -- parser vs oracle ----------------------------------------------------- *)
+
+(* Texts the parser meets in production: store entries written by a
+   sweep, lease records and the serve protocol's bodies and events. *)
+let real_corpus =
+  lazy
+    (let dir = Filename.temp_file "mfu_json_corpus" "" in
+     Sys.remove dir;
+     let read path = In_channel.with_open_bin path In_channel.input_all in
+     let rec files path =
+       if Sys.is_directory path then
+         Array.to_list (Sys.readdir path)
+         |> List.concat_map (fun f -> files (Filename.concat path f))
+       else [ read path ]
+     in
+     let rec rm_rf path =
+       if Sys.is_directory path then begin
+         Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+         Sys.rmdir path
+       end
+       else Sys.remove path
+     in
+     Fun.protect
+       ~finally:(fun () -> rm_rf dir)
+       (fun () ->
+         let store = Mfu_explore.Store.open_ dir in
+         let points =
+           List.filteri (fun i _ -> i < 6) (Mfu_explore.Axes.enumerate Mfu_explore.Axes.table7)
+         in
+         ignore (Mfu_explore.Sweep.run ~jobs:1 ~store points);
+         Mfu_explore.Store.put store ~key:"a \"quoted\" \\ key\n"
+           { Mfu_sim.Sim_types.cycles = 1; instructions = 1 };
+         let leases = Filename.concat dir "leases" in
+         let lease = Mfu_explore.Lease.create ~dir:leases () in
+         ignore (Mfu_explore.Lease.try_acquire lease ~key:"mfu-point/v1 lease");
+         let module P = Mfu_serve.Protocol in
+         files (Filename.concat dir "objects")
+         @ files leases
+         @ [
+             read (Filename.concat dir "MANIFEST.json");
+             P.query_body ~spec:"units=1-4;size=10,50;loops=scalar";
+             P.error_body "bad spec: \"x\"";
+             P.event_line
+               (P.Point
+                  {
+                    key = "mfu-point/v1 k";
+                    machine = "ruu";
+                    config = "M11BR5";
+                    loop = 7;
+                    scale = 1;
+                    cycles = 123;
+                    instructions = 45;
+                    source = P.Store;
+                  });
+           ]))
+
+(* Strings with every byte class the parser branches on: quotes,
+   backslashes, control characters, high bytes. *)
+let gen_fuzz_json =
+  let open QCheck.Gen in
+  let str =
+    string_size ~gen:(oneof [ printable; char; oneofl [ '"'; '\\'; '\n'; '\x01' ] ]) (0 -- 10)
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        map (fun k -> Json.Float (float_of_int k /. 16.)) small_signed_int;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun xs -> Json.List xs) (list_size (0 -- 4) (self (depth - 1))));
+            (1, map (fun fs -> Json.Obj fs) (list_size (0 -- 4) (pair str (self (depth - 1)))));
+          ])
+    3
+
+(* A \uXXXX escape whose digits may be bad, short or underscores
+   ([int_of_string]'s digit separator), or another escape. *)
+let gen_escape =
+  let open QCheck.Gen in
+  let hex = oneofl [ '0'; '7'; 'a'; 'F'; '_'; 'g'; '"'; ' ' ] in
+  oneof
+    [
+      map (fun d -> "\\u" ^ String.init 4 (fun i -> d.(i))) (array_size (return 4) hex);
+      map (fun d -> "\\u" ^ String.init 2 (fun i -> d.(i))) (array_size (return 2) hex);
+      oneofl [ "\\\""; "\\\\"; "\\/"; "\\b"; "\\n"; "\\q"; "\\"; "\""; "\\u00e9" ];
+    ]
+
+let gen_mutation text =
+  let open QCheck.Gen in
+  let n = String.length text in
+  let at = 0 -- n in
+  frequency
+    [
+      (1, return text);
+      ( 3,
+        if n = 0 then return text
+        else
+          map2
+            (fun i c -> String.mapi (fun j d -> if j = i then c else d) text)
+            (0 -- (n - 1)) char );
+      (2, map (fun i -> String.sub text 0 i) at);
+      ( 3,
+        map2
+          (fun i e -> String.sub text 0 i ^ e ^ String.sub text i (n - i))
+          at gen_escape );
+    ]
+
+let gen_parser_input =
+  let open QCheck.Gen in
+  let base =
+    frequency
+      [
+        (2, map (Json.to_string ~indent:0) gen_fuzz_json);
+        (2, map (Json.to_string ~indent:2) gen_fuzz_json);
+        (3, oneofl (Lazy.force real_corpus));
+      ]
+  in
+  base >>= fun text ->
+  gen_mutation text >>= fun text -> frequency [ (3, return text); (1, gen_mutation text) ]
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"of_string = oracle, never raises" ~count:4000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_parser_input)
+    (fun text ->
+      match Json.of_string text with
+      | got -> got = Oracle.of_string text
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "json"
     [
@@ -127,4 +268,10 @@ let () =
       ( "round trip",
         List.map QCheck_alcotest.to_alcotest
           [ prop_roundtrip 0; prop_roundtrip 2 ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20 |])
+            prop_matches_oracle;
+        ] );
     ]
