@@ -359,11 +359,11 @@ let record_read pack off =
     then Error "record frame out of bounds"
     else
       let body = off + 8 in
-      let stored = body + klen + plen in
+      let trailer = body + klen + plen in
       let d = Digest.substring pack body (klen + plen) in
       if
-        String.get_int64_ne pack stored <> String.get_int64_ne d 0
-        || String.get_int64_ne pack (stored + 8) <> String.get_int64_ne d 8
+        String.get_int64_ne pack trailer <> String.get_int64_ne d 0
+        || String.get_int64_ne pack (trailer + 8) <> String.get_int64_ne d 8
       then Error "record digest mismatch"
       else
         Ok
@@ -569,12 +569,13 @@ let rescan_segments_locked t =
     (fun seq -> if seq > t.idx.max_seq then load_segment t seq)
     (seg_seqs_on_disk t)
 
-let hex_value = function
+(* Lower case only, as {!Digest.to_hex} writes. *)
+let lower_hex_value = function
   | '0' .. '9' as c -> Char.code c - 48
   | 'a' .. 'f' as c -> Char.code c - 87
   | _ -> -1
 
-let is_hex s = String.for_all (fun c -> hex_value c >= 0) s
+let is_hex s = String.for_all (fun c -> lower_hex_value c >= 0) s
 
 (* The raw digest a file of directory [shard] names, if the name is an
    entry's of that shard: 32 lower-case hex digits, the first two the
@@ -591,7 +592,8 @@ let entry_name_digest ~shard f =
     let rec decode i =
       if i = 16 then Some (Bytes.unsafe_to_string raw)
       else
-        let hi = hex_value f.[2 * i] and lo = hex_value f.[(2 * i) + 1] in
+        let hi = lower_hex_value f.[2 * i]
+        and lo = lower_hex_value f.[(2 * i) + 1] in
         if hi < 0 || lo < 0 then None
         else begin
           Bytes.unsafe_set raw i (Char.unsafe_chr ((hi lsl 4) lor lo));

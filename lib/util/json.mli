@@ -41,7 +41,8 @@ val of_string : string -> (t, string) result
     [int]), in which case they parse as {!Float} — matching what
     {!to_string} emits. String escapes cover the RFC 8259 set; [\uXXXX]
     code points are decoded to UTF-8. [Error] carries a byte offset and
-    reason. *)
+    reason. One pass over [text], allocating only the values: a string
+    without escapes is one [String.sub]. *)
 
 val member : string -> t -> t option
 (** [member k j] is the value of field [k] when [j] is an object that has

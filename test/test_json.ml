@@ -128,7 +128,9 @@ let real_corpus =
      in
      let rec rm_rf path =
        if Sys.is_directory path then begin
-         Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+         Array.iter
+           (fun f -> rm_rf (Filename.concat path f))
+           (Sys.readdir path);
          Sys.rmdir path
        end
        else Sys.remove path
@@ -138,7 +140,9 @@ let real_corpus =
        (fun () ->
          let store = Mfu_explore.Store.open_ dir in
          let points =
-           List.filteri (fun i _ -> i < 6) (Mfu_explore.Axes.enumerate Mfu_explore.Axes.table7)
+           List.filteri
+             (fun i _ -> i < 6)
+             (Mfu_explore.Axes.enumerate Mfu_explore.Axes.table7)
          in
          ignore (Mfu_explore.Sweep.run ~jobs:1 ~store points);
          Mfu_explore.Store.put store ~key:"a \"quoted\" \\ key\n"
@@ -172,7 +176,9 @@ let real_corpus =
 let gen_fuzz_json =
   let open QCheck.Gen in
   let str =
-    string_size ~gen:(oneof [ printable; char; oneofl [ '"'; '\\'; '\n'; '\x01' ] ]) (0 -- 10)
+    string_size
+      ~gen:(oneof [ printable; char; oneofl [ '"'; '\\'; '\n'; '\x01' ] ])
+      (0 -- 10)
   in
   let leaf =
     oneof
@@ -191,8 +197,14 @@ let gen_fuzz_json =
         frequency
           [
             (2, leaf);
-            (1, map (fun xs -> Json.List xs) (list_size (0 -- 4) (self (depth - 1))));
-            (1, map (fun fs -> Json.Obj fs) (list_size (0 -- 4) (pair str (self (depth - 1)))));
+            ( 1,
+              map
+                (fun xs -> Json.List xs)
+                (list_size (0 -- 4) (self (depth - 1))) );
+            ( 1,
+              map
+                (fun fs -> Json.Obj fs)
+                (list_size (0 -- 4) (pair str (self (depth - 1)))) );
           ])
     3
 
@@ -201,11 +213,15 @@ let gen_fuzz_json =
 let gen_escape =
   let open QCheck.Gen in
   let hex = oneofl [ '0'; '7'; 'a'; 'F'; '_'; 'g'; '"'; ' ' ] in
+  let digits k =
+    map (fun d -> String.init k (Array.get d)) (array_size (return k) hex)
+  in
   oneof
     [
-      map (fun d -> "\\u" ^ String.init 4 (fun i -> d.(i))) (array_size (return 4) hex);
-      map (fun d -> "\\u" ^ String.init 2 (fun i -> d.(i))) (array_size (return 2) hex);
-      oneofl [ "\\\""; "\\\\"; "\\/"; "\\b"; "\\n"; "\\q"; "\\"; "\""; "\\u00e9" ];
+      map (( ^ ) "\\u") (digits 4);
+      map (( ^ ) "\\u") (digits 2);
+      oneofl
+        [ "\\\""; "\\\\"; "\\/"; "\\b"; "\\n"; "\\q"; "\\"; "\""; "\\u00e9" ];
     ]
 
 let gen_mutation text =
@@ -235,11 +251,11 @@ let gen_parser_input =
       [
         (2, map (Json.to_string ~indent:0) gen_fuzz_json);
         (2, map (Json.to_string ~indent:2) gen_fuzz_json);
-        (3, oneofl (Lazy.force real_corpus));
+        (3, delay (fun () -> oneofl (Lazy.force real_corpus)));
       ]
   in
-  base >>= fun text ->
-  gen_mutation text >>= fun text -> frequency [ (3, return text); (1, gen_mutation text) ]
+  base >>= gen_mutation >>= fun text ->
+  frequency [ (3, return text); (1, gen_mutation text) ]
 
 let prop_matches_oracle =
   QCheck.Test.make ~name:"of_string = oracle, never raises" ~count:4000
