@@ -227,6 +227,12 @@ let run axes_spec store_dir resume pareto table top jobs lease lease_ttl
             (Store.root store);
           Printf.eprintf "[steady] %s\n%!"
             (Mfu_sim.Steady.stats_summary (Mfu_sim.Steady.stats ()));
+          Printf.eprintf
+            "[sweep] publication: %d entries, %.2f s on the writer, %.2f s \
+             waited at drain\n\
+             %!"
+            stats.Sweep.published stats.Sweep.writer_s
+            stats.Sweep.drain_wait_s;
           if guided then
             Printf.eprintf "[sweep] guided: %d inferred, %d pruned\n%!"
               stats.Sweep.inferred stats.Sweep.pruned;

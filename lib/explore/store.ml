@@ -178,8 +178,7 @@ let segment_idx_path t ~seq =
    under multi-process draining (lease steals included). *)
 let temp_counter = Atomic.make 0
 
-let write_atomically ?(fsync = false) t ~temp_name ~dest text =
-  mkdir_p (Filename.dirname dest);
+let stage ?(fsync = false) t ~temp_name text =
   let temp =
     Filename.concat (tmp_dir t)
       (Printf.sprintf "%s.%d.%d" temp_name (Unix.getpid ())
@@ -194,7 +193,11 @@ let write_atomically ?(fsync = false) t ~temp_name ~dest text =
         flush oc;
         Unix.fsync (Unix.descr_of_out_channel oc)
       end);
-  Sys.rename temp dest
+  temp
+
+let write_atomically ?fsync t ~temp_name ~dest text =
+  mkdir_p (Filename.dirname dest);
+  Sys.rename (stage ?fsync t ~temp_name text) dest
 
 let quarantined t =
   let dir = quarantine_dir t in
@@ -957,12 +960,20 @@ let pread_record t p =
    records are dropped and the store converges to a single pack.
 
    Publish order is the crash-safety argument: the pack is staged in
-   tmp/, fsynced, renamed into segments/, then its sidecar likewise,
-   and only after both are durable are the folded loose files (and with
-   [full] the superseded segments) deleted. A crash at any point leaves
-   every point reachable — at worst a loose file coexists with its
-   packed copy (identical content, loose wins) or an orphan staging
-   file awaits sweep_tmp. [crash] is a test hook simulating kill -9 at
+   tmp/ and fsynced, its sequence number is claimed by hard-linking the
+   staged file into segments/, then its sidecar is staged, fsynced and
+   renamed into place under the claimed number, and only after both are
+   durable are the folded loose files (and with [full] the superseded
+   segments) deleted. A crash at any point leaves every point reachable
+   — at worst a loose file coexists with its packed copy (identical
+   content, loose wins), a pack awaits the sidecar its next load
+   rebuilds, or an orphan staging file awaits sweep_tmp.
+
+   link(2), unlike rename, fails when the name exists: another handle
+   (this process's or another's) that compacted since our index last
+   saw segments/ may already own [max_seq + 1]. Then we load what it
+   published and claim the next number, so two compactors never replace
+   each other's segment. [crash] is a test hook simulating kill -9 at
    the two interesting points. *)
 let compact_locked ?(full = false) ?crash t =
   let live_loose = ref [] in
@@ -1016,7 +1027,6 @@ let compact_locked ?(full = false) ?crash t =
   in
   if not worthwhile then no_compaction
   else begin
-    let seq = t.idx.max_seq + 1 in
     let buf = Buffer.create 65536 in
     Buffer.add_string buf pack_magic;
     let idx_entries = ref [] in
@@ -1042,22 +1052,20 @@ let compact_locked ?(full = false) ?crash t =
         loose_items
     in
     let pack_text = Buffer.contents buf in
-    (match crash with
-    | Some Crash_before_publish ->
-        (* Simulated kill -9 between staging and rename: the only
-           residue is a tmp/ file that sweep_tmp will collect. *)
-        let staged =
-          Filename.concat (tmp_dir t)
-            (Printf.sprintf "%08d.pack.staged.%d" seq (Unix.getpid ()))
-        in
-        let oc = open_out_bin staged in
-        output_string oc pack_text;
-        close_out oc;
-        Unix._exit 42
-    | _ -> ());
-    write_atomically ~fsync:true t
-      ~temp_name:(Printf.sprintf "%08d.pack.tmp" seq)
-      ~dest:(segment_pack_path t ~seq) pack_text;
+    let staged = stage ~fsync:true t ~temp_name:"pack.tmp" pack_text in
+    (* Simulated kill -9 between staging and the claim: the only residue
+       is a tmp/ file that sweep_tmp will collect. *)
+    if crash = Some Crash_before_publish then Unix._exit 42;
+    mkdir_p (segments_dir t);
+    let rec claim seq =
+      match Unix.link staged (segment_pack_path t ~seq) with
+      | () -> seq
+      | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
+          rescan_segments_locked t;
+          claim (max (seq + 1) (t.idx.max_seq + 1))
+    in
+    let seq = claim (t.idx.max_seq + 1) in
+    Sys.remove staged;
     write_atomically ~fsync:true t
       ~temp_name:(Printf.sprintf "%08d.idx.tmp" seq)
       ~dest:(segment_idx_path t ~seq)
@@ -1087,9 +1095,17 @@ let compact_locked ?(full = false) ?crash t =
     (* Update the in-memory view to match. *)
     let seg_meta = { seq; file_bytes = String.length pack_text; records = 0 } in
     if full then begin
-      t.idx.segs <- [];
+      (* Segments a concurrent compactor published while we claimed a
+         number stay; everything we rewrote goes. *)
+      let superseded n = List.exists (fun s -> s.seq = n) old_segs in
+      t.idx.segs <- List.filter (fun s -> not (superseded s.seq)) t.idx.segs;
       t.idx.replay_dead <- 0;
-      Dtbl.iter (fun e -> e.packed <- None) t.idx.tbl
+      Dtbl.iter
+        (fun e ->
+          match e.packed with
+          | Some p when superseded p.seg -> e.packed <- None
+          | _ -> ())
+        t.idx.tbl
     end;
     let install e ~off ~key ~payload result =
       (match e.packed with
@@ -1115,7 +1131,7 @@ let compact_locked ?(full = false) ?crash t =
         install e ~off ~key ~payload result;
         e.loose <- No_file)
       loose_offs;
-    t.idx.segs <- (if full then [ seg_meta ] else t.idx.segs @ [ seg_meta ]);
+    t.idx.segs <- t.idx.segs @ [ seg_meta ];
     t.idx.max_seq <- seq;
     t.idx.seg_stamp <- seg_dir_stamp t;
     {

@@ -190,9 +190,10 @@ val no_compaction : compaction
 (** The all-zero record returned when there was nothing to do. *)
 
 type crash_point = Crash_before_publish | Crash_after_publish
-(** Test hooks: simulate kill -9 either before the segment rename (only
-    tmp/ residue remains) or after it but before the loose files are
-    deleted (loose and packed copies coexist; loose wins on replay). *)
+(** Test hooks: simulate kill -9 either before the segment is claimed
+    (only tmp/ residue remains) or after it is published but before the
+    loose files are deleted (loose and packed copies coexist; loose wins
+    on replay). *)
 
 val compact : ?full:bool -> ?crash:crash_point -> t -> compaction
 (** Fold every loose entry into one new segment, re-validating each on
@@ -200,8 +201,12 @@ val compact : ?full:bool -> ?crash:crash_point -> t -> compaction
     Each loose file is read once: the bytes that were validated are the
     bytes packed.
     Loose files are deleted only {e after} the pack and its sidecar are
-    fsynced and renamed into place — the deletion barrier that makes a
-    crash at any instant lose nothing. With [full], live records of
+    fsynced and in place — the deletion barrier that makes a crash at
+    any instant lose nothing. The pack's sequence number is claimed with
+    [link(2)], which never replaces an existing file: a number another
+    handle or process published since this handle's last scan is loaded
+    and the next one tried, so concurrent compactors lose nothing
+    either. With [full], live records of
     existing segments are rewritten into the new one and the old
     segments deleted, dropping shadowed records. Returns
     {!no_compaction} when there is nothing worth writing. *)

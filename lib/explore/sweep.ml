@@ -1,4 +1,5 @@
 module Pool = Mfu_util.Pool
+module Writer = Mfu_util.Writer
 module Json = Mfu_util.Json
 module Stats = Mfu_util.Stats
 module Sim_types = Mfu_sim.Sim_types
@@ -15,6 +16,9 @@ type stats = {
   pruned : int;
   deferred : int;
   stolen : int;
+  published : int;
+  writer_s : float;
+  drain_wait_s : float;
 }
 
 type guided = { frontier_stop : bool }
@@ -56,6 +60,42 @@ let lookup_all ~store keyed =
       keyed
   in
   (hits, missing, !quarantined)
+
+(* Publication runs on the writer domain, beside simulation. Each
+   submitted closure does what publishing inline did, in the same order
+   (store entry first, then the lease release and progress), and
+   counts itself; the counts are read after the drain. *)
+type publisher = {
+  batch : Writer.batch;
+  mutable entries : int;
+  mutable writer_s : float;
+  mutable drain_wait_s : float;
+}
+
+let publisher () =
+  { batch = Writer.batch (); entries = 0; writer_s = 0.; drain_wait_s = 0. }
+
+let submit pub f =
+  Writer.submit pub.batch (fun () ->
+      let t0 = Unix.gettimeofday () in
+      f ();
+      pub.entries <- pub.entries + 1;
+      pub.writer_s <- pub.writer_s +. (Unix.gettimeofday () -. t0))
+
+(* Run [f], then wait for every publication it submitted, whatever [f]
+   did: a run that fails part-way leaves what it computed published,
+   and only then raises. A publication failure raises here. *)
+let drained pub f =
+  match f () with
+  | v ->
+      let t0 = Unix.gettimeofday () in
+      Writer.drain pub.batch;
+      pub.drain_wait_s <- Unix.gettimeofday () -. t0;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try Writer.drain pub.batch with _ -> ());
+      Printexc.raise_with_backtrace e bt
 
 (* -- guided mode -------------------------------------------------------------- *)
 
@@ -122,7 +162,7 @@ let class_to_tag = function
   | Livermore.Scalar -> 0
   | Livermore.Vectorizable -> 1
 
-let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
+let guided_run ?jobs ~resume ?progress ~store ~pub ~guided points =
   let calib0 = Mfu_model.calibration_runs () in
   let keyed = keyed points in
   let _, missing, quarantined =
@@ -164,13 +204,14 @@ let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
     | None -> ()
   in
   let publish (p, k) result =
-    Store.put ~meta:(meta_of_point p) store ~key:k result;
-    report ()
+    submit pub (fun () ->
+        Store.put ~meta:(meta_of_point p) store ~key:k result;
+        report ())
   in
   (* Main-thread resolution cascade: record a now-known exact result and
      propagate it to byte-identical twins (publishing those as inferred
-     entries). Simulated points arrive already published by their
-     worker. *)
+     entries). Simulated points arrive already submitted for
+     publication by their worker. *)
   let rec resolve ~via p result =
     if Hashtbl.mem pending p then begin
       Hashtbl.remove pending p;
@@ -521,13 +562,10 @@ let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
       (fun p () acc -> if is_pruned p then acc + 1 else acc)
       pending 0
   in
-  Store.refresh_manifest store;
   let swept =
     List.filter_map
-      (fun (p, k) ->
-        match Store.find store ~key:k with
-        | Some r -> Some (p, r)
-        | None -> None)
+      (fun (p, _) ->
+        Option.map (fun r -> (p, r)) (Hashtbl.find_opt results p))
       keyed
   in
   ( swept,
@@ -540,17 +578,14 @@ let guided_run ?jobs ?(resume = true) ?progress ~store ~guided points =
       pruned = pruned_cells;
       deferred = 0;
       stolen = 0;
+      published = 0;
+      writer_s = 0.;
+      drain_wait_s = 0.;
     } )
 
-let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
-  match guided with
-  | Some g ->
-      if Option.is_some lease then
-        invalid_arg "Sweep.run: guided sweeps do not take a lease";
-      guided_run ?jobs ~resume ?progress ~store ~guided:g points
-  | None ->
+let plain_run ?jobs ~resume ?lease ?progress ~store ~pub points =
   (* Keying a scaled point generates and digests its trace; key once, on
-     this domain, so workers only simulate and write. *)
+     this domain, so workers only simulate. *)
   let keyed = keyed points in
   let hits, missing, quarantined =
     if resume then lookup_all ~store keyed else ([], keyed, 0)
@@ -566,15 +601,18 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
   let computed = Atomic.make 0 in
   let deferred = ref 0 in
   let stolen0 = match lease with Some l -> Lease.stolen l | None -> 0 in
-  (* Publish each result the moment it exists: this is what makes a
-     killed sweep resumable with no duplicated work, and what lets a
-     lease be released only once the entry is already on disk. *)
+  (* Publish each result as soon as it exists, on the writer: this is
+     what makes a killed sweep resumable with little duplicated work,
+     and what lets a lease be released only once the entry is already
+     on disk. *)
   let publish (p, k) result =
-    Store.put ~meta:(meta_of_point p) store ~key:k result;
-    (match lease with Some l -> Lease.release l ~key:k | None -> ());
-    match progress with
-    | Some f -> f ~done_:(Atomic.fetch_and_add done_ 1 + 1) ~total:expected
-    | None -> ()
+    submit pub (fun () ->
+        Store.put ~meta:(meta_of_point p) store ~key:k result;
+        (match lease with Some l -> Lease.release l ~key:k | None -> ());
+        match progress with
+        | Some f ->
+            f ~done_:(Atomic.fetch_and_add done_ 1 + 1) ~total:expected
+        | None -> ())
   in
   let compute pks =
     Pool.map ?jobs
@@ -648,7 +686,6 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
          published but had not released; nothing else would ever
          remove them. *)
       ignore (Lease.collect_expired l));
-  Store.refresh_manifest store;
   ( List.map (fun (p, k) -> (p, Hashtbl.find results k)) keyed,
     {
       total;
@@ -660,4 +697,27 @@ let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
       deferred = !deferred;
       stolen =
         (match lease with Some l -> Lease.stolen l - stolen0 | None -> 0);
+      published = 0;
+      writer_s = 0.;
+      drain_wait_s = 0.;
+    } )
+
+let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
+  if Option.is_some guided && Option.is_some lease then
+    invalid_arg "Sweep.run: guided sweeps do not take a lease";
+  let pub = publisher () in
+  let results, stats =
+    drained pub (fun () ->
+        match guided with
+        | Some guided ->
+            guided_run ?jobs ~resume ?progress ~store ~pub ~guided points
+        | None -> plain_run ?jobs ~resume ?lease ?progress ~store ~pub points)
+  in
+  Store.refresh_manifest store;
+  ( results,
+    {
+      stats with
+      published = pub.entries;
+      writer_s = pub.writer_s;
+      drain_wait_s = pub.drain_wait_s;
     } )

@@ -5,12 +5,18 @@
     missing: points whose key already has a valid entry are skipped
     (when resuming), corrupt entries are quarantined by the store and
     recomputed, and each freshly computed result is published atomically
-    {e as soon as it finishes} — so a sweep killed at any moment loses
-    at most the points that were mid-flight, and a rerun with resume
+    {e as soon as it finishes}. Publication runs on the process's
+    {!Mfu_util.Writer} domain, in the order results finish, while the
+    calling domain goes on simulating: simulation stays sequential at
+    [MFU_JOBS=1] and publication runs beside it. [run] waits for every
+    publication before it returns, so a sweep killed at any moment
+    loses at most the points that were mid-flight or computed but not
+    yet written, none of which any lease released; a rerun with resume
     recomputes only those. The returned results are the ones the run
     already holds — a validated store hit, or a result it computed and
     published — never read back: a warm run reads each stored entry
-    once, a cold run reads none. *)
+    once, a cold run reads none, and a run that computes nothing starts
+    no writer domain. *)
 
 type stats = {
   total : int;  (** points requested *)
@@ -31,6 +37,11 @@ type stats = {
           (always 0 without [lease]) *)
   stolen : int;
       (** expired/torn leases this run stole (always 0 without [lease]) *)
+  published : int;  (** entries the writer domain published for this run *)
+  writer_s : float;  (** seconds the writer spent publishing them *)
+  drain_wait_s : float;
+      (** seconds the caller waited for the writer after the last
+          simulation *)
 }
 
 type guided = { frontier_stop : bool }
@@ -61,10 +72,11 @@ val run :
   (Axes.point * Mfu_sim.Sim_types.result) list * stats
 (** [resume] defaults to [true]; with [resume:false] every point is
     recomputed and its entry rewritten (the store stays consistent
-    either way). [progress] is called after each computed point with
-    the number of points computed so far and the number this run has to
-    compute (reused points are not reported) — from worker domains when
-    the pool is parallel, so it must be thread-safe (an atomic counter
+    either way). [progress] is called after each computed point's entry
+    is written, with the number of points published so far and the
+    number this run has to compute (reused points are not reported) —
+    from the writer domain, or the calling one for a key another
+    process published, so it must be thread-safe (an atomic counter
     plus [eprintf] is fine). Keys (and hence traces) are prepared on
     the calling domain before fanning out. Refreshes the store manifest
     on completion.
@@ -112,4 +124,6 @@ val run :
 
     @raise Invalid_argument if [guided] is combined with [lease], or if
     the same key appears twice in the job list (the deduplication
-    contract of {!Axes.enumerate} protects concurrent writers). *)
+    contract of {!Axes.enumerate} protects concurrent writers). Any
+    exception a simulation or a publication raised is re-raised once
+    every submitted publication has run. *)

@@ -5,6 +5,7 @@ module Lease = Mfu_explore.Lease
 module Http = Mfu_util.Http
 module Json = Mfu_util.Json
 module Pool = Mfu_util.Pool
+module Writer = Mfu_util.Writer
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -206,8 +207,13 @@ let process st ~emit keyed =
     else mine
   in
   (* One pool job per 8 consecutive ranked points, which simulates them
-     and then publishes and streams them: a job per point measured slower
-     on a cold table7 query, the time outside simulation growing. *)
+     and hands their publication to the writer domain: a job per point
+     measured slower on a cold table7 query, the time outside simulation
+     growing. The writer stores, releases, wakes waiters and streams
+     each chunk's points in that order, so a streamed point is on disk,
+     and at one job the stream keeps the ranked order, while the next
+     chunk simulates. A chunk that fails to publish records why; its
+     points are settled after the drain, on this thread. *)
   let rec chunks_of_8 = function
     | [] -> []
     | pks ->
@@ -218,27 +224,50 @@ let process st ~emit keyed =
         let chunk, rest = take 8 [] pks in
         chunk :: chunks_of_8 rest
   in
-  let chunks = chunks_of_8 mine in
-  (match
-     Pool.try_map ?jobs:st.cfg.jobs
-       (fun chunk ->
-         let results = List.map (fun (p, _) -> simulate st p) chunk in
-         List.iter2
-           (fun (p, k) r ->
-             Store.put ~meta:(Sweep.meta_of_point p) st.store ~key:k r;
-             release_lease st ~key:k;
-             Inflight.publish st.inflight ~key:k;
-             emit_point p k r Protocol.Computed)
-           chunk results;
-         List.length chunk)
-       chunks
-   with
-  | results ->
+  let chunks = List.map (fun chunk -> (chunk, ref None)) (chunks_of_8 mine) in
+  let batch = Writer.batch () in
+  let outcomes =
+    try
+      Some
+        (Pool.try_map ?jobs:st.cfg.jobs
+           (fun (chunk, unpublished) ->
+             let results =
+               List.map
+                 (fun (p, _) ->
+                   let r = simulate st p in
+                   (* Hand this domain's runtime lock to a thread waiting
+                      for it: the connection thread streaming the
+                      writer's events holds their queue's mutex until it
+                      gets the lock, which a simulating thread would
+                      otherwise give up only at the 50 ms tick, stalling
+                      the writer. A no-op when no thread waits. *)
+                   Thread.yield ();
+                   r)
+                 chunk
+             in
+             Writer.submit batch (fun () ->
+                 try
+                   List.iter2
+                     (fun (p, k) r ->
+                       Store.put ~meta:(Sweep.meta_of_point p) st.store
+                         ~key:k r;
+                       release_lease st ~key:k;
+                       Inflight.publish st.inflight ~key:k;
+                       emit_point p k r Protocol.Computed)
+                     chunk results
+                 with e -> unpublished := Some e);
+             List.length chunk)
+           chunks)
+    with Pool.Draining -> None
+  in
+  Writer.drain batch;
+  (match outcomes with
+  | Some results ->
       List.iter2
-        (fun chunk result ->
-          match result with
-          | Ok n -> tally.computed <- tally.computed + n
-          | Error e ->
+        (fun (chunk, unpublished) result ->
+          match (result, !unpublished) with
+          | Ok n, None -> tally.computed <- tally.computed + n
+          | Ok _, Some e | Error e, _ ->
               (* A simulation failed, or publishing did part-way through
                  the chunk (aborting an already published flight is a
                  no-op). Let waiters take over, and tell this client
@@ -257,7 +286,7 @@ let process st ~emit keyed =
                   | `Miss | `Corrupt -> emit_abort p k reason)
                 chunk)
         chunks results
-  | exception Pool.Draining ->
+  | None ->
       List.iter
         (fun (p, k) ->
           release_lease st ~key:k;

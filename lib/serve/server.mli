@@ -26,11 +26,17 @@
     requesters wait and are counted as dedups), owned points are
     ordered by {!Mfu_explore.Axes.rank} and cut into chunks of 8
     consecutive points, each chunk one job on the {!Mfu_util.Pool}
-    domains, and every computed result is
-    published to the store with {!Mfu_explore.Sweep.meta_of_point} —
-    byte-identical to what [sweep.exe] writes — before waiters are
-    woken. With leases enabled, keys owned by another process settle by
-    that owner's entry appearing, or by steal-on-expiry.
+    domains. A simulated chunk is handed to the process's
+    {!Mfu_util.Writer} domain, which publishes each result to the store
+    with {!Mfu_explore.Sweep.meta_of_point} — byte-identical to what
+    [sweep.exe] writes — then releases its lease, wakes its waiters and
+    streams its event, in that order, while the next chunk simulates:
+    a streamed computed point is on disk, and at [MFU_JOBS=1] events
+    keep the ranked order. A query waits for all its publications
+    before its summary, so a killed server loses only results no client
+    has seen and no lease has released. With leases enabled, keys
+    owned by another process settle by that owner's entry appearing, or
+    by steal-on-expiry.
 
     Back-pressure: events traverse a bounded {!Bqueue} per client; a
     slow reader blocks the producer at [queue_capacity] buffered

@@ -15,6 +15,8 @@ module Analyze = Mfu_explore.Analyze
 module Sim_types = Mfu_sim.Sim_types
 module Config = Mfu_isa.Config
 module Livermore = Mfu_loops.Livermore
+module Lease = Mfu_explore.Lease
+module Writer = Mfu_util.Writer
 
 let temp_store_dir () =
   let path = Filename.temp_file "mfu_store" "" in
@@ -38,6 +40,45 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Child processes re-execute this binary with [child_flag] first on
+   the command line: OCaml refuses [Unix.fork] in a process that has
+   spawned a domain, and every sweep here spawns the store's writer
+   domain. *)
+let child_flag = "--explore-child"
+
+let start_child ?(stdin = Unix.stdin) ?(stdout = Unix.stdout) args =
+  let exe = Sys.executable_name in
+  Unix.create_process exe
+    (Array.of_list (exe :: child_flag :: args))
+    stdin stdout Unix.stderr
+
+let race_result = { Sim_types.cycles = 4242; instructions = 1717 }
+
+let crash_of_string = function
+  | "before" -> Store.Crash_before_publish
+  | _ -> Store.Crash_after_publish
+
+(* A child's whole life: open the store, do one thing, _exit. *)
+let child_main = function
+  | [ "put"; root; key ] ->
+      let store = Store.open_ root in
+      (* Ready on stdout; then the starting gun: stdin reaches EOF for
+         every racer at once. *)
+      ignore (Unix.write_substring Unix.stdout "r" 0 1);
+      ignore (Unix.read Unix.stdin (Bytes.create 1) 0 1);
+      Unix._exit
+        (match Store.put store ~key race_result with
+        | () -> 0
+        | exception _ -> 1)
+  | [ "compact"; crash; root ] ->
+      (* exits 42 inside compact at the crash point *)
+      (try
+         ignore
+           (Store.compact ~crash:(crash_of_string crash) (Store.open_ root))
+       with _ -> ());
+      Unix._exit 99
+  | _ -> Unix._exit 2
 
 let small_axes =
   { Axes.empty with units = [ 1; 2 ]; sizes = [ 10 ]; configs = [ Config.m11br5 ]; loops = [ 5 ] }
@@ -523,15 +564,11 @@ let crash_during_compaction crash check =
   with_store (fun store ->
       let n = 12 in
       populate store n;
-      (match Unix.fork () with
-      | 0 ->
-          (* exits 42 inside compact at the crash point *)
-          (try ignore (Store.compact ~crash store) with _ -> ());
-          Unix._exit 99
-      | pid -> (
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 42 -> ()
-          | _ -> Alcotest.fail "child did not stop at the crash point"));
+      (match
+         Unix.waitpid [] (start_child [ "compact"; crash; Store.root store ])
+       with
+      | _, Unix.WEXITED 42 -> ()
+      | _ -> Alcotest.fail "child did not stop at the crash point");
       let reopened = Store.open_ (Store.root store) in
       Alcotest.(check int) "no entry lost or duplicated" n
         (Store.entry_count reopened);
@@ -539,7 +576,7 @@ let crash_during_compaction crash check =
       check reopened n)
 
 let test_compact_crash_before_publish () =
-  crash_during_compaction Store.Crash_before_publish (fun store n ->
+  crash_during_compaction "before" (fun store n ->
       let s = Store.stats store in
       (* the segment never appeared: only tmp/ residue, swept as usual *)
       Alcotest.(check int) "no segment published" 0 s.Store.segment_count;
@@ -548,7 +585,7 @@ let test_compact_crash_before_publish () =
         (Store.sweep_tmp ~older_than:0. store >= 1))
 
 let test_compact_crash_after_publish () =
-  crash_during_compaction Store.Crash_after_publish (fun store n ->
+  crash_during_compaction "after" (fun store n ->
       let s = Store.stats store in
       (* both copies exist; loose shadows packed, so nothing is wrong *)
       Alcotest.(check int) "segment published" 1 s.Store.segment_count;
@@ -580,6 +617,32 @@ let test_reader_during_compaction () =
       let s = Store.stats reader in
       Alcotest.(check int) "reader sees packed entries" n
         s.Store.packed_entries)
+
+(* Two handles opened on one store, each compacting its own write: the
+   second finds the first's segment number taken, loads that segment
+   and claims the next, so a fresh handle finds both entries. *)
+let test_two_compactors_keep_both () =
+  with_store (fun a ->
+      let b = Store.open_ (Store.root a) in
+      let x = { Sim_types.cycles = 11; instructions = 5 } in
+      let y = { Sim_types.cycles = 13; instructions = 7 } in
+      Store.put a ~key:"key-x" x;
+      Store.put b ~key:"key-y" y;
+      let ca = Store.compact a in
+      let cb = Store.compact b in
+      Alcotest.(check (option int)) "A publishes segment 1" (Some 1)
+        ca.Store.segment;
+      Alcotest.(check (option int)) "B publishes segment 2" (Some 2)
+        cb.Store.segment;
+      let fresh = Store.open_ (Store.root a) in
+      Alcotest.(check bool) "key-x found" true
+        (Store.find fresh ~key:"key-x" = Some x);
+      Alcotest.(check bool) "key-y found" true
+        (Store.find fresh ~key:"key-y" = Some y);
+      Alcotest.(check bool) "B sees key-x too" true
+        (Store.find b ~key:"key-x" = Some x);
+      Alcotest.(check int) "no staging residue" 0
+        (Store.sweep_tmp ~older_than:0. fresh))
 
 let test_corrupt_segment_record () =
   with_store (fun store ->
@@ -886,7 +949,7 @@ let test_escaped_key_roundtrip () =
 let test_store_concurrent_publication () =
   with_store (fun store ->
       let key = "mfu-point/v1 race-key" in
-      let result = { Sim_types.cycles = 4242; instructions = 1717 } in
+      let result = race_result in
       let expected_text =
         (* What a clean single-writer publication looks like. *)
         Store.put store ~key result;
@@ -895,24 +958,25 @@ let test_store_concurrent_publication () =
         text
       in
       for _round = 1 to 10 do
-        let go_r, go_w = Unix.pipe () in
+        let go_r, go_w = Unix.pipe ~cloexec:true () in
+        let ready_r, ready_w = Unix.pipe ~cloexec:true () in
+        (* Child: say it is ready, wait for the starting gun on its
+           stdin, publish, exit. *)
         let spawn () =
-          match Unix.fork () with
-          | 0 ->
-              (* Child: wait for the starting gun, publish, exit. *)
-              Unix.close go_w;
-              ignore (Unix.read go_r (Bytes.create 1) 0 1);
-              Unix.close go_r;
-              let status =
-                match Store.put store ~key result with
-                | () -> 0
-                | exception _ -> 1
-              in
-              Unix._exit status
-          | pid -> pid
+          start_child ~stdin:go_r ~stdout:ready_w
+            [ "put"; Store.root store; key ]
         in
         let pids = [ spawn (); spawn () ] in
         Unix.close go_r;
+        Unix.close ready_w;
+        let rec await n =
+          if n > 0 then
+            match Unix.read ready_r (Bytes.create 2) 0 n with
+            | 0 -> ()
+            | got -> await (n - got)
+        in
+        await 2;
+        Unix.close ready_r;
         (* Fire the gun by closing the write end: every child's read
            returns EOF at the same instant. *)
         Unix.close go_w;
@@ -1062,6 +1126,92 @@ let test_sweep_heals_truncated_entry () =
         results;
       check_results_match_store ~what:"healed" store results)
 
+(* A leased sweep publishes on the writer domain: store entry, then
+   lease release. At one job the releases come in point order, so a
+   watcher domain follows them key by key: it polls a key's lease file
+   (named by the key's digest) until it is gone, and the key's entry
+   file must exist by then. *)
+let test_sweep_releases_lease_after_entry () =
+  with_store (fun store ->
+      let dir = Lease.default_dir ~store_root:(Store.root store) in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let lease = Lease.create ~dir () in
+          let points =
+            Axes.enumerate
+              {
+                small_axes with
+                Axes.sizes = [ 10; 20; 30; 40; 50; 60; 70; 80 ];
+              }
+          in
+          let files =
+            List.map
+              (fun p ->
+                let key = Axes.key p in
+                ( Filename.concat dir (Store.digest_of_key key ^ ".lease"),
+                  Store.entry_path store ~key ))
+              points
+          in
+          let stop = Atomic.make false in
+          let watcher =
+            Domain.spawn (fun () ->
+                while
+                  (not (Atomic.get stop))
+                  && not (List.exists (fun (l, _) -> Sys.file_exists l) files)
+                do
+                  Domain.cpu_relax ()
+                done;
+                List.filter_map
+                  (fun (lease_file, entry) ->
+                    let seen = ref false in
+                    while Sys.file_exists lease_file && not (Atomic.get stop) do
+                      seen := true
+                    done;
+                    if !seen && not (Sys.file_exists entry) then Some entry
+                    else None)
+                  files)
+          in
+          let _, stats =
+            Fun.protect
+              ~finally:(fun () -> Atomic.set stop true)
+              (fun () -> Sweep.run ~jobs:1 ~lease ~store points)
+          in
+          let early = Domain.join watcher in
+          Alcotest.(check int) "all computed" (List.length points)
+            stats.Sweep.computed;
+          Alcotest.(check (list string)) "no lease released before its entry"
+            [] early))
+
+(* A publication that fails (tmp/ is a regular file, so staging fails
+   even for root) raises out of Sweep.run once the writer has run every
+   submitted publication, rather than hanging. *)
+let test_sweep_publication_failure_raises () =
+  with_store (fun store ->
+      let tmp = Filename.concat (Store.root store) "tmp" in
+      rm_rf tmp;
+      close_out (open_out tmp);
+      match Sweep.run ~jobs:1 ~store (Axes.enumerate small_axes) with
+      | exception Sys_error _ -> ()
+      | _ -> Alcotest.fail "a failed publication must raise")
+
+(* A run that publishes nothing starts no writer domain; a cold one
+   starts it and joins it before returning. *)
+let test_warm_sweep_starts_no_writer () =
+  with_store (fun store ->
+      let points = Axes.enumerate small_axes in
+      let before = Writer.started () in
+      let _, cold = Sweep.run ~jobs:1 ~store points in
+      Alcotest.(check int) "cold: every point published"
+        (List.length points) cold.Sweep.published;
+      Alcotest.(check bool) "cold: a writer domain ran" true
+        (Writer.started () > before);
+      let after_cold = Writer.started () in
+      let _, warm = Sweep.run ~jobs:1 ~store points in
+      Alcotest.(check int) "warm: nothing published" 0 warm.Sweep.published;
+      Alcotest.(check int) "warm: no writer domain" after_cold
+        (Writer.started ()))
+
 let test_sweep_rejects_duplicate_keys () =
   with_store (fun store ->
       let p = List.hd (Axes.enumerate small_axes) in
@@ -1126,6 +1276,9 @@ let test_table7_byte_identical_via_store () =
         (render direct) (render from_store))
 
 let () =
+  match Array.to_list Sys.argv with
+  | _ :: flag :: args when flag = child_flag -> child_main args
+  | _ ->
   Alcotest.run "explore"
     [
       ( "axes",
@@ -1171,6 +1324,8 @@ let () =
             test_compact_crash_after_publish;
           Alcotest.test_case "reader survives concurrent compaction" `Quick
             test_reader_during_compaction;
+          Alcotest.test_case "two compactors keep both entries" `Quick
+            test_two_compactors_keep_both;
           Alcotest.test_case "corrupt record quarantined, rest served" `Quick
             test_corrupt_segment_record;
           Alcotest.test_case "idx rebuilt when missing" `Quick
@@ -1201,6 +1356,12 @@ let () =
             test_sweep_heals_truncated_entry;
           Alcotest.test_case "rejects duplicate keys" `Quick
             test_sweep_rejects_duplicate_keys;
+          Alcotest.test_case "lease released only after its entry" `Quick
+            test_sweep_releases_lease_after_entry;
+          Alcotest.test_case "publication failure raises" `Quick
+            test_sweep_publication_failure_raises;
+          Alcotest.test_case "warm sweep starts no writer" `Quick
+            test_warm_sweep_starts_no_writer;
         ] );
       ( "analysis",
         [

@@ -8,7 +8,7 @@
 
    Plus shape snapshots: Table 1 and Table 2 must have exactly the cell
    labels / row keys of the paper's published tables in Paper_data, and
-   Tables 3-8 must stay as close to the paper's cells as EXPERIMENTS.md
+   Tables 1 and 3-8 must stay as close to the paper's cells as EXPERIMENTS.md
    records. *)
 
 module E = Mfu.Experiments
@@ -152,9 +152,9 @@ let test_table2_shape () =
       Alcotest.(check int) "8 rows per class" 8 (List.length t.E.lim_rows))
     measured
 
-(* Fidelity floors for Tables 3-8: EXPERIMENTS.md's summary pearson and
-   rank agreement minus a 0.02 margin, and the level within the +-30% band
-   of Table 1's test. Measured on the cells of the shared sequential
+(* Fidelity floors for Tables 1 and 3-8: EXPERIMENTS.md's summary
+   pearson and rank agreement minus a 0.02 margin, and the level within
+   a +-30% band. Measured on the cells of the shared sequential
    snapshot, so they cost no extra simulation. *)
 let fidelity =
   [
@@ -164,6 +164,7 @@ let fidelity =
     (6, P.flatten_buffer ~name:"t6" P.table6, 64, 0.949, 0.94);
     (7, P.flatten_ruu ~name:"t7" P.table7, 192, 0.809, 0.88);
     (8, P.flatten_ruu ~name:"t8" P.table8, 192, 0.962, 0.92);
+    (1, P.flatten_table1 P.table1, 32, 0.875, 0.89);
   ]
 
 let test_fidelity_floor (n, paper, cells, pearson, rank) () =

@@ -433,6 +433,64 @@ let test_stats_compute_by_family () =
               Alcotest.(check int) "every point computed"
                 (List.length points) summary.Protocol.computed))
 
+(* The writer domain stores a computed point before it streams it: the
+   loose file of every computed event exists by the time the client
+   reads the event. Leases on, so the release runs in the same
+   closure. *)
+let test_streamed_point_is_on_disk () =
+  let spec = "units=1-2;size=10;bus=nbus;config=m11br5;loops=1,3,5,7,11" in
+  with_server
+    ~configure:(fun c -> { c with Server.jobs = Some 1; lease = true })
+    (fun t ->
+      with_client t (fun c ->
+          let computed = ref 0 and missing = ref [] in
+          let on_event = function
+            | Protocol.Point { Protocol.key; source = Protocol.Computed; _ } ->
+                incr computed;
+                let path = Store.entry_path (Server.store t) ~key in
+                if not (Sys.file_exists path) then missing := key :: !missing
+            | Protocol.Point _ | Protocol.Aborted _ | Protocol.Summary _ -> ()
+          in
+          let summary = query_ok ~on_event c ~spec in
+          Alcotest.(check int) "every point computed" summary.Protocol.total
+            !computed;
+          Alcotest.(check (list string)) "every streamed point on disk" []
+            !missing))
+
+(* A publication that fails does not hang the query: tmp/ replaced by a
+   regular file fails every staging write, even for root, and the
+   client gets an aborted event for each point that was not stored. *)
+let test_publication_failure_aborts () =
+  with_server (fun t ->
+      let tmp = Filename.concat (Store.root (Server.store t)) "tmp" in
+      rm_rf tmp;
+      close_out (open_out tmp);
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove tmp;
+          Unix.mkdir tmp 0o755)
+        (fun () ->
+          with_client t (fun c ->
+              let aborted = ref 0 in
+              let on_event = function
+                | Protocol.Aborted _ -> incr aborted
+                | Protocol.Point _ | Protocol.Summary _ -> ()
+              in
+              let summary = query_ok ~on_event c ~spec:spec_2pts in
+              Alcotest.check summ "nothing stored, everything aborted"
+                {
+                  Protocol.total = 2;
+                  store_hits = 0;
+                  computed = 0;
+                  inflight_hits = 0;
+                  quarantined = 0;
+                  lease_deferred = 0;
+                  lease_stolen = 0;
+                  aborted = 2;
+                }
+                summary;
+              Alcotest.(check int) "two aborted events" 2 !aborted)))
+
 let test_unix_socket () =
   let dir = temp_dir () in
   Unix.mkdir dir 0o755;
@@ -925,6 +983,10 @@ let () =
           Alcotest.test_case "stats endpoint" `Quick test_stats_endpoint;
           Alcotest.test_case "stats compute by family" `Quick
             test_stats_compute_by_family;
+          Alcotest.test_case "streamed computed points are on disk" `Quick
+            test_streamed_point_is_on_disk;
+          Alcotest.test_case "failed publication aborts its points" `Quick
+            test_publication_failure_aborts;
           Alcotest.test_case "unix-domain socket" `Quick test_unix_socket;
           Alcotest.test_case "store bytes match a plain sweep" `Quick
             test_store_bytes_match_sweep;
