@@ -145,8 +145,10 @@ let rec rm_rf path =
     else Sys.remove path
 
 (* A loose store pays open(2) + read(2) + close(2) + JSON parse + MD5 on
-   a handle's first lookup of each entry; a packed store decodes each
-   segment record once at [Store.open_] and serves lookups from memory.
+   a handle's first lookup of each entry. A packed record is validated
+   on a handle's first lookup of it too, but the packed side reads
+   through one handle, so every pass after its first is served from
+   memory, and the timer keeps the best pass.
    The store is synthetic (sequential keys, small distinct results), so
    the row measures the store, not the simulator. *)
 let store_row =
@@ -206,12 +208,12 @@ let digest_row =
   in
   { name = "trace/digest"; floor = Some 3.5; unit = "entries"; sides }
 
-(* Decoding a stored entry is most of what [Store.open_] pays per packed
-   record. The texts are the entries of Table 7's first 240 points,
-   written by [Store.put] with a sweep's metadata and read back. On a
-   2-vCPU host the row measured 2.35-2.94x over 6 runs; peeking a
-   [char option] per byte again measured 1.16-1.19x, under the 1.8x
-   floor. *)
+(* Decoding a stored entry is most of what the first read of a packed
+   record or a loose entry costs. The texts are the entries of Table 7's
+   first 240 points, written by [Store.put] with a sweep's metadata and
+   read back. On a 2-vCPU host the row measured 2.35-2.94x over 6 runs;
+   peeking a [char option] per byte again measured 1.16-1.19x, under
+   the 1.8x floor. *)
 let json_row =
   let sides () =
     let dir = Filename.temp_file "mfu_bench_json" "" in

@@ -10,14 +10,16 @@ let pack_idx_magic = "mfu-pack-idx/v1\n"
 (* In-memory index                                                    *)
 
 (* One live packed record: where its verbatim payload lives inside
-   segments/<seq>.pack, plus the result decoded (and digest-verified)
-   when the segment was loaded — a warm hit costs no syscall. *)
+   segments/<seq>.pack, plus the result once a read has digest-verified,
+   validated and decoded it. The open indexes a record from its segment's
+   sidecar without reading it; the first lookup reads and checks it and
+   keeps the result, so every later hit costs no syscall. *)
 type packed = {
   seg : int;
   off : int;  (* offset of the record header in the pack file *)
-  len : int;  (* total record length, header to trailing digest *)
-  payload_bytes : int;
-  result : Sim_types.result;
+  len : int;  (* bytes from the header to the next record or EOF *)
+  payload_bytes : int;  (* from the header, for {!stats} *)
+  mutable result : Sim_types.result option;  (* [None] until validated *)
 }
 
 (* What this handle knows of a key's loose entry file. [Unread]: a
@@ -135,6 +137,7 @@ type t = {
   lock : Mutex.t;
   idx : index;
   loose_reads : int Atomic.t;  (* loose entry files read by this handle *)
+  packed_reads : int Atomic.t;  (* packed records it read and validated *)
 }
 
 let root t = t.root
@@ -301,6 +304,20 @@ let validate ?key ~digest text =
             | _ -> Error "bad result payload")
       | _ -> Error "missing required field")
 
+(* Up to [len] bytes from [fd]'s offset, fewer at EOF, in as many reads
+   as they need. *)
+let read_upto fd len =
+  let buf = Bytes.create len in
+  let rec fill got =
+    if got = len then got
+    else
+      match Unix.read fd buf got (len - got) with
+      | 0 -> got
+      | n -> fill (got + n)
+  in
+  let got = fill 0 in
+  if got = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 got
+
 (* A whole regular file with one open, one fstat and as many reads as
    its size needs (one for an entry) — no channel and no 64 KiB channel
    buffer per file. A directory or other non-regular file is [`Foreign]:
@@ -314,16 +331,8 @@ let read_regular path =
         (fun () ->
           match Unix.fstat fd with
           | { Unix.st_kind = Unix.S_REG; st_size; _ } -> (
-              let buf = Bytes.create st_size in
-              let rec fill off =
-                if off = st_size then off
-                else
-                  match Unix.read fd buf off (st_size - off) with
-                  | 0 -> off
-                  | n -> fill (off + n)
-              in
-              match fill 0 with
-              | n when n = st_size -> `Text (Bytes.unsafe_to_string buf)
+              match read_upto fd st_size with
+              | text when String.length text = st_size -> `Text text
               | _ -> `Short
               | exception Unix.Unix_error _ -> `Short)
           | _ -> `Foreign
@@ -350,17 +359,25 @@ let record_append buf ~key ~payload =
 let record_length ~key ~payload =
   8 + String.length key + String.length payload + 16
 
-(* Parse and digest-check the record at [off]: the MD5 is taken over
-   the key and payload where they lie, and compared in place. *)
-let record_read pack off =
-  let len = String.length pack in
-  if off + 8 > len then Error "record header out of bounds"
+(* The key and payload lengths in the header at [off], if the record
+   they frame ends by [limit]. *)
+let record_frame pack off ~limit =
+  if off + 8 > limit then None
   else
     let klen = Int32.to_int (String.get_int32_be pack off) in
     let plen = Int32.to_int (String.get_int32_be pack (off + 4)) in
-    if klen <= 0 || plen <= 0 || klen > 65536 || off + 8 + klen + plen + 16 > len
-    then Error "record frame out of bounds"
-    else
+    if
+      klen <= 0 || plen <= 0 || klen > 65536
+      || off + 8 + klen + plen + 16 > limit
+    then None
+    else Some (klen, plen)
+
+(* Parse and digest-check the record at [off]: the MD5 is taken over
+   the key and payload where they lie, and compared in place. *)
+let record_read pack off =
+  match record_frame pack off ~limit:(String.length pack) with
+  | None -> Error "record frame out of bounds"
+  | Some (klen, plen) ->
       let body = off + 8 in
       let trailer = body + klen + plen in
       let d = Digest.substring pack body (klen + plen) in
@@ -453,13 +470,18 @@ let insert_packed t ~seg_meta e p =
   e.packed <- Some p;
   seg_meta.records <- seg_meta.records + 1
 
-(* Load segments/<seq>.pack into the index: one sequential read of the
-   whole file, each record digest-verified and its payload validated
-   and decoded exactly once — the "validate per open, not per read"
-   half of the store. A record failing its digest is copied to
-   quarantine/ and skipped; with an idx sidecar the remaining records
-   stay reachable, without one the unframeable tail is quarantined
-   whole and the sidecar is rebuilt from what survived. *)
+let record_name ~seq ~off = Printf.sprintf "pack-%08d-%d.record" seq off
+
+(* Load segments/<seq>.pack into the index. With a valid idx sidecar
+   this costs what the index costs: each digest the sidecar lists is
+   filed at its offset, the record running to the next listed offset or
+   EOF, with the payload size its header gives ({!stats} reports it) —
+   no MD5 and no JSON: {!lookup} validates a record on its first read.
+   A segment without a usable sidecar is scanned sequentially instead,
+   each record digest-verified, validated and decoded on the way; a
+   failing record is copied to quarantine/ and skipped, the unframeable
+   tail is quarantined whole, and the sidecar is rebuilt from what
+   survived. *)
 let load_segment t seq =
   let path = segment_pack_path t ~seq in
   match read_file_opt path with
@@ -473,71 +495,55 @@ let load_segment t seq =
       quarantine_bytes t ~name:(Printf.sprintf "pack-%08d.bad-magic" seq) pack;
       (try Sys.remove path with Sys_error _ -> ())
   | Some pack ->
-      let seg_meta = { seq; file_bytes = String.length pack; records = 0 } in
-      let idx_entries =
-        Option.bind
-          (read_file_opt (segment_idx_path t ~seq))
-          (idx_parse ~pack_len:(String.length pack))
+      let pack_len = String.length pack in
+      let seg_meta = { seq; file_bytes = pack_len; records = 0 } in
+      let insert ~digest ~off ~len ~payload_bytes result =
+        insert_packed t ~seg_meta
+          (Dtbl.upsert t.idx.tbl digest)
+          { seg = seq; off; len; payload_bytes; result }
       in
-      (* [digest] is the key's, taken once per record by the caller. *)
-      let accept ~off ~digest key payload reclen =
-        match validate ~key ~digest payload with
-        | Ok (_, r) ->
-            let e = Dtbl.upsert t.idx.tbl digest in
-            insert_packed t ~seg_meta e
-              {
-                seg = seq;
-                off;
-                len = reclen;
-                payload_bytes = String.length payload;
-                result = r;
-              };
-            true
-        | Error _ ->
-            quarantine_bytes t
-              ~name:(Printf.sprintf "pack-%08d-%d.record" seq off)
-              (String.sub pack off reclen);
-            false
-      in
-      (match idx_entries with
+      (match
+         Option.bind
+           (read_file_opt (segment_idx_path t ~seq))
+           (idx_parse ~pack_len)
+       with
       | Some entries ->
-          List.iter
-            (fun (digest, off) ->
-              match record_read pack off with
-              | Ok (key, payload, reclen)
-                when String.equal (Digest.string key) digest ->
-                  ignore (accept ~off ~digest key payload reclen)
-              | Ok (_, _, reclen) ->
-                  quarantine_bytes t
-                    ~name:(Printf.sprintf "pack-%08d-%d.record" seq off)
-                    (String.sub pack off reclen)
-              | Error _ ->
-                  (* Framing from the sidecar: quarantine just this
-                     record's span, up to the next entry or EOF. *)
-                  let next =
-                    List.fold_left
-                      (fun acc (_, o) -> if o > off && o < acc then o else acc)
-                      (String.length pack) entries
-                  in
-                  quarantine_bytes t
-                    ~name:(Printf.sprintf "pack-%08d-%d.record" seq off)
-                    (String.sub pack off (next - off)))
-            entries
+          let rec index = function
+            | [] -> ()
+            | (digest, off) :: rest ->
+                let next = match rest with (_, o) :: _ -> o | [] -> pack_len in
+                let payload_bytes =
+                  match record_frame pack off ~limit:next with
+                  | Some (_, plen) -> plen
+                  | None -> 0
+                in
+                insert ~digest ~off ~len:(next - off) ~payload_bytes None;
+                index rest
+          in
+          index entries
       | None ->
           let rebuilt = ref [] in
           let off = ref (String.length pack_magic) in
           let stop = ref false in
-          while (not !stop) && !off < String.length pack do
+          while (not !stop) && !off < pack_len do
             match record_read pack !off with
             | Ok (key, payload, reclen) ->
+                Atomic.incr t.packed_reads;
                 let digest = Digest.string key in
-                if accept ~off:!off ~digest key payload reclen then
-                  rebuilt := (digest, !off) :: !rebuilt;
+                (match validate ~key ~digest payload with
+                | Ok (_, r) ->
+                    insert ~digest ~off:!off ~len:reclen
+                      ~payload_bytes:(String.length payload) (Some r);
+                    rebuilt := (digest, !off) :: !rebuilt
+                | Error _ ->
+                    quarantine_bytes t
+                      ~name:(record_name ~seq ~off:!off)
+                      (String.sub pack !off reclen));
                 off := !off + reclen
             | Error _ ->
                 quarantine_bytes t
                   ~name:(Printf.sprintf "pack-%08d-%d.tail" seq !off)
-                  (String.sub pack !off (String.length pack - !off));
+                  (String.sub pack !off (pack_len - !off));
                 stop := true
           done;
           write_atomically t
@@ -769,6 +775,7 @@ let open_ root_path =
           seg_stamp = 0.;
         };
       loose_reads = Atomic.make 0;
+      packed_reads = Atomic.make 0;
     }
   in
   mkdir_p (objects_dir t);
@@ -816,6 +823,7 @@ let put ?(meta = []) t ~key result =
       e.loose_bytes <- String.length text)
 
 let loose_reads t = Atomic.get t.loose_reads
+let packed_reads t = Atomic.get t.packed_reads
 
 (* One loose entry, read once and validated: the verbatim text comes
    back with the key and result, so a caller needing the bytes (the
@@ -839,6 +847,85 @@ let read_loose ?key t path ~digest =
           quarantine t path;
           `Invalid)
 
+(* [len] bytes of [path] from [off], fewer at EOF: one open, one seek
+   and as many reads as the span needs. *)
+let read_span path ~off ~len =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> `Vanished
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          try
+            ignore (Unix.lseek fd off Unix.SEEK_SET);
+            `Bytes (read_upto fd len)
+          with Unix.Unix_error _ -> `Bytes "")
+
+(* Packed record [p], read and given every check a loose read gets: its
+   trailer MD5, a framing key equal to [key] (hashing to [digest] for
+   compaction, which knows the record by digest alone) and the entry's
+   validation against that key. A record failing any of them is copied
+   to quarantine/. [`Vanished]: the segment file is gone — another
+   process's full compaction or unpack deleted it. *)
+let read_packed ?key t p ~digest =
+  match read_span (segment_pack_path t ~seq:p.seg) ~off:p.off ~len:p.len with
+  | `Vanished -> `Vanished
+  | `Bytes span -> (
+      Atomic.incr t.packed_reads;
+      let checked =
+        Result.bind (record_read span 0) (fun (framing, payload, _) ->
+            if
+              match key with
+              | Some key -> String.equal framing key
+              | None -> String.equal (Digest.string framing) digest
+            then
+              Result.map
+                (fun (_, result) -> (framing, payload, result))
+                (validate ~key:framing ~digest payload)
+            else Error "framing key does not match")
+      in
+      match checked with
+      | Ok v -> `Valid v
+      | Error _ ->
+          quarantine_bytes t ~name:(record_name ~seq:p.seg ~off:p.off) span;
+          `Invalid)
+
+(* [e] stops pointing at record [p], unless something newer already
+   replaced it. *)
+let drop_packed_locked e p =
+  match e.packed with Some q when q == p -> e.packed <- None | _ -> ()
+
+(* The result of [e]'s packed record, validated on its first read and
+   kept. A record that fails leaves the index. When its segment has
+   vanished, the handle folds in the segments it has not seen — the
+   compaction that deleted it published the record anew — and tries the
+   key's newer record, as a lookup does for a vanished loose file. Each
+   retry follows a record of a newly loaded, higher segment, so the
+   retries end. *)
+let rec packed_result t ~key e =
+  match Mutex.protect t.lock (fun () -> e.packed) with
+  | None -> None
+  | Some { result = Some r; _ } -> Some r
+  | Some p -> (
+      match read_packed ~key t p ~digest:e.digest with
+      | `Valid (_, _, r) ->
+          Mutex.protect t.lock (fun () -> p.result <- Some r);
+          Some r
+      | `Invalid ->
+          Mutex.protect t.lock (fun () -> drop_packed_locked e p);
+          None
+      | `Vanished ->
+          let moved =
+            Mutex.protect t.lock (fun () ->
+                rescan_segments_locked t;
+                match e.packed with
+                | Some q when q != p -> true
+                | _ ->
+                    drop_packed_locked e p;
+                    false)
+          in
+          if moved then packed_result t ~key e else None)
+
 let lookup t ~key =
   let raw = Digest.string key in
   let ent = Mutex.protect t.lock (fun () -> Dtbl.find t.idx.tbl raw) in
@@ -846,17 +933,44 @@ let lookup t ~key =
      branches: the warm packed hit below must stay one hash and one
      table probe, nothing else *)
   let packed_hit () =
-    Mutex.protect t.lock (fun () ->
-        match Dtbl.find t.idx.tbl raw with
-        | Some { packed = Some p; _ } -> Some p.result
-        | _ -> None)
+    match Mutex.protect t.lock (fun () -> Dtbl.find t.idx.tbl raw) with
+    | Some e -> packed_result t ~key e
+    | None -> None
+  in
+  (* Not live in the index (or its packed record failed): either truly
+     absent or published by another process after our open. Probe the
+     loose path (publications always land loose), then check for
+     segments we have not seen. *)
+  let probe () =
+    let hex = Digest.to_hex raw in
+    match read_loose ~key t (loose_path t hex) ~digest:raw with
+    | `Valid (text, _, result) ->
+        Mutex.protect t.lock (fun () ->
+            let e = Dtbl.upsert t.idx.tbl raw in
+            match e.loose with
+            | No_file ->
+                e.loose <- Known result;
+                e.loose_bytes <- String.length text
+            | Unread | Known _ -> ());
+        `Hit result
+    | `Invalid -> `Corrupt
+    | `Foreign -> `Miss
+    | `Vanished ->
+        let stamp = seg_dir_stamp t in
+        if stamp > Mutex.protect t.lock (fun () -> t.idx.seg_stamp) then begin
+          Mutex.protect t.lock (fun () -> rescan_segments_locked t);
+          match packed_hit () with Some r -> `Hit r | None -> `Miss
+        end
+        else `Miss
   in
   match ent with
   | Some { loose = Known r; _ } -> `Hit r
-  | Some { packed = Some p; loose = No_file; _ } ->
-      (* Warm packed hit: the record was digest-verified and decoded
-         when its segment loaded — no syscall here. *)
-      `Hit p.result
+  | Some { packed = Some { result = Some r; _ }; loose = No_file; _ } ->
+      (* Warm packed hit: validated and decoded by an earlier read — no
+         syscall here. *)
+      `Hit r
+  | Some ({ packed = Some _; loose = No_file; _ } as e) -> (
+      match packed_result t ~key e with Some r -> `Hit r | None -> probe ())
   | Some ({ loose = Unread; _ } as e) -> (
       let hex = Digest.to_hex raw in
       match read_loose ~key t (loose_path t hex) ~digest:raw with
@@ -886,31 +1000,7 @@ let lookup t ~key =
               e.loose <- No_file;
               rescan_segments_locked t);
           match packed_hit () with Some r -> `Hit r | None -> `Miss))
-  | Some { packed = None; loose = No_file; _ } | None -> (
-      (* Not live in the index: either truly absent or published by
-         another process after our open. Probe the loose path
-         (publications always land loose), then check for segments we
-         have not seen. *)
-      let hex = Digest.to_hex raw in
-      match read_loose ~key t (loose_path t hex) ~digest:raw with
-      | `Valid (text, _, result) ->
-          Mutex.protect t.lock (fun () ->
-              let e = Dtbl.upsert t.idx.tbl raw in
-              match e.loose with
-              | No_file ->
-                  e.loose <- Known result;
-                  e.loose_bytes <- String.length text
-              | Unread | Known _ -> ());
-          `Hit result
-      | `Invalid -> `Corrupt
-      | `Foreign -> `Miss
-      | `Vanished ->
-          let stamp = seg_dir_stamp t in
-          if stamp > Mutex.protect t.lock (fun () -> t.idx.seg_stamp) then begin
-            Mutex.protect t.lock (fun () -> rescan_segments_locked t);
-            match packed_hit () with Some r -> `Hit r | None -> `Miss
-          end
-          else `Miss)
+  | Some { packed = None; loose = No_file; _ } | None -> probe ()
 
 let find t ~key =
   match lookup t ~key with `Hit r -> Some r | `Miss | `Corrupt -> None
@@ -938,21 +1028,6 @@ let no_compaction =
   }
 
 type crash_point = Crash_before_publish | Crash_after_publish
-
-let pread_record t p =
-  match open_in_bin (segment_pack_path t ~seq:p.seg) with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          try
-            seek_in ic p.off;
-            let s = really_input_string ic p.len in
-            match record_read s 0 with
-            | Ok (k, pl, _) -> Some (k, pl)
-            | Error _ -> None
-          with End_of_file | Sys_error _ -> None)
 
 (* Fold every loose entry (re-validated on the way in) into one new
    segment; with [full], live records of existing segments are
@@ -997,26 +1072,6 @@ let compact_locked ?(full = false) ?crash t =
             None)
       (List.rev !live_loose)
   in
-  (* In full mode, carry the live packed records forward too. *)
-  let rewrite_items =
-    if not full then []
-    else begin
-      let acc = ref [] in
-      Dtbl.iter
-        (fun e ->
-          match (e.loose, e.packed) with
-          | No_file, Some p -> (
-              match pread_record t p with
-              | Some (key, payload) -> acc := (e, p, key, payload) :: !acc
-              | None -> e.packed <- None)
-          | _ -> ())
-        t.idx.tbl;
-      List.sort
-        (fun (_, a, _, _) (_, b, _, _) ->
-          compare (a.seg, a.off) (b.seg, b.off))
-        !acc
-    end
-  in
   let old_segs = t.idx.segs in
   let old_records = List.fold_left (fun a s -> a + s.records) 0 old_segs in
   let worthwhile =
@@ -1027,6 +1082,29 @@ let compact_locked ?(full = false) ?crash t =
   in
   if not worthwhile then no_compaction
   else begin
+    (* In full mode, carry the live packed records forward too, each
+       read and validated (a record that fails is quarantined, one whose
+       segment vanished is left to the compaction that deleted it). *)
+    let rewrite_items =
+      if not full then []
+      else begin
+        let acc = ref [] in
+        Dtbl.iter
+          (fun e ->
+            match (e.loose, e.packed) with
+            | No_file, Some p -> (
+                match read_packed t p ~digest:e.digest with
+                | `Valid (key, payload, result) ->
+                    acc := (e, p, key, payload, result) :: !acc
+                | `Invalid | `Vanished -> e.packed <- None)
+            | _ -> ())
+          t.idx.tbl;
+        List.sort
+          (fun (_, a, _, _, _) (_, b, _, _, _) ->
+            compare (a.seg, a.off) (b.seg, b.off))
+          !acc
+      end
+    in
     let buf = Buffer.create 65536 in
     Buffer.add_string buf pack_magic;
     let idx_entries = ref [] in
@@ -1041,8 +1119,8 @@ let compact_locked ?(full = false) ?crash t =
        matching the loose-shadows-packed rule. *)
     let rewrite_offs =
       List.map
-        (fun (e, p, key, payload) ->
-          (e, p.result, add ~key ~payload, key, payload))
+        (fun (e, _, key, payload, result) ->
+          (e, result, add ~key ~payload, key, payload))
         rewrite_items
     in
     let loose_offs =
@@ -1118,7 +1196,7 @@ let compact_locked ?(full = false) ?crash t =
             off;
             len = record_length ~key ~payload;
             payload_bytes = String.length payload;
-            result;
+            result = Some result;
           };
       seg_meta.records <- seg_meta.records + 1
     in
@@ -1161,17 +1239,17 @@ let unpack t =
           (fun e ->
             match (e.loose, e.packed) with
             | No_file, Some p -> (
-                match pread_record t p with
-                | Some (key, payload) ->
+                match read_packed t p ~digest:e.digest with
+                | `Valid (key, payload, result) ->
                     write_atomically t
                       ~temp_name:(digest_of_key key ^ ".json.tmp")
                       ~dest:(loose_path t (Digest.to_hex e.digest))
                       payload;
-                    e.loose <- Known p.result;
+                    e.loose <- Known result;
                     e.loose_bytes <- String.length payload;
                     e.packed <- None;
                     incr restored
-                | None -> e.packed <- None)
+                | `Invalid | `Vanished -> e.packed <- None)
             | _, Some _ -> e.packed <- None
             | _, None -> ())
           t.idx.tbl;

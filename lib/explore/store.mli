@@ -27,32 +27,32 @@
     verbatim payload records, each closed by an MD5), deleting the loose
     files only after the segment and its sidecar are durable on disk.
 
-    {!open_} builds an in-memory index over both worlds: segment
-    records are digest-verified, validated, and decoded {e once}, so a
-    warm packed hit is a pure memory read; loose entries are indexed by
-    name alone — no syscall per entry — and a loose file is read and
-    validated the first time this handle looks it up, so entries
-    published (or corrupted) by other processes before that stay
-    visible without reopening. After that read, and from the start for
-    an entry this handle {!put}, the handle answers the key from
-    memory, as it does a packed record, until the loose file is
-    quarantined, found gone, or folded by {!compact}; damage done to
-    the file later is caught by the next {!compact} or by any other
-    handle's read. A loose file shadows a packed record of the same digest, and within
-    segments a higher sequence number wins, so a crash between segment
-    publication and loose-file deletion leaves harmless duplicates,
-    never losses.
+    {!open_} builds an in-memory index over both worlds, from names and
+    sidecars alone: a segment record is filed by the digest and offset
+    its [.idx] sidecar lists, a loose entry by its file name — no
+    syscall and no decode per entry. Either is read and validated the
+    first time this handle looks it up, so entries published (or
+    corrupted) by other processes before that stay visible without
+    reopening, and damage to a packed record is found at its first
+    read, as for a loose entry. After that read, and from the start for
+    an entry this handle {!put}, the handle answers the key from memory
+    until a loose file is quarantined, found gone, or folded by
+    {!compact}; damage done to a file later is caught by the next
+    {!compact} or by any other handle's read. A loose file shadows a
+    packed record of the same digest, and within segments a higher
+    sequence number wins, so a crash between segment publication and
+    loose-file deletion leaves harmless duplicates, never losses.
 
     Reads of loose entries re-validate everything: JSON
     well-formedness, the [mfu-result/v1] schema tag, a stored digest
     equal to the file name's, a stored key equal to the key looked up
     (or, when {!compact} folds a file it has no key for, hashing to the
     file name), and sane result fields. A segment record is checked the
-    same way against its framing key, after its MD5. Anything failing a
-    check — loose file or segment record — is {e quarantined}: moved
-    (or copied) into [quarantine/], preserving the evidence, and
-    reported as absent so the store heals by recomputation instead of
-    crashing the sweep. *)
+    same way after its MD5, with a framing key that must equal the key
+    looked up. Anything failing a check — loose file or segment record —
+    is {e quarantined}: moved (or copied) into [quarantine/], preserving
+    the evidence, and reported as absent so the store heals by
+    recomputation instead of crashing the sweep. *)
 
 val schema : string
 (** ["mfu-result/v1"] — the per-entry schema tag. *)
@@ -68,14 +68,15 @@ type t
 
 val open_ : string -> t
 (** Open (creating directories and an initial manifest as needed) and
-    build the in-memory index: load every segment sequentially —
-    validating and decoding each record once, quarantining corrupt ones
-    — then list the [objects/] shard directories for loose entry names.
-    A record costs one MD5 over its bytes, one MD5 of its key and one
-    pass of the JSON reader over its entry: on a 2-vCPU host a
-    960-record store (Table 7's shape, 531-byte entries) opens in 9–11
-    ms, 3–4 ms of it parsing. The listing is the whole cost of the loose side:
-    no entry file is opened or stat'ed. Foreign files in the shard
+    build the in-memory index: read each segment's sidecar and pack,
+    filing every record by digest and offset with the payload size its
+    header gives, then list the [objects/] shard directories for loose
+    entry names. No record is validated here: {!lookup} validates one
+    on its first read. A segment whose sidecar is missing or damaged is
+    scanned sequentially instead, each record validated and decoded,
+    corrupt ones quarantined, and the sidecar rebuilt. The listing is
+    the whole cost of the loose side: no entry file is opened or
+    stat'ed. Foreign files in the shard
     directories (anything that is not [<32 hex>.json] in its own shard)
     are skipped and counted, never a reason to fail the open; a
     directory or other non-regular file that is named like an entry is
@@ -116,14 +117,16 @@ val put :
 
 val lookup :
   t -> key:string -> [ `Hit of Mfu_sim.Sim_types.result | `Miss | `Corrupt ]
-(** Read through the index. A packed hit returns the result decoded at
-    open time without touching the disk, and so does a loose entry this
-    handle {!put} or has already read; any other loose hit reads and
-    validates the file once and keeps the result. [`Corrupt] means an entry
-    existed but failed validation and has been quarantined (the caller
-    should recompute, exactly as for [`Miss]). When a loose file
-    vanishes underneath the handle — another process compacted — new
-    segments are folded in and the read is answered from them. *)
+(** Read through the index. An entry this handle {!put}, or has read
+    once, is answered from memory without touching the disk; any other
+    hit reads and validates its loose file or packed record once and
+    keeps the result. [`Corrupt] means a loose entry existed but failed
+    validation and has been quarantined (the caller should recompute,
+    exactly as for [`Miss]); a packed record that fails is quarantined
+    and answers [`Miss], unless a loose copy answers. When a loose file
+    or an unread record's segment vanishes underneath the handle —
+    another process compacted — new segments are folded in and the
+    read is answered from them. *)
 
 val find : t -> key:string -> Mfu_sim.Sim_types.result option
 (** [lookup] with [`Corrupt] collapsed to [None]. *)
@@ -135,6 +138,13 @@ val loose_reads : t -> int
     over [n] loose entries that another handle wrote adds exactly [n];
     a cold one, or a warm one over entries this handle wrote or read
     before, none. *)
+
+val packed_reads : t -> int
+(** Packed records this handle has read and validated so far — by
+    {!lookup}, {!find}, a full {!compact}, {!unpack}, and {!open_} for a
+    segment without a usable sidecar. The open cost's counter: opening
+    a store whose segments have sidecars reads none, and a lookup reads
+    its record the first time only. *)
 
 val entry_count : t -> int
 (** Number of live entries in this handle's index, from memory alone. *)
@@ -175,7 +185,9 @@ val stats : t -> stats
     only; [put] knows the size it wrote). [sweep.exe --store-stats] prints it
     and the serve daemon's [/stats] endpoint embeds it. The numbers are
     this handle's view: entries other processes published after our
-    open and that we have not looked up yet are not counted. *)
+    open and that we have not looked up yet are not counted, and packed
+    records this handle has not read yet are counted with the payload
+    size their header gives, before any check. *)
 
 type compaction = {
   folded : int;  (** loose entries folded into the new segment *)
@@ -207,16 +219,17 @@ val compact : ?full:bool -> ?crash:crash_point -> t -> compaction
     handle or process published since this handle's last scan is loaded
     and the next one tried, so concurrent compactors lose nothing
     either. With [full], live records of
-    existing segments are rewritten into the new one and the old
-    segments deleted, dropping shadowed records. Returns
+    existing segments are read, validated and rewritten into the new
+    one and the old segments deleted, dropping shadowed records. Returns
     {!no_compaction} when there is nothing worth writing. *)
 
 val unpack : t -> int
-(** Inverse of {!compact}: write every live packed record back as a
-    loose entry file — byte-identical to the file that was packed,
-    payloads are preserved verbatim — then delete all segments. Returns
-    the number of entries restored. A store is therefore convertible
-    between the two layouts in both directions at any time. *)
+(** Inverse of {!compact}: validate every live packed record and write
+    it back as a loose entry file — byte-identical to the file that was
+    packed, payloads are preserved verbatim — then delete all segments.
+    Returns the number of entries restored. A store is therefore
+    convertible between the two layouts in both directions at any
+    time. *)
 
 val refresh_manifest : t -> unit
 (** Rewrite [MANIFEST.json] (atomically) to reflect the current entry

@@ -155,6 +155,56 @@ let prop_deterministic =
       let b = Ruu.simulate ~config:cfg ~issue_units:3 ~ruu_size:15 ~bus:Sim_types.One_bus t in
       a = b)
 
+(* -- one-unit bus equivalence ------------------------------------------------ *)
+
+(* With one issue unit the RUU has one bank, a dispatch and return budget
+   of 1 and a rotation of 1, so the three bus models are the same
+   machine: the same cycles and the same stall metrics on each. Every
+   Livermore loop runs at sizes 1, 3, 10 and 64, the branch policy and
+   the configuration rotating with the loop and the size, so that each
+   loop meets all four policies and both configurations, and each size
+   both configurations, within the 0.2 s this case may take. *)
+let test_one_unit_buses_agree () =
+  let module L = Mfu_loops.Livermore in
+  let run ~config ~branches ~ruu_size bus trace =
+    let metrics = Sim_types.Metrics.create () in
+    let r =
+      Ruu.simulate ~metrics ~branches ~config ~issue_units:1 ~ruu_size ~bus
+        trace
+    in
+    (r, metrics)
+  in
+  let policies = Ruu.[| Stall; Oracle; Static_taken; Bimodal 16 |] in
+  let configs = [| Config.m11br5; Config.m5br2 |] in
+  List.iteri
+    (fun i l ->
+      let trace = L.trace l in
+      List.iter
+        (fun (config, branches, ruu_size) ->
+          let r, m = run ~config ~branches ~ruu_size Sim_types.N_bus trace in
+          List.iter
+            (fun bus ->
+              let r', m' = run ~config ~branches ~ruu_size bus trace in
+              let what =
+                Printf.sprintf "LL%d %s %s size %d: %s" l.L.number
+                  (Config.name config)
+                  (Ruu.branch_handling_to_string branches)
+                  ruu_size
+                  (if bus = Sim_types.One_bus then "1-bus" else "crossbar")
+              in
+              Alcotest.(check int) (what ^ " cycles") r.Sim_types.cycles
+                r'.Sim_types.cycles;
+              Alcotest.(check bool) (what ^ " metrics") true
+                (Sim_types.Metrics.equal m m'))
+            [ Sim_types.One_bus; Sim_types.X_bar ])
+        (List.mapi
+           (fun j ruu_size ->
+             ( configs.(((i / 4) + j) mod 2),
+               policies.((i + j) mod 4),
+               ruu_size ))
+           [ 1; 3; 10; 64 ]))
+    (L.all ())
+
 (* -- trace cache identity --------------------------------------------------- *)
 
 let test_trace_cache_physical_equality () =
@@ -194,6 +244,11 @@ let () =
             prop_trace_io_roundtrip;
             prop_deterministic;
           ] );
+      ( "one issue unit",
+        [
+          Alcotest.test_case "bus models agree" `Quick
+            test_one_unit_buses_agree;
+        ] );
       ( "trace cache",
         [
           Alcotest.test_case "physically equal across lookups" `Quick

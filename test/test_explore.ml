@@ -942,6 +942,245 @@ let test_escaped_key_roundtrip () =
       Alcotest.(check bool) "unpacked entry read by a fresh handle" true
         (Store.lookup (Store.open_ (Store.root store)) ~key = `Hit result))
 
+(* Opening a packed store reads its sidecars, not its records: a record
+   is read and validated by its first lookup, once, and the open's
+   [stats] reports the store exactly as the handle that wrote it sees
+   it. *)
+let test_packed_validated_on_first_read () =
+  with_store (fun store ->
+      let n = 6 in
+      populate store n;
+      ignore (Store.compact store);
+      let reopened = Store.open_ (Store.root store) in
+      Alcotest.(check int) "open validates no record" 0
+        (Store.packed_reads reopened);
+      Alcotest.(check bool) "stats of unread records equal the writer's" true
+        (Store.stats reopened = Store.stats store);
+      Alcotest.(check int) "stats read no record" 0
+        (Store.packed_reads reopened);
+      let hit i =
+        Alcotest.(check bool) "packed hit" true
+          (Store.lookup reopened ~key:(pack_key i) = `Hit (pack_result i))
+      in
+      hit 3;
+      Alcotest.(check int) "first lookup validates its record" 1
+        (Store.packed_reads reopened);
+      hit 3;
+      Alcotest.(check int) "second lookup reads nothing" 1
+        (Store.packed_reads reopened);
+      hit 0;
+      Alcotest.(check int) "another key validates its own record" 2
+        (Store.packed_reads reopened);
+      Alcotest.(check int) "no loose read" 0 (Store.loose_reads reopened))
+
+(* Two domains taking the first read of the same records: each gets
+   every result right, and each record is validated at most twice. *)
+let test_packed_first_read_race () =
+  with_store (fun store ->
+      let n = 40 in
+      populate store n;
+      ignore (Store.compact store);
+      let reader = Store.open_ (Store.root store) in
+      let read_all () =
+        List.for_all
+          (fun i ->
+            Store.lookup reader ~key:(pack_key i) = `Hit (pack_result i))
+          (List.init n Fun.id)
+      in
+      let other = Domain.spawn read_all in
+      let here = read_all () in
+      Alcotest.(check bool) "this domain's results" true here;
+      Alcotest.(check bool) "the other domain's results" true
+        (Domain.join other);
+      let reads = Store.packed_reads reader in
+      Alcotest.(check bool) "each record read once or twice" true
+        (reads >= n && reads <= 2 * n);
+      check_all_hit ~msg:"answered from memory" reader n;
+      Alcotest.(check int) "no further read" reads (Store.packed_reads reader))
+
+(* A record a handle has not read yet stays readable when another handle
+   deletes its segment: after a full compaction the handle finds the
+   record's copy in the new segment, after an unpack its loose file. *)
+let test_unread_record_outlives_its_segment () =
+  with_store (fun store ->
+      let n = 5 in
+      populate store n;
+      ignore (Store.compact store);
+      let root = Store.root store in
+      let before_full = Store.open_ root in
+      let before_unpack = Store.open_ root in
+      let other = Store.open_ root in
+      Store.put other ~key:(pack_key n) (pack_result n);
+      let c = Store.compact ~full:true other in
+      Alcotest.(check int) "full compaction rewrote the records" n
+        c.Store.rewritten;
+      Alcotest.(check bool) "segment 1 deleted" false
+        (Sys.file_exists (Store.segment_pack_path store ~seq:1));
+      check_all_hit ~msg:"served from the new segment" before_full (n + 1);
+      Alcotest.(check int) "unpacked" (n + 1) (Store.unpack other);
+      check_all_hit ~msg:"served from the unpacked files" before_unpack
+        (n + 1);
+      Alcotest.(check (list string)) "nothing quarantined" []
+        (Store.quarantined other))
+
+(* A sidecar whose digests were swapped between two offsets (its own
+   checksum redone) files each of the two records under the other's key.
+   The first read finds the framing key is not the key looked up: both
+   records are quarantined and neither is served under the wrong key. *)
+let test_sidecar_naming_wrong_record () =
+  with_store (fun store ->
+      let n = 4 in
+      populate store n;
+      ignore (Store.compact store);
+      let path = Store.segment_idx_path store ~seq:1 in
+      let idx = Bytes.of_string (read_file path) in
+      let body = String.length "mfu-pack-idx/v1\n" in
+      let first = Bytes.sub idx (body + 4) 16 in
+      Bytes.blit idx (body + 4 + 24) idx (body + 4) 16;
+      Bytes.blit first 0 idx (body + 4 + 24) 16;
+      let body_len = Bytes.length idx - body - 16 in
+      Bytes.blit_string
+        (Digest.string (Bytes.sub_string idx body body_len))
+        0 idx (body + body_len) 16;
+      let oc = open_out_bin path in
+      output_bytes oc idx;
+      close_out oc;
+      let reopened = Store.open_ (Store.root store) in
+      let answers =
+        List.init n (fun i ->
+            match Store.lookup reopened ~key:(pack_key i) with
+            | `Hit r when r = pack_result i -> `Right
+            | `Hit _ -> `Wrong
+            | `Miss | `Corrupt -> `Absent)
+      in
+      Alcotest.(check int) "no wrong result" 0
+        (List.length (List.filter (( = ) `Wrong) answers));
+      Alcotest.(check int) "the two misfiled records are absent" 2
+        (List.length (List.filter (( = ) `Absent) answers));
+      Alcotest.(check int) "and quarantined" 2
+        (List.length (Store.quarantined reopened)))
+
+(* Byte-level damage to a segment and its sidecar: flips, truncations
+   and splices of a compacted store's .pack and .idx, and digits changed
+   in place — damage that keeps the JSON well-formed, which only the
+   record's MD5 can catch. Reopened with the damaged sidecar (records
+   indexed, validated on first read) and without one (sequential scan),
+   every key must answer its exact result, a miss or corrupt — never a
+   wrong result, an exception or a hang. *)
+type damage =
+  | Flip of int * int
+  | Digit of int * int
+  | Truncate of int
+  | Splice of int * int * int
+
+let damage_gen =
+  QCheck.Gen.(
+    let pos = int_bound 100_000 in
+    frequency
+      [
+        (3, map2 (fun p b -> Flip (p, b)) pos (int_bound 7));
+        (2, map2 (fun p d -> Digit (p, d)) pos (int_range 1 9));
+        (1, map (fun n -> Truncate n) pos);
+        ( 2,
+          map3
+            (fun src dst n -> Splice (src, dst, n))
+            pos pos (int_range 1 600) );
+      ])
+
+let apply_damage text = function
+  | _ when text = "" -> text
+  | Digit (p, d) -> (
+      (* the [p]-th ASCII digit, if any, moved [d] places on *)
+      let digits =
+        List.filter
+          (fun i -> text.[i] >= '0' && text.[i] <= '9')
+          (List.init (String.length text) Fun.id)
+      in
+      match digits with
+      | [] -> text
+      | _ ->
+          let i = List.nth digits (p mod List.length digits) in
+          let b = Bytes.of_string text in
+          Bytes.set b i
+            (Char.chr (48 + ((Char.code text.[i] - 48 + d) mod 10)));
+          Bytes.to_string b)
+  | Flip (p, bit) ->
+      let b = Bytes.of_string text in
+      let p = p mod Bytes.length b in
+      Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl bit)));
+      Bytes.to_string b
+  | Truncate n -> String.sub text 0 (n mod (String.length text + 1))
+  | Splice (src, dst, n) ->
+      (* copy [n] bytes from [src] over [dst], within the file *)
+      let len = String.length text in
+      let src = src mod len and dst = dst mod len in
+      let n = min n (min (len - src) (len - dst)) in
+      let b = Bytes.of_string text in
+      Bytes.blit_string text src b dst n;
+      Bytes.to_string b
+
+let show_damage = function
+  | Flip (p, b) -> Printf.sprintf "flip %d bit %d" p b
+  | Digit (p, d) -> Printf.sprintf "digit %d +%d" p d
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Splice (s, d, n) -> Printf.sprintf "splice %d->%d x%d" s d n
+
+let segment_fuzz =
+  let n = 6 in
+  let pristine =
+    lazy
+      (let dir = temp_store_dir () in
+       Fun.protect
+         ~finally:(fun () -> rm_rf dir)
+         (fun () ->
+           let store = Store.open_ dir in
+           populate store n;
+           ignore (Store.compact store);
+           ( read_file (Store.segment_pack_path store ~seq:1),
+             read_file (Store.segment_idx_path store ~seq:1) )))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (p, i) ->
+        Printf.sprintf "pack: [%s] idx: [%s]"
+          (String.concat "; " (List.map show_damage p))
+          (String.concat "; " (List.map show_damage i)))
+      QCheck.Gen.(
+        pair (list_size (int_bound 3) damage_gen)
+          (list_size (int_bound 2) damage_gen))
+  in
+  QCheck.Test.make ~name:"damaged segments never serve a wrong result"
+    ~count:120 arb (fun (pack_damage, idx_damage) ->
+      let pack, idx = Lazy.force pristine in
+      let pack = List.fold_left apply_damage pack pack_damage in
+      let idx = List.fold_left apply_damage idx idx_damage in
+      List.for_all
+        (fun with_idx ->
+          let dir = temp_store_dir () in
+          Fun.protect
+            ~finally:(fun () -> rm_rf dir)
+            (fun () ->
+              let write name text =
+                let oc = open_out_bin (Filename.concat dir name) in
+                output_string oc text;
+                close_out oc
+              in
+              Sys.mkdir dir 0o755;
+              Sys.mkdir (Filename.concat dir "segments") 0o755;
+              write "segments/00000001.pack" pack;
+              if with_idx then write "segments/00000001.idx" idx;
+              let store = Store.open_ dir in
+              let answers () =
+                List.for_all
+                  (fun i ->
+                    match Store.lookup store ~key:(pack_key i) with
+                    | `Hit r -> r = pack_result i
+                    | `Miss | `Corrupt -> true)
+                  (List.init n Fun.id)
+              in
+              answers () && answers ()))
+        [ true; false ])
+
 (* Two processes racing to publish the same mfu-point/v1 key: exactly
    one valid entry must survive, and every reader must see one writer's
    complete bytes. The children synchronize on a pipe so both write
@@ -1341,6 +1580,17 @@ let () =
             test_packed_key_mismatch;
           Alcotest.test_case "escaped key round trip" `Quick
             test_escaped_key_roundtrip;
+          Alcotest.test_case "packed record validated on first read" `Quick
+            test_packed_validated_on_first_read;
+          Alcotest.test_case "two domains take one first read" `Quick
+            test_packed_first_read_race;
+          Alcotest.test_case "sidecar naming the wrong record" `Quick
+            test_sidecar_naming_wrong_record;
+          Alcotest.test_case "unread record outlives its segment" `Quick
+            test_unread_record_outlives_its_segment;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 27 |])
+            segment_fuzz;
         ] );
       ( "sweep",
         [
