@@ -896,7 +896,8 @@ let drop_packed_locked e p =
   match e.packed with Some q when q == p -> e.packed <- None | _ -> ()
 
 (* The result of [e]'s packed record, validated on its first read and
-   kept. A record that fails leaves the index. When its segment has
+   kept. A record that fails leaves the index and answers [`Corrupt]
+   this once. When its segment has
    vanished, the handle folds in the segments it has not seen — the
    compaction that deleted it published the record anew — and tries the
    key's newer record, as a lookup does for a vanished loose file. Each
@@ -904,16 +905,16 @@ let drop_packed_locked e p =
    retries end. *)
 let rec packed_result t ~key e =
   match Mutex.protect t.lock (fun () -> e.packed) with
-  | None -> None
-  | Some { result = Some r; _ } -> Some r
+  | None -> `Absent
+  | Some { result = Some r; _ } -> `Hit r
   | Some p -> (
       match read_packed ~key t p ~digest:e.digest with
       | `Valid (_, _, r) ->
           Mutex.protect t.lock (fun () -> p.result <- Some r);
-          Some r
+          `Hit r
       | `Invalid ->
           Mutex.protect t.lock (fun () -> drop_packed_locked e p);
-          None
+          `Corrupt
       | `Vanished ->
           let moved =
             Mutex.protect t.lock (fun () ->
@@ -924,7 +925,7 @@ let rec packed_result t ~key e =
                     drop_packed_locked e p;
                     false)
           in
-          if moved then packed_result t ~key e else None)
+          if moved then packed_result t ~key e else `Absent)
 
 let lookup t ~key =
   let raw = Digest.string key in
@@ -932,10 +933,15 @@ let lookup t ~key =
   (* hex digest and loose path are only materialized on the slow
      branches: the warm packed hit below must stay one hash and one
      table probe, nothing else *)
-  let packed_hit () =
+  (* The key's packed record, else [otherwise]; a record that fails
+     its first read answers [`Corrupt]. *)
+  let packed_or otherwise =
     match Mutex.protect t.lock (fun () -> Dtbl.find t.idx.tbl raw) with
-    | Some e -> packed_result t ~key e
-    | None -> None
+    | Some e -> (
+        match packed_result t ~key e with
+        | (`Hit _ | `Corrupt) as v -> v
+        | `Absent -> otherwise)
+    | None -> otherwise
   in
   (* Not live in the index (or its packed record failed): either truly
      absent or published by another process after our open. Probe the
@@ -959,7 +965,7 @@ let lookup t ~key =
         let stamp = seg_dir_stamp t in
         if stamp > Mutex.protect t.lock (fun () -> t.idx.seg_stamp) then begin
           Mutex.protect t.lock (fun () -> rescan_segments_locked t);
-          match packed_hit () with Some r -> `Hit r | None -> `Miss
+          packed_or `Miss
         end
         else `Miss
   in
@@ -970,7 +976,12 @@ let lookup t ~key =
          syscall here. *)
       `Hit r
   | Some ({ packed = Some _; loose = No_file; _ } as e) -> (
-      match packed_result t ~key e with Some r -> `Hit r | None -> probe ())
+      match packed_result t ~key e with
+      | `Hit r -> `Hit r
+      | `Absent -> probe ()
+      | `Corrupt -> (
+          (* quarantined just now: a loose copy may still answer *)
+          match probe () with `Miss -> `Corrupt | v -> v))
   | Some ({ loose = Unread; _ } as e) -> (
       let hex = Digest.to_hex raw in
       match read_loose ~key t (loose_path t hex) ~digest:raw with
@@ -988,10 +999,10 @@ let lookup t ~key =
           Mutex.protect t.lock (fun () -> e.loose <- No_file);
           (* A valid packed copy underneath the quarantined loose file
              still answers: same key, same content address. *)
-          match packed_hit () with Some r -> `Hit r | None -> `Corrupt)
+          packed_or `Corrupt)
       | `Foreign -> (
           Mutex.protect t.lock (fun () -> demote_foreign_locked t e);
-          match packed_hit () with Some r -> `Hit r | None -> `Miss)
+          packed_or `Miss)
       | `Vanished -> (
           (* The loose file went away under us — almost certainly a
              compaction by another process. Fold in any new segments
@@ -999,7 +1010,7 @@ let lookup t ~key =
           Mutex.protect t.lock (fun () ->
               e.loose <- No_file;
               rescan_segments_locked t);
-          match packed_hit () with Some r -> `Hit r | None -> `Miss))
+          packed_or `Miss))
   | Some { packed = None; loose = No_file; _ } | None -> probe ()
 
 let find t ~key =

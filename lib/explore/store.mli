@@ -120,10 +120,10 @@ val lookup :
 (** Read through the index. An entry this handle {!put}, or has read
     once, is answered from memory without touching the disk; any other
     hit reads and validates its loose file or packed record once and
-    keeps the result. [`Corrupt] means a loose entry existed but failed
-    validation and has been quarantined (the caller should recompute,
-    exactly as for [`Miss]); a packed record that fails is quarantined
-    and answers [`Miss], unless a loose copy answers. When a loose file
+    keeps the result. [`Corrupt] means a loose entry or a packed record
+    existed but failed validation and has been quarantined, and no
+    other copy answers (the caller should recompute, exactly as for
+    [`Miss]); a later lookup of the key answers [`Miss]. When a loose file
     or an unread record's segment vanishes underneath the handle —
     another process compacted — new segments are folded in and the
     read is answered from them. *)

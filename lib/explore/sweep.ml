@@ -46,13 +46,13 @@ let keyed points =
 (* One validated lookup per key: the hits with their results, the
    points to compute (corrupt entries quarantine and count as missing)
    and the number quarantined. *)
-let lookup_all ~store keyed =
+let lookup ~store keyed =
   let quarantined = ref 0 in
   let hits, missing =
     List.partition_map
       (fun ((_, k) as pk) ->
         match Store.lookup store ~key:k with
-        | `Hit r -> Either.Left (k, r)
+        | `Hit r -> Either.Left (pk, r)
         | `Miss -> Either.Right pk
         | `Corrupt ->
             incr quarantined;
@@ -62,9 +62,8 @@ let lookup_all ~store keyed =
   (hits, missing, !quarantined)
 
 (* Publication runs on the writer domain, beside simulation. Each
-   submitted closure does what publishing inline did, in the same order
-   (store entry first, then the lease release and progress), and
-   counts itself; the counts are read after the drain. *)
+   submitted closure publishes some entries and returns how many; the
+   counts are read after the drain. *)
 type publisher = {
   batch : Writer.batch;
   mutable entries : int;
@@ -78,8 +77,8 @@ let publisher () =
 let submit pub f =
   Writer.submit pub.batch (fun () ->
       let t0 = Unix.gettimeofday () in
-      f ();
-      pub.entries <- pub.entries + 1;
+      let n = f () in
+      pub.entries <- pub.entries + n;
       pub.writer_s <- pub.writer_s +. (Unix.gettimeofday () -. t0))
 
 (* Run [f], then wait for every publication it submitted, whatever [f]
@@ -96,6 +95,154 @@ let drained pub f =
       let bt = Printexc.get_raw_backtrace () in
       (try Writer.drain pub.batch with _ -> ());
       Printexc.raise_with_backtrace e bt
+
+(* -- point resolution ------------------------------------------------------ *)
+
+type resolution = {
+  results : (string * Sim_types.result) list;
+  computed : int;
+  deferred : int;
+  taken_over : int;
+  aborted : int;
+  failure : exn option;
+}
+
+(* Consecutive points a pool worker claims at once: up to 8, fewer
+   when 8 would leave a worker idle, so a short list of long points
+   still spreads over every worker. A worker simulates and publishes
+   its claim in order, so with one worker the writer publishes in the
+   caller's order, and with several each claim stays in order. *)
+let claim_size ~jobs n = max 1 (min 8 ((n + jobs - 1) / jobs))
+
+let resolve_published ?jobs ?lease ?(simulate = fun p -> Axes.run p)
+    ?(order = Fun.id) ?(settled = fun _ _ _ _ -> ())
+    ?(aborted = fun _ _ _ -> ()) ~store misses =
+  let pub = publisher () in
+  let release k =
+    match lease with Some l -> Lease.release l ~key:k | None -> ()
+  in
+  let given_up = Atomic.make 0 in
+  (* A point given up on: its lease goes back, and the caller hears
+     why, which [failed] keeps. *)
+  let abort failed e (p, k) =
+    failed := Some e;
+    release k;
+    Atomic.incr given_up;
+    aborted p k e
+  in
+  (* Simulate a point, then hand its publication to the writer: store
+     entry, then lease release, then the caller's callback, so a
+     released key and a reported point are on disk. *)
+  let job (((p, k) as pk), failed) =
+    let r = simulate p in
+    (* Hand the runtime lock to a thread of this domain waiting for it,
+       such as one streaming the writer's events, rather than at the
+       50 ms tick; a no-op when none waits. *)
+    Thread.yield ();
+    submit pub (fun () ->
+        match Store.put ~meta:(meta_of_point p) store ~key:k r with
+        | () ->
+            release k;
+            settled `Computed p k r;
+            1
+        | exception e ->
+            abort failed e pk;
+            0);
+    r
+  in
+  (* Every job so far, latest first. *)
+  let jobs_run = ref [] in
+  let results = ref [] in
+  let finish ((((_, k) as pk), failed) as j) outcome =
+    jobs_run := j :: !jobs_run;
+    match outcome with
+    | Ok r -> results := (k, r) :: !results
+    | Error e -> abort failed e pk
+  in
+  let deferred = ref 0 in
+  let taken_over = ref 0 in
+  drained pub (fun () ->
+      (* Claim what we can; keys another process holds wait for the
+         settle below. *)
+      let mine, held =
+        match lease with
+        | None -> (misses, [])
+        | Some l ->
+            List.combine misses
+              (Lease.try_acquire_many l (List.map snd misses))
+            |> List.partition_map (function
+                 | pk, Lease.Acquired -> Either.Left pk
+                 | pk, Lease.Held _ -> Either.Right pk)
+      in
+      let mine = List.map (fun pk -> (pk, ref None)) (order mine) in
+      let jobs =
+        max 1 (match jobs with Some j -> j | None -> Pool.current_jobs ())
+      in
+      let outcomes =
+        try
+          Pool.try_map ~jobs
+            ~chunk:(claim_size ~jobs (List.length mine))
+            job mine
+        with Pool.Draining -> List.map (fun _ -> Error Pool.Draining) mine
+      in
+      List.iter2 finish mine outcomes;
+      (* Settle the keys other processes hold. A held key normally
+         resolves by its owner's entry appearing in the store; an
+         expired lease is stolen and the point computed here — at worst
+         both compute it, and idempotent publication keeps that
+         harmless. *)
+      let rec settle l pending =
+        if pending <> [] then begin
+          let wait = ref 0.05 in
+          let still =
+            List.filter
+              (fun ((p, k) as pk) ->
+                (* An owner publishes before it releases, so a key freed
+                   between our lookup and our acquire is already in the
+                   store: look once more before computing it. *)
+                let rec go ~acquired =
+                  match Store.lookup store ~key:k with
+                  | `Hit r ->
+                      if acquired then release k;
+                      incr deferred;
+                      results := (k, r) :: !results;
+                      settled `Deferred p k r;
+                      false
+                  | (`Miss | `Corrupt) when acquired ->
+                      let j = (pk, ref None) in
+                      let outcome = try Ok (job j) with e -> Error e in
+                      if Result.is_ok outcome then incr taken_over;
+                      finish j outcome;
+                      false
+                  | `Miss | `Corrupt -> (
+                      match Lease.try_acquire l ~key:k with
+                      | Lease.Acquired -> go ~acquired:true
+                      | Lease.Held { expires_in; _ } ->
+                          wait := Float.min !wait expires_in;
+                          true)
+                in
+                go ~acquired:false)
+              pending
+          in
+          if still <> [] then Unix.sleepf (Float.max 0.01 !wait);
+          settle l still
+        end
+      in
+      Option.iter (fun l -> settle l held) lease);
+  ( {
+      results = !results;
+      computed = pub.entries;
+      deferred = !deferred;
+      taken_over = !taken_over;
+      aborted = Atomic.get given_up;
+      failure = List.find_map (fun (_, f) -> !f) (List.rev !jobs_run);
+    },
+    pub )
+
+let resolve ?jobs ?lease ?simulate ?order ?settled ?aborted ~store misses =
+  fst
+    (resolve_published ?jobs ?lease ?simulate ?order ?settled ?aborted ~store
+       misses)
 
 (* -- guided mode -------------------------------------------------------------- *)
 
@@ -166,7 +313,7 @@ let guided_run ?jobs ~resume ?progress ~store ~pub ~guided points =
   let calib0 = Mfu_model.calibration_runs () in
   let keyed = keyed points in
   let _, missing, quarantined =
-    if resume then lookup_all ~store keyed else ([], keyed, 0)
+    if resume then lookup ~store keyed else ([], keyed, 0)
   in
   let total = List.length keyed in
   let expected = List.length missing in
@@ -206,7 +353,8 @@ let guided_run ?jobs ~resume ?progress ~store ~pub ~guided points =
   let publish (p, k) result =
     submit pub (fun () ->
         Store.put ~meta:(meta_of_point p) store ~key:k result;
-        report ())
+        report ();
+        1)
   in
   (* Main-thread resolution cascade: record a now-known exact result and
      propagate it to byte-identical twins (publishing those as inferred
@@ -583,141 +731,68 @@ let guided_run ?jobs ~resume ?progress ~store ~pub ~guided points =
       drain_wait_s = 0.;
     } )
 
-let plain_run ?jobs ~resume ?lease ?progress ~store ~pub points =
+let plain_run ?jobs ~resume ?lease ?progress ~store points =
   (* Keying a scaled point generates and digests its trace; key once, on
      this domain, so workers only simulate. *)
   let keyed = keyed points in
   let hits, missing, quarantined =
-    if resume then lookup_all ~store keyed else ([], keyed, 0)
+    if resume then lookup ~store keyed else ([], keyed, 0)
   in
   let total = List.length keyed in
   let expected = List.length missing in
+  let done_ = Atomic.make 0 in
+  let settled _ _ _ _ =
+    Option.iter
+      (fun f -> f ~done_:(Atomic.fetch_and_add done_ 1 + 1) ~total:expected)
+      progress
+  in
+  let stolen0 = match lease with Some l -> Lease.stolen l | None -> 0 in
+  let r, pub = resolve_published ?jobs ?lease ~settled ~store missing in
+  Option.iter raise r.failure;
+  (* A killed worker leaves a lease behind for every key it published
+     but had not released; nothing else would ever remove them. *)
+  Option.iter (fun l -> ignore (Lease.collect_expired l)) lease;
   (* Every result this run returns is one it already holds: a validated
      lookup hit, a result it computed and published, or a hit while
      settling held keys. No key is read back from the store. *)
   let results : (string, Sim_types.result) Hashtbl.t = Hashtbl.create total in
-  List.iter (fun (k, r) -> Hashtbl.replace results k r) hits;
-  let done_ = Atomic.make 0 in
-  let computed = Atomic.make 0 in
-  let deferred = ref 0 in
-  let stolen0 = match lease with Some l -> Lease.stolen l | None -> 0 in
-  (* Publish each result as soon as it exists, on the writer: this is
-     what makes a killed sweep resumable with little duplicated work,
-     and what lets a lease be released only once the entry is already
-     on disk. *)
-  let publish (p, k) result =
-    submit pub (fun () ->
-        Store.put ~meta:(meta_of_point p) store ~key:k result;
-        (match lease with Some l -> Lease.release l ~key:k | None -> ());
-        match progress with
-        | Some f ->
-            f ~done_:(Atomic.fetch_and_add done_ 1 + 1) ~total:expected
-        | None -> ())
-  in
-  let compute pks =
-    Pool.map ?jobs
-      (fun (p, k) ->
-        Atomic.incr computed;
-        let r = Axes.run p in
-        publish (p, k) r;
-        (k, r))
-      pks
-    |> List.iter (fun (k, r) -> Hashtbl.replace results k r)
-  in
-  (match lease with
-  | None -> compute missing
-  | Some l ->
-      (* Claim what we can; compute it; then settle the keys other
-         processes hold. A held key normally resolves by its owner's
-         entry appearing in the store; an expired lease is stolen and
-         the point recomputed here — at worst both compute it, and
-         idempotent publication keeps that harmless. *)
-      let mine, held =
-        List.combine missing (Lease.try_acquire_many l (List.map snd missing))
-        |> List.partition_map (function
-             | pk, Lease.Acquired -> Either.Left pk
-             | pk, Lease.Held _ -> Either.Right pk)
-      in
-      compute mine;
-      let rec settle pending =
-        if pending <> [] then begin
-          let wait = ref 0.05 in
-          let still =
-            List.filter
-              (fun (p, k) ->
-                (* An owner publishes before it releases, so a key freed
-                   between our lookup and our acquire is already in the
-                   store: look once more before computing it. *)
-                let rec go ~acquired =
-                  match Store.lookup store ~key:k with
-                  | `Hit r ->
-                      if acquired then Lease.release l ~key:k;
-                      Hashtbl.replace results k r;
-                      incr deferred;
-                      (match progress with
-                      | Some f ->
-                          f
-                            ~done_:(Atomic.fetch_and_add done_ 1 + 1)
-                            ~total:expected
-                      | None -> ());
-                      false
-                  | `Miss | `Corrupt when acquired ->
-                      Atomic.incr computed;
-                      let r = Axes.run p in
-                      publish (p, k) r;
-                      Hashtbl.replace results k r;
-                      false
-                  | `Miss | `Corrupt -> (
-                      match Lease.try_acquire l ~key:k with
-                      | Lease.Acquired -> go ~acquired:true
-                      | Lease.Held { expires_in; _ } ->
-                          wait := Float.min !wait expires_in;
-                          true)
-                in
-                go ~acquired:false)
-              pending
-          in
-          if still <> [] then Unix.sleepf (Float.max 0.01 !wait);
-          settle still
-        end
-      in
-      settle held;
-      (* A killed worker leaves a lease behind for every key it
-         published but had not released; nothing else would ever
-         remove them. *)
-      ignore (Lease.collect_expired l));
+  List.iter (fun ((_, k), r) -> Hashtbl.replace results k r) hits;
+  List.iter (fun (k, r) -> Hashtbl.replace results k r) r.results;
   ( List.map (fun (p, k) -> (p, Hashtbl.find results k)) keyed,
     {
       total;
-      computed = Atomic.get computed;
+      computed = r.computed;
       reused = total - expected;
       quarantined;
       inferred = 0;
       pruned = 0;
-      deferred = !deferred;
+      deferred = r.deferred;
       stolen =
         (match lease with Some l -> Lease.stolen l - stolen0 | None -> 0);
-      published = 0;
-      writer_s = 0.;
-      drain_wait_s = 0.;
+      published = pub.entries;
+      writer_s = pub.writer_s;
+      drain_wait_s = pub.drain_wait_s;
     } )
 
 let run ?jobs ?(resume = true) ?lease ?progress ?guided ~store points =
   if Option.is_some guided && Option.is_some lease then
     invalid_arg "Sweep.run: guided sweeps do not take a lease";
-  let pub = publisher () in
   let results, stats =
-    drained pub (fun () ->
-        match guided with
-        | Some guided ->
-            guided_run ?jobs ~resume ?progress ~store ~pub ~guided points
-        | None -> plain_run ?jobs ~resume ?lease ?progress ~store ~pub points)
+    match guided with
+    | Some guided ->
+        let pub = publisher () in
+        let results, stats =
+          drained pub (fun () ->
+              guided_run ?jobs ~resume ?progress ~store ~pub ~guided points)
+        in
+        ( results,
+          {
+            stats with
+            published = pub.entries;
+            writer_s = pub.writer_s;
+            drain_wait_s = pub.drain_wait_s;
+          } )
+    | None -> plain_run ?jobs ~resume ?lease ?progress ~store points
   in
   Store.refresh_manifest store;
-  ( results,
-    {
-      stats with
-      published = pub.entries;
-      writer_s = pub.writer_s;
-      drain_wait_s = pub.drain_wait_s;
-    } )
+  (results, stats)

@@ -4,19 +4,12 @@
     to a state where every point has an entry, computing only what is
     missing: points whose key already has a valid entry are skipped
     (when resuming), corrupt entries are quarantined by the store and
-    recomputed, and each freshly computed result is published atomically
-    {e as soon as it finishes}. Publication runs on the process's
-    {!Mfu_util.Writer} domain, in the order results finish, while the
-    calling domain goes on simulating: simulation stays sequential at
-    [MFU_JOBS=1] and publication runs beside it. [run] waits for every
-    publication before it returns, so a sweep killed at any moment
-    loses at most the points that were mid-flight or computed but not
-    yet written, none of which any lease released; a rerun with resume
-    recomputes only those. The returned results are the ones the run
-    already holds — a validated store hit, or a result it computed and
-    published — never read back: a warm run reads each stored entry
-    once, a cold run reads none, and a run that computes nothing starts
-    no writer domain. *)
+    recomputed. Unguided, the missing points go through {!resolve}, the
+    point-resolution pipeline the serve daemon's queries share. The
+    returned results are the ones the run already holds — a validated
+    store hit, or a result it computed and published — never read back:
+    a warm run reads each stored entry once, a cold run reads none, and
+    a run that computes nothing starts no writer domain. *)
 
 type stats = {
   total : int;  (** points requested *)
@@ -50,16 +43,77 @@ type guided = { frontier_stop : bool }
     its surrogate upper confidence bound — see {!run}. *)
 
 val meta_of_point : Axes.point -> (string * Mfu_util.Json.t) list
-(** The human-consumption ["meta"] block {!run} attaches to every entry
-    it publishes. Exposed so other publishers (the serve daemon) produce
-    byte-identical store entries — the CI smoke job diffs a served store
-    against a swept one. *)
+(** The human-consumption ["meta"] block of every entry a sweep or a
+    server publishes. Exposed so tests that stand in for another
+    process publish byte-identical entries. *)
 
 val keyed : Axes.point list -> (Axes.point * string) list
 (** Pair every point with its {!Axes.key} (generating and memoizing
     traces as needed), rejecting duplicates.
 
     @raise Invalid_argument on a duplicate key. *)
+
+val lookup :
+  store:Store.t ->
+  (Axes.point * string) list ->
+  ((Axes.point * string) * Mfu_sim.Sim_types.result) list
+  * (Axes.point * string) list
+  * int
+(** One validated {!Store.lookup} per keyed point: the hits with their
+    results and the misses, both in input order, and how many misses
+    were corrupt entries the store quarantined. *)
+
+type resolution = {
+  results : (string * Mfu_sim.Sim_types.result) list;
+      (** each settled key's result, in no particular order *)
+  computed : int;  (** points simulated and stored here *)
+  deferred : int;  (** held keys whose owner stored them meanwhile *)
+  taken_over : int;  (** held keys stolen on expiry and computed here *)
+  aborted : int;  (** points given up on *)
+  failure : exn option;  (** why the first of them was, in order *)
+}
+
+val resolve :
+  ?jobs:int ->
+  ?lease:Lease.t ->
+  ?simulate:(Axes.point -> Mfu_sim.Sim_types.result) ->
+  ?order:((Axes.point * string) list -> (Axes.point * string) list) ->
+  ?settled:
+    ([ `Computed | `Deferred ] ->
+    Axes.point ->
+    string ->
+    Mfu_sim.Sim_types.result ->
+    unit) ->
+  ?aborted:(Axes.point -> string -> exn -> unit) ->
+  store:Store.t ->
+  (Axes.point * string) list ->
+  resolution
+(** Bring keyed misses into the store — the one pipeline behind {!run}
+    and the serve daemon's queries:
+
+    + with a [lease], claim every key in one {!Lease.try_acquire_many};
+      keys another live process holds are set aside;
+    + put the claimed points in [order] (default: as given); each
+      {!Mfu_util.Pool} worker claims 8 consecutive points at a time
+      (fewer when that would leave a worker idle), runs [simulate]
+      (default {!Axes.run}) on each in turn, yields its domain's
+      runtime lock, and hands the point's publication to the
+      {!Mfu_util.Writer} domain;
+    + the writer publishes each point in the order handed over: its
+      store entry (with {!meta_of_point}), its lease release, then
+      [settled `Computed];
+    + on the calling thread, settle the set-aside keys: by the owner's
+      entry appearing ([settled `Deferred]), or by stealing the lease
+      once it expires and computing the point here (published as
+      above);
+    + wait for every publication before returning.
+
+    A point that cannot be settled — its simulation raised, the pool is
+    draining, or its entry failed to store — has its lease released and
+    goes to [aborted] with the exception, on the writer domain or the
+    calling one. An exception a
+    callback or the lease layer raises is re-raised once every
+    submitted publication has run. *)
 
 val run :
   ?jobs:int ->
@@ -72,24 +126,24 @@ val run :
   (Axes.point * Mfu_sim.Sim_types.result) list * stats
 (** [resume] defaults to [true]; with [resume:false] every point is
     recomputed and its entry rewritten (the store stays consistent
-    either way). [progress] is called after each computed point's entry
-    is written, with the number of points published so far and the
-    number this run has to compute (reused points are not reported) —
-    from the writer domain, or the calling one for a key another
-    process published, so it must be thread-safe (an atomic counter
-    plus [eprintf] is fine). Keys (and hence traces) are prepared on
-    the calling domain before fanning out. Refreshes the store manifest
-    on completion.
+    either way). Keys (and hence traces) are prepared on the calling
+    domain, points are looked up, and the misses are {!resolve}d.
+    Every publication has run when [run] returns, so a sweep killed at
+    any moment loses at most the points that were mid-flight or
+    computed but not yet written, none of which any lease released; a
+    rerun with resume recomputes only those. [progress] is called after
+    each point this run settles (published, or stored by a lease's
+    owner), with the number settled so far and the number this run has
+    to settle (reused points are not reported) — from the writer domain
+    or the calling one, so it must be thread-safe (an atomic counter
+    plus [eprintf] is fine). Refreshes the store manifest on
+    completion.
 
-    [lease] enables multi-process draining: before computing, each
-    missing key is claimed through {!Lease.try_acquire}; keys held by
-    another live process are set aside, computed work is published and
-    only then released, and the set-aside keys settle afterwards —
-    normally by the owner's entry appearing in the store (counted in
-    [deferred]), otherwise by stealing the lease once it expires and
-    recomputing here (counted in [stolen]). At the end the lease
-    directory is read once and every expired lease left in it — a
-    killed worker's, for keys it published but never released — is
+    [lease] enables multi-process draining as {!resolve} describes:
+    [deferred] counts the keys another process stored while we waited,
+    [stolen] every expired or torn lease this run stole. At the end the
+    lease directory is read once and every expired lease left in it —
+    a killed worker's, for keys it published but never released — is
     collected ({!Lease.collect_expired}). Safe against every
     interleaving because publication is idempotent; leases only remove
     duplicated work, they are not needed for correctness.
@@ -124,6 +178,6 @@ val run :
 
     @raise Invalid_argument if [guided] is combined with [lease], or if
     the same key appears twice in the job list (the deduplication
-    contract of {!Axes.enumerate} protects concurrent writers). Any
-    exception a simulation or a publication raised is re-raised once
-    every submitted publication has run. *)
+    contract of {!Axes.enumerate} protects concurrent writers). The
+    first exception a simulation or a publication raised, in point
+    order, is re-raised once every submitted publication has run. *)

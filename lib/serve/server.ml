@@ -5,7 +5,6 @@ module Lease = Mfu_explore.Lease
 module Http = Mfu_util.Http
 module Json = Mfu_util.Json
 module Pool = Mfu_util.Pool
-module Writer = Mfu_util.Writer
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -87,292 +86,124 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Query resolution                                                   *)
 
-type tally = {
-  mutable store_hits : int;
-  mutable computed : int;
-  mutable inflight_hits : int;
-  mutable quarantined : int;
-  mutable lease_deferred : int;
-  mutable lease_stolen : int;
-  mutable aborted : int;
-}
-
-let release_lease st ~key =
-  match st.lease with Some l -> Lease.release l ~key | None -> ()
-
-(* Simulate one point, attributing its wall time to its family on
-   [/stats]. *)
-let simulate st point =
-  let t0 = Unix.gettimeofday () in
-  let r = Axes.run point in
-  Metrics.record_compute st.metrics ~family:(Axes.family_key point)
-    ~seconds:(Unix.gettimeofday () -. t0);
-  r
-
-(* Simulate one point on the calling thread, publish it (store entry
-   bytes identical to sweep.exe's), release any lease, and wake
-   in-process waiters. On failure the claim is aborted so waiters can
-   take over instead of hanging. *)
-let compute_single st point key =
-  match
-    let r = simulate st point in
-    Store.put ~meta:(Sweep.meta_of_point point) st.store ~key r;
+(* Resolve owned misses through the sweep's pipeline, with what only a
+   server does: each simulation timed for its family on [/stats], the
+   misses served best predicted machine first — a client streaming a
+   large query sees the interesting corners of the design space land
+   early — each settled point's waiters woken and its event streamed,
+   and each point given up on reported. *)
+let resolve st ~emit_point ~emit_abort pks =
+  let simulate p =
+    let t0 = Unix.gettimeofday () in
+    let r = Axes.run p in
+    Metrics.record_compute st.metrics ~family:(Axes.family_key p)
+      ~seconds:(Unix.gettimeofday () -. t0);
     r
-  with
-  | r ->
-      release_lease st ~key;
-      Inflight.publish st.inflight ~key;
-      r
-  | exception e ->
-      release_lease st ~key;
-      Inflight.abort st.inflight ~key;
-      raise e
+  in
+  let order pks =
+    if List.compare_length_with pks 1 <= 0 then pks
+    else
+      let key = Hashtbl.create (List.length pks) in
+      List.iter (fun (p, k) -> Hashtbl.replace key p k) pks;
+      List.map
+        (fun (p, _) -> (p, Hashtbl.find key p))
+        (Axes.rank (List.map fst pks))
+  in
+  let settled how p k r =
+    Inflight.publish st.inflight ~key:k;
+    emit_point p k r
+      (match how with
+      | `Computed -> Protocol.Computed
+      | `Deferred -> Protocol.Store)
+  in
+  let aborted p k e =
+    Inflight.abort st.inflight ~key:k;
+    emit_abort p k
+      (match e with
+      | Pool.Draining -> "server compute pool is draining (shutdown)"
+      | e -> "chunk computation failed: " ^ Printexc.to_string e)
+  in
+  Sweep.resolve ?jobs:st.cfg.jobs ?lease:st.lease ~simulate ~order ~settled
+    ~aborted ~store:st.store pks
 
 (* Resolve a keyed, deduplicated point list against the store, the
    in-process inflight table, and the cross-process lease layer,
-   calling [emit] once per settled point (possibly from pool worker
-   domains) and returning the per-query tallies. *)
+   calling [emit] once per settled point (possibly from the writer
+   domain) and returning the query's summary. *)
 let process st ~emit keyed =
-  let tally =
-    {
-      store_hits = 0;
-      computed = 0;
-      inflight_hits = 0;
-      quarantined = 0;
-      lease_deferred = 0;
-      lease_stolen = 0;
-      aborted = 0;
-    }
-  in
   let emit_point point key result source =
     emit (Protocol.Point (Protocol.point_event ~point ~key ~result ~source))
   in
   (* A point this query gives up on still gets an event: the stream
      must account for every requested point, never silently omit one. *)
   let emit_abort point key reason =
-    tally.aborted <- tally.aborted + 1;
     emit (Protocol.Aborted (Protocol.aborted_event ~point ~key ~reason))
   in
-  (* Pass 1: stream store hits as they are found. Packed records and
-     entries this server published are answered from the store's
-     index without a read. *)
-  let misses = ref [] in
-  List.iter
-    (fun ((p, k) as pk) ->
-      match Store.lookup st.store ~key:k with
-      | `Hit r ->
-          tally.store_hits <- tally.store_hits + 1;
-          emit_point p k r Protocol.Store
-      | `Corrupt ->
-          tally.quarantined <- tally.quarantined + 1;
-          misses := pk :: !misses
-      | `Miss -> misses := pk :: !misses)
-    keyed;
-  let misses = List.rev !misses in
-  (* Pass 2: claim each miss; one owner per key process-wide. *)
+  let hits, misses, quarantined = Sweep.lookup ~store:st.store keyed in
+  List.iter (fun ((p, k), r) -> emit_point p k r Protocol.Store) hits;
+  (* One owner per missing key process-wide: what another thread of
+     this process owns, this query waits for. *)
   let owned, waiting =
     List.partition
       (fun (_p, k) -> Inflight.claim st.inflight ~key:k = `Owner)
       misses
   in
-  (* Pass 3: of the keys we own in-process, set aside those another
-     process holds a live lease on. *)
-  let mine, held =
-    match st.lease with
-    | None -> (owned, [])
-    | Some l ->
-        List.combine owned (Lease.try_acquire_many l (List.map snd owned))
-        |> List.partition_map (function
-             | pk, Lease.Acquired -> Either.Left pk
-             | pk, Lease.Held _ -> Either.Right pk)
-  in
-  (* Pass 4: compute what is ours on the pool, best predicted machines
-     first: the surrogate's Pareto-optimality ranking decides service
-     order, so a client streaming a large query sees the interesting
-     corners of the design space land early instead of axis-enumeration
-     order. Ranking prices points from memoized calibration runs, so the
-     reorder costs a few exact reference simulations on the first query
-     per context and nothing after. *)
-  let mine =
-    if List.compare_length_with mine 1 > 0 then begin
-      let order = Hashtbl.create (List.length mine) in
-      List.iteri
-        (fun i (p, _) -> Hashtbl.replace order p i)
-        (Axes.rank (List.map fst mine));
-      List.stable_sort
-        (fun (p, _) (q, _) ->
-          compare (Hashtbl.find order p) (Hashtbl.find order q))
-        mine
-    end
-    else mine
-  in
-  (* One pool job per 8 consecutive ranked points, which simulates them
-     and hands their publication to the writer domain: a job per point
-     measured slower on a cold table7 query, the time outside simulation
-     growing. The writer stores, releases, wakes waiters and streams
-     each chunk's points in that order, so a streamed point is on disk,
-     and at one job the stream keeps the ranked order, while the next
-     chunk simulates. A chunk that fails to publish records why; its
-     points are settled after the drain, on this thread. *)
-  let rec chunks_of_8 = function
-    | [] -> []
-    | pks ->
-        let rec take k acc = function
-          | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-          | rest -> (List.rev acc, rest)
-        in
-        let chunk, rest = take 8 [] pks in
-        chunk :: chunks_of_8 rest
-  in
-  let chunks = List.map (fun chunk -> (chunk, ref None)) (chunks_of_8 mine) in
-  let batch = Writer.batch () in
-  let outcomes =
-    try
-      Some
-        (Pool.try_map ?jobs:st.cfg.jobs
-           (fun (chunk, unpublished) ->
-             let results =
-               List.map
-                 (fun (p, _) ->
-                   let r = simulate st p in
-                   (* Hand this domain's runtime lock to a thread waiting
-                      for it: the connection thread streaming the
-                      writer's events holds their queue's mutex until it
-                      gets the lock, which a simulating thread would
-                      otherwise give up only at the 50 ms tick, stalling
-                      the writer. A no-op when no thread waits. *)
-                   Thread.yield ();
-                   r)
-                 chunk
-             in
-             Writer.submit batch (fun () ->
-                 try
-                   List.iter2
-                     (fun (p, k) r ->
-                       Store.put ~meta:(Sweep.meta_of_point p) st.store
-                         ~key:k r;
-                       release_lease st ~key:k;
-                       Inflight.publish st.inflight ~key:k;
-                       emit_point p k r Protocol.Computed)
-                     chunk results
-                 with e -> unpublished := Some e);
-             List.length chunk)
-           chunks)
-    with Pool.Draining -> None
-  in
-  Writer.drain batch;
-  (match outcomes with
-  | Some results ->
-      List.iter2
-        (fun (chunk, unpublished) result ->
-          match (result, !unpublished) with
-          | Ok n, None -> tally.computed <- tally.computed + n
-          | Ok _, Some e | Error e, _ ->
-              (* A simulation failed, or publishing did part-way through
-                 the chunk (aborting an already published flight is a
-                 no-op). Let waiters take over, and tell this client
-                 which points it lost. *)
-              let reason =
-                "chunk computation failed: " ^ Printexc.to_string e
-              in
-              List.iter
-                (fun (p, k) ->
-                  release_lease st ~key:k;
-                  Inflight.abort st.inflight ~key:k;
-                  (* Points the chunk published (and streamed) before
-                     failing are settled, not lost. *)
-                  match Store.lookup st.store ~key:k with
-                  | `Hit _ -> tally.computed <- tally.computed + 1
-                  | `Miss | `Corrupt -> emit_abort p k reason)
-                chunk)
-        chunks results
-  | None ->
-      List.iter
-        (fun (p, k) ->
-          release_lease st ~key:k;
-          Inflight.abort st.inflight ~key:k;
-          emit_abort p k "server compute pool is draining (shutdown)")
-        mine);
-  (* Pass 5: keys another thread of this process owns — wait for its
-     flight, then read the published entry. If the owner aborted, take
-     over. The whole settle is bounded by one request_timeout per
-     point: a wedged owner that never retires its flight (wait times
-     out, the store misses, claim still says `Waiter`) must not spin
-     this loop forever. *)
+  let resolved = ref [ resolve st ~emit_point ~emit_abort owned ] in
+  let inflight_hits = ref 0 in
+  let timed_out = ref 0 in
+  (* Keys another thread of this process owns: wait for its flight,
+     then read the published entry. If the owner aborted, take over.
+     The whole settle is bounded by one request_timeout per point: a
+     wedged owner that never retires its flight (wait times out, the
+     store misses, claim still says `Waiter`) must not spin this loop
+     forever. *)
   List.iter
-    (fun (p, k) ->
+    (fun ((p, k) as pk) ->
       let deadline = Unix.gettimeofday () +. st.cfg.request_timeout in
       let rec settle () =
         let remaining = deadline -. Unix.gettimeofday () in
-        if remaining <= 0. then
+        if remaining <= 0. then begin
+          incr timed_out;
           emit_abort p k
             (Printf.sprintf
                "in-flight owner did not settle within %gs; try again"
                st.cfg.request_timeout)
+        end
         else
           match Inflight.wait ~timeout:remaining st.inflight ~key:k with
           | `Published | `Aborted -> (
               match Store.lookup st.store ~key:k with
               | `Hit r ->
-                  tally.inflight_hits <- tally.inflight_hits + 1;
+                  incr inflight_hits;
                   emit_point p k r Protocol.Inflight
               | `Miss | `Corrupt -> (
                   match Inflight.claim st.inflight ~key:k with
                   | `Owner ->
-                      let r = compute_single st p k in
-                      tally.computed <- tally.computed + 1;
-                      emit_point p k r Protocol.Computed
+                      resolved :=
+                        resolve st ~emit_point ~emit_abort [ pk ] :: !resolved
                   | `Waiter -> settle ()))
       in
       settle ())
     waiting;
-  (* Pass 6: keys another process holds a lease on — settle by its
-     entry appearing, or steal on expiry and compute here. *)
-  List.iter
-    (fun (p, k) ->
-      let l = Option.get st.lease in
-      (* The owner publishes before it releases, so a key freed between
-         our lookup and our acquire is already in the store: look once
-         more before computing it. *)
-      let rec settle ~acquired =
-        match Store.lookup st.store ~key:k with
-        | `Hit r ->
-            tally.lease_deferred <- tally.lease_deferred + 1;
-            Metrics.add_lease_deferred st.metrics 1;
-            release_lease st ~key:k;
-            Inflight.publish st.inflight ~key:k;
-            emit_point p k r Protocol.Store
-        | `Miss | `Corrupt when acquired ->
-            let r = compute_single st p k in
-            tally.lease_stolen <- tally.lease_stolen + 1;
-            tally.computed <- tally.computed + 1;
-            Metrics.add_lease_stolen st.metrics 1;
-            emit_point p k r Protocol.Computed
-        | `Miss | `Corrupt -> (
-            match Lease.try_acquire l ~key:k with
-            | Lease.Acquired -> settle ~acquired:true
-            | Lease.Held { expires_in; _ } ->
-                Unix.sleepf (Float.max 0.01 (Float.min 0.05 expires_in));
-                settle ~acquired:false)
-      in
-      settle ~acquired:false)
-    held;
-  Metrics.add_store_hits st.metrics tally.store_hits;
-  Metrics.add_computed st.metrics tally.computed;
-  Metrics.add_inflight_hits st.metrics tally.inflight_hits;
-  tally
-
-let summary_of_tally total (t : tally) =
-  {
-    Protocol.total;
-    store_hits = t.store_hits;
-    computed = t.computed;
-    inflight_hits = t.inflight_hits;
-    quarantined = t.quarantined;
-    lease_deferred = t.lease_deferred;
-    lease_stolen = t.lease_stolen;
-    aborted = t.aborted;
-  }
+  let sum f = List.fold_left (fun n r -> n + f r) 0 !resolved in
+  let s =
+    {
+      Protocol.total = List.length keyed;
+      store_hits = List.length hits;
+      computed = sum (fun r -> r.Sweep.computed);
+      inflight_hits = !inflight_hits;
+      quarantined;
+      lease_deferred = sum (fun r -> r.Sweep.deferred);
+      lease_stolen = sum (fun r -> r.Sweep.taken_over);
+      aborted = !timed_out + sum (fun r -> r.Sweep.aborted);
+    }
+  in
+  Metrics.add_store_hits st.metrics s.store_hits;
+  Metrics.add_computed st.metrics s.computed;
+  Metrics.add_inflight_hits st.metrics s.inflight_hits;
+  Metrics.add_lease_deferred st.metrics s.lease_deferred;
+  Metrics.add_lease_stolen st.metrics s.lease_stolen;
+  s
 
 (* ------------------------------------------------------------------ *)
 (* Routes                                                             *)
@@ -417,8 +248,7 @@ let handle_query st fd (req : Http.request) =
               Fun.protect
                 ~finally:(fun () -> Bqueue.close queue)
                 (fun () ->
-                  let tally = process st ~emit keyed in
-                  emit (Protocol.Summary (summary_of_tally total tally))))
+                  emit (Protocol.Summary (process st ~emit keyed))))
             ()
         in
         (try
@@ -447,7 +277,7 @@ let handle_point st fd (req : Http.request) =
              its result and the source of whatever path settled it. *)
           let settled = ref None in
           let emit ev = settled := Some ev in
-          ignore (process st ~emit (Sweep.keyed [ point ]) : tally);
+          ignore (process st ~emit (Sweep.keyed [ point ]) : Protocol.summary);
           match !settled with
           | Some (Protocol.Point _ as ev) ->
               Http.respond fd

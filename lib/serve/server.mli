@@ -17,26 +17,21 @@
     - [GET /stats] — live counters (see {!Metrics}).
     - [GET /healthz] — liveness probe.
 
-    Scheduling: per query, store hits stream immediately — packed
-    records and the entries this server published or has read once
-    come from the store's index without a read (see
-    {!Mfu_explore.Store.lookup}), other loose entries are read and
-    validated once; misses are
-    claimed in the {!Inflight} table (one owner computes, concurrent
-    requesters wait and are counted as dedups), owned points are
-    ordered by {!Mfu_explore.Axes.rank} and cut into chunks of 8
-    consecutive points, each chunk one job on the {!Mfu_util.Pool}
-    domains. A simulated chunk is handed to the process's
-    {!Mfu_util.Writer} domain, which publishes each result to the store
-    with {!Mfu_explore.Sweep.meta_of_point} — byte-identical to what
-    [sweep.exe] writes — then releases its lease, wakes its waiters and
-    streams its event, in that order, while the next chunk simulates:
-    a streamed computed point is on disk, and at [MFU_JOBS=1] events
-    keep the ranked order. A query waits for all its publications
-    before its summary, so a killed server loses only results no client
-    has seen and no lease has released. With leases enabled, keys
-    owned by another process settle by that owner's entry appearing, or
-    by steal-on-expiry.
+    Scheduling: a query resolves its points through the sweep's
+    pipeline ({!Mfu_explore.Sweep.lookup}, then
+    {!Mfu_explore.Sweep.resolve}, which claims leases, simulates on the
+    {!Mfu_util.Pool} domains, publishes on the {!Mfu_util.Writer} domain
+    byte-identically to [sweep.exe], settles keys another process
+    holds, and drains). Only these steps are the server's own: store
+    hits stream first; each miss is claimed in the {!Inflight} table
+    (one owner computes, concurrent requesters wait and are counted as
+    dedups); owned misses are resolved in {!Mfu_explore.Axes.rank}
+    order, each simulation timed for [/stats]; the writer retires each
+    stored point's flight and streams its event, so a streamed computed
+    point is on disk and at [MFU_JOBS=1] events keep the ranked order;
+    a point given up on gets an ["aborted"] event; then the query waits
+    for the keys other threads own, and sends its summary after every
+    publication has run.
 
     Back-pressure: events traverse a bounded {!Bqueue} per client; a
     slow reader blocks the producer at [queue_capacity] buffered

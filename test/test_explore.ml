@@ -17,6 +17,9 @@ module Config = Mfu_isa.Config
 module Livermore = Mfu_loops.Livermore
 module Lease = Mfu_explore.Lease
 module Writer = Mfu_util.Writer
+module Server = Mfu_serve.Server
+module Client = Mfu_serve.Client
+module Protocol = Mfu_serve.Protocol
 
 let temp_store_dir () =
   let path = Filename.temp_file "mfu_store" "" in
@@ -671,7 +674,10 @@ let test_corrupt_segment_record () =
       output_bytes oc bytes;
       close_out oc;
       let reopened = Store.open_ (Store.root store) in
-      Alcotest.(check bool) "victim record is gone" true
+      Alcotest.(check bool) "victim record is corrupt at its first read"
+        true
+        (Store.lookup reopened ~key:(pack_key victim) = `Corrupt);
+      Alcotest.(check bool) "then gone" true
         (Store.lookup reopened ~key:(pack_key victim) = `Miss);
       List.iter
         (fun i ->
@@ -1365,6 +1371,75 @@ let test_sweep_heals_truncated_entry () =
         results;
       check_results_match_store ~what:"healed" store results)
 
+(* A swept and compacted store over [spec]'s points with one payload
+   byte of the first packed record flipped: its trailer MD5 fails at
+   the record's first read. *)
+let with_corrupt_pack spec f =
+  let points =
+    match Axes.of_string spec with
+    | Ok a -> Axes.enumerate a
+    | Error e -> Alcotest.fail e
+  in
+  with_store (fun store ->
+      ignore (Sweep.run ~jobs:1 ~store points);
+      ignore (Store.compact store);
+      let path = Store.segment_pack_path store ~seq:1 in
+      let pack = Bytes.of_string (read_file path) in
+      let magic = String.length "mfu-pack/v1\n" in
+      let klen = Int32.to_int (Bytes.get_int32_be pack magic) in
+      let plen = Int32.to_int (Bytes.get_int32_be pack (magic + 4)) in
+      let pos = magic + 8 + klen + (plen / 2) in
+      Bytes.set pack pos (Char.chr (Char.code (Bytes.get pack pos) lxor 1));
+      let oc = open_out_bin path in
+      output_bytes oc pack;
+      close_out oc;
+      f (Store.root store) points)
+
+(* A packed record quarantined at its first read counts as quarantined
+   for both callers that resolve points: a resumed sweep, and a query
+   to a server over the store. *)
+let test_corrupt_packed_record_counts_quarantined () =
+  let spec = "units=1,2;size=10;bus=nbus;config=m11br5;loops=5" in
+  with_corrupt_pack spec (fun root points ->
+      let _, stats = Sweep.run ~jobs:1 ~store:(Store.open_ root) points in
+      Alcotest.(check int) "sweep: one quarantined" 1 stats.Sweep.quarantined;
+      Alcotest.(check int) "sweep: one computed" 1 stats.Sweep.computed;
+      Alcotest.(check int) "sweep: the rest reused"
+        (List.length points - 1)
+        stats.Sweep.reused);
+  with_corrupt_pack spec (fun root points ->
+      let t =
+        Server.start
+          {
+            (Server.default_config ~store_dir:root
+               ~listen:(Server.Tcp ("127.0.0.1", 0)))
+            with
+            jobs = Some 1;
+            lease = false;
+          }
+      in
+      let summary =
+        Fun.protect
+          ~finally:(fun () ->
+            Server.stop t;
+            (* [stop] drains the process-wide pool; later sweeps need it *)
+            Mfu_util.Pool.resume ())
+          (fun () ->
+            let c = Client.connect ~timeout:30. (Server.bound_addr t) in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () -> Client.query c ~spec))
+      in
+      match summary with
+      | Ok s ->
+          Alcotest.(check int) "server: one quarantined" 1
+            s.Protocol.quarantined;
+          Alcotest.(check int) "server: one computed" 1 s.Protocol.computed;
+          Alcotest.(check int) "server: the rest from the store"
+            (List.length points - 1)
+            s.Protocol.store_hits
+      | Error e -> Alcotest.failf "query failed: %s" e)
+
 (* A leased sweep publishes on the writer domain: store entry, then
    lease release. At one job the releases come in point order, so a
    watcher domain follows them key by key: it polls a key's lease file
@@ -1604,6 +1679,8 @@ let () =
             test_sweep_reads_each_entry_once;
           Alcotest.test_case "heals truncated entry" `Quick
             test_sweep_heals_truncated_entry;
+          Alcotest.test_case "corrupt packed record counts quarantined"
+            `Quick test_corrupt_packed_record_counts_quarantined;
           Alcotest.test_case "rejects duplicate keys" `Quick
             test_sweep_rejects_duplicate_keys;
           Alcotest.test_case "lease released only after its entry" `Quick

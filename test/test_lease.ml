@@ -11,6 +11,9 @@ module Sweep = Mfu_explore.Sweep
 module Lease = Mfu_explore.Lease
 module Sim_types = Mfu_sim.Sim_types
 module Config = Mfu_isa.Config
+module Server = Mfu_serve.Server
+module Client = Mfu_serve.Client
+module Protocol = Mfu_serve.Protocol
 
 let temp_dir () =
   let path = Filename.temp_file "mfu_lease" "" in
@@ -320,10 +323,114 @@ let point =
     scale = 1;
   }
 
-(* Sweep under a foreign live lease: the owner publishes while we wait,
-   and the sweep must pick the entry up as [deferred] without ever
+(* Two callers settle a key another process holds a lease on: a
+   leased [Sweep.run], and a query to a server whose leases share the
+   store's lease directory. Each reports the result it settled with,
+   its computed / deferred / stolen counts and, for the server, the
+   point event's source. *)
+type settled = {
+  result : Sim_types.result;
+  computed : int;
+  deferred : int;
+  stolen : int;
+  source : Protocol.source option;
+}
+
+type caller = {
+  point : Axes.point;
+  settle : store_dir:string -> Axes.point -> settled;
+}
+
+let via_sweep =
+  {
+    point;
+    settle =
+      (fun ~store_dir p ->
+        let store = Store.open_ store_dir in
+        let ours =
+          Lease.create ~ttl:60.
+            ~dir:(Lease.default_dir ~store_root:store_dir)
+            ()
+        in
+        match Sweep.run ~jobs:1 ~lease:ours ~store [ p ] with
+        | [ (_, result) ], stats ->
+            {
+              result;
+              computed = stats.Sweep.computed;
+              deferred = stats.Sweep.deferred;
+              stolen = stats.Sweep.stolen;
+              source = None;
+            }
+        | _ -> Alcotest.fail "one result expected");
+  }
+
+let serve_spec = "units=1;size=10;bus=nbus;config=m11br5;loops=5"
+
+let via_server =
+  {
+    point =
+      (match Axes.of_string serve_spec with
+      | Ok a -> List.hd (Axes.enumerate a)
+      | Error e -> failwith e);
+    settle =
+      (fun ~store_dir _ ->
+        let cfg =
+          {
+            (Server.default_config ~store_dir
+               ~listen:(Server.Tcp ("127.0.0.1", 0)))
+            with
+            jobs = Some 1;
+            lease = true;
+            lease_ttl = 60.;
+          }
+        in
+        let t = Server.start cfg in
+        (* [stop] drains the process-wide pool, which the sweep cases
+           below need again. *)
+        Fun.protect
+          ~finally:(fun () ->
+            Server.stop t;
+            Mfu_util.Pool.resume ())
+          (fun () ->
+            let c = Client.connect ~timeout:30. (Server.bound_addr t) in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () ->
+                let events = ref [] in
+                let on_event = function
+                  | Protocol.Point e -> events := e :: !events
+                  | Protocol.Aborted _ | Protocol.Summary _ -> ()
+                in
+                match (Client.query ~on_event c ~spec:serve_spec, !events) with
+                | Ok s, [ e ] ->
+                    {
+                      result =
+                        {
+                          Sim_types.cycles = e.Protocol.cycles;
+                          instructions = e.Protocol.instructions;
+                        };
+                      computed = s.Protocol.computed;
+                      deferred = s.Protocol.lease_deferred;
+                      stolen = s.Protocol.lease_stolen;
+                      source = Some e.Protocol.source;
+                    }
+                | Ok _, evs ->
+                    Alcotest.failf "one point event expected, got %d"
+                      (List.length evs)
+                | Error e, _ -> Alcotest.failf "query failed: %s" e)));
+  }
+
+let check_source what expected = function
+  | Some s ->
+      Alcotest.(check string) what
+        (Protocol.source_to_string expected)
+        (Protocol.source_to_string s)
+  | None -> ()
+
+(* A caller under a foreign live lease: the owner publishes while it
+   waits, and it must pick the entry up as [deferred] without ever
    simulating the point itself. *)
-let test_sweep_defers_to_live_owner () =
+let test_defers_to_live_owner { point; settle } () =
   with_dir (fun store_dir ->
       let store = Store.open_ store_dir in
       let lease_dir = Lease.default_dir ~store_root:store_dir in
@@ -345,50 +452,41 @@ let test_sweep_defers_to_live_owner () =
                 Lease.release owner ~key:k)
               ()
           in
-          let ours = Lease.create ~ttl:60. ~dir:lease_dir () in
-          let results, stats =
-            Sweep.run ~jobs:1 ~lease:ours ~store [ point ]
-          in
+          let s = settle ~store_dir point in
           Thread.join publisher;
-          Alcotest.(check int) "nothing computed here" 0 stats.Sweep.computed;
-          Alcotest.(check int) "settled as deferred" 1 stats.Sweep.deferred;
-          Alcotest.(check int) "no steal" 0 stats.Sweep.stolen;
-          match results with
-          | [ (_, r) ] ->
-              Alcotest.(check bool) "owner's result served" true (r = expected);
-              Alcotest.(check bool) "the stored result" true
-                (Store.find store ~key:k = Some r)
-          | _ -> Alcotest.fail "one result expected"))
+          Alcotest.(check int) "nothing computed here" 0 s.computed;
+          Alcotest.(check int) "settled as deferred" 1 s.deferred;
+          Alcotest.(check int) "no steal" 0 s.stolen;
+          check_source "served from the store" Protocol.Store s.source;
+          Alcotest.(check bool) "owner's result served" true
+            (s.result = expected);
+          Alcotest.(check bool) "the stored result" true
+            (Store.find store ~key:k = Some s.result)))
 
-(* Sweep against a dead owner: the lease expires, the sweep steals it
-   and computes the point itself. *)
-let test_sweep_steals_from_dead_owner () =
+(* A caller against a dead owner: the lease expires, the caller steals
+   it and computes the point itself. *)
+let test_steals_from_dead_owner { point; settle } () =
   with_dir (fun store_dir ->
-      let store = Store.open_ store_dir in
       let lease_dir = Lease.default_dir ~store_root:store_dir in
       Fun.protect
         ~finally:(fun () -> rm_rf lease_dir)
         (fun () ->
-          let dead = Lease.create ~ttl:0.1 ~dir:lease_dir () in
+          (* long enough to outlast starting a server, so the lease is
+             still live when the caller first claims the key *)
+          let dead = Lease.create ~ttl:0.5 ~dir:lease_dir () in
           let k = Axes.key point in
           (match Lease.try_acquire dead ~key:k with
           | Lease.Acquired -> ()
           | Lease.Held _ -> Alcotest.fail "owner could not acquire");
-          let ours = Lease.create ~ttl:60. ~dir:lease_dir () in
-          let results, stats =
-            Sweep.run ~jobs:1 ~lease:ours ~store [ point ]
-          in
-          Alcotest.(check int) "computed after the steal" 1
-            stats.Sweep.computed;
-          Alcotest.(check int) "steal counted" 1 stats.Sweep.stolen;
-          Alcotest.(check int) "not deferred" 0 stats.Sweep.deferred;
-          match results with
-          | [ (_, r) ] ->
-              Alcotest.(check bool) "stolen point simulated exactly" true
-                (r = Axes.run point);
-              Alcotest.(check bool) "the stored result" true
-                (Store.find store ~key:k = Some r)
-          | _ -> Alcotest.fail "one result expected"))
+          let s = settle ~store_dir point in
+          Alcotest.(check int) "computed after the steal" 1 s.computed;
+          Alcotest.(check int) "steal counted" 1 s.stolen;
+          Alcotest.(check int) "not deferred" 0 s.deferred;
+          check_source "computed here" Protocol.Computed s.source;
+          Alcotest.(check bool) "stolen point simulated exactly" true
+            (s.result = Axes.run point);
+          Alcotest.(check bool) "the stored result" true
+            (Store.find (Store.open_ store_dir) ~key:k = Some s.result)))
 
 (* A worker killed between publishing a key and releasing its lease:
    no later sweep needs the key, so only the end-of-run collection
@@ -474,9 +572,13 @@ let () =
       ( "sweep integration",
         [
           Alcotest.test_case "defers to a live owner" `Quick
-            test_sweep_defers_to_live_owner;
+            (test_defers_to_live_owner via_sweep);
           Alcotest.test_case "steals from a dead owner" `Quick
-            test_sweep_steals_from_dead_owner;
+            (test_steals_from_dead_owner via_sweep);
+          Alcotest.test_case "server defers to a live owner" `Quick
+            (test_defers_to_live_owner via_server);
+          Alcotest.test_case "server steals from a dead owner" `Quick
+            (test_steals_from_dead_owner via_server);
           Alcotest.test_case "collects a killed worker's orphan leases"
             `Quick test_sweep_collects_orphan_leases;
         ] );
