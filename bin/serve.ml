@@ -1,29 +1,21 @@
 (* The sweep-as-a-service daemon: serve a result store over mfu-serve/v1.
 
    All operational chatter goes to stderr; the process runs until
-   SIGTERM/SIGINT, then drains gracefully (in-flight requests finish,
-   the pool quiesces, the store manifest is refreshed). *)
+   SIGTERM/SIGINT, then stops gracefully (in-flight requests finish,
+   their computed points are published, the store manifest is
+   refreshed). A server always claims the points it computes with
+   cross-process leases next to the store. *)
 
 module Server = Mfu_serve.Server
 
 open Cmdliner
 
-let run listen store_dir jobs max_points no_lease lease_ttl
-    request_timeout queue_capacity =
+let run listen store_dir jobs max_points lease_ttl request_timeout =
   match Server.addr_of_string listen with
   | Error e -> `Error (false, e)
   | Ok addr ->
       let cfg = Server.default_config ~store_dir ~listen:addr in
-      Server.run
-        {
-          cfg with
-          jobs;
-          max_points;
-          lease = not no_lease;
-          lease_ttl;
-          request_timeout;
-          queue_capacity;
-        };
+      Server.run { cfg with jobs; max_points; lease_ttl; request_timeout };
       `Ok ()
 
 let listen =
@@ -51,27 +43,13 @@ let max_points =
   in
   Arg.(value & opt int 4096 & info [ "max-points" ] ~docv:"N" ~doc)
 
-let no_lease =
-  let doc =
-    "Disable the cross-process lease layer (fine for a single server on \
-     a private store)."
-  in
-  Arg.(value & flag & info [ "no-lease" ] ~doc)
-
 let lease_ttl =
   let doc = "Lease lifetime in seconds." in
   Arg.(value & opt float 60. & info [ "lease-ttl" ] ~docv:"SEC" ~doc)
 
 let request_timeout =
-  let doc = "Per-read socket deadline in seconds." in
+  let doc = "Per-read and per-write socket deadline in seconds." in
   Arg.(value & opt float 30. & info [ "request-timeout" ] ~docv:"SEC" ~doc)
-
-let queue_capacity =
-  let doc =
-    "Back-pressure bound: events buffered per client before the \
-     producer blocks."
-  in
-  Arg.(value & opt int 256 & info [ "queue-capacity" ] ~docv:"N" ~doc)
 
 let cmd =
   let doc = "serve the multiple-functional-unit result store" in
@@ -79,7 +57,7 @@ let cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ listen $ store_dir $ jobs $ max_points
-       $ no_lease $ lease_ttl $ request_timeout $ queue_capacity))
+        (const run $ listen $ store_dir $ jobs $ max_points $ lease_ttl
+       $ request_timeout))
 
 let () = exit (Cmd.eval cmd)

@@ -179,11 +179,7 @@ let resolve_published ?jobs ?lease ?(simulate = fun p -> Axes.run p)
         max 1 (match jobs with Some j -> j | None -> Pool.current_jobs ())
       in
       let outcomes =
-        try
-          Pool.try_map ~jobs
-            ~chunk:(claim_size ~jobs (List.length mine))
-            job mine
-        with Pool.Draining -> List.map (fun _ -> Error Pool.Draining) mine
+        Pool.try_map ~jobs ~chunk:(claim_size ~jobs (List.length mine)) job mine
       in
       List.iter2 finish mine outcomes;
       (* Settle the keys other processes hold. A held key normally

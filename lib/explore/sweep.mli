@@ -108,10 +108,9 @@ val resolve :
       above);
     + wait for every publication before returning.
 
-    A point that cannot be settled — its simulation raised, the pool is
-    draining, or its entry failed to store — has its lease released and
-    goes to [aborted] with the exception, on the writer domain or the
-    calling one. An exception a
+    A point that cannot be settled — its simulation raised or its entry
+    failed to store — has its lease released and goes to [aborted] with
+    the exception, on the writer domain or the calling one. An exception a
     callback or the lease layer raises is re-raised once every
     submitted publication has run. *)
 

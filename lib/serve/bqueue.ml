@@ -1,28 +1,20 @@
 type 'a t = {
   items : 'a Queue.t;
-  capacity : int;
   mutable is_closed : bool;
   lock : Mutex.t;
-  not_full : Condition.t;
   not_empty : Condition.t;
 }
 
-let create ~capacity =
-  if capacity < 1 then invalid_arg "Bqueue.create: capacity < 1";
+let create () =
   {
     items = Queue.create ();
-    capacity;
     is_closed = false;
     lock = Mutex.create ();
-    not_full = Condition.create ();
     not_empty = Condition.create ();
   }
 
 let push t x =
   Mutex.protect t.lock (fun () ->
-      while (not t.is_closed) && Queue.length t.items >= t.capacity do
-        Condition.wait t.not_full t.lock
-      done;
       if t.is_closed then false
       else begin
         Queue.push x t.items;
@@ -35,16 +27,9 @@ let pop t =
       while Queue.is_empty t.items && not t.is_closed do
         Condition.wait t.not_empty t.lock
       done;
-      match Queue.take_opt t.items with
-      | Some x ->
-          Condition.signal t.not_full;
-          Some x
-      | None -> None)
+      Queue.take_opt t.items)
 
 let close t =
   Mutex.protect t.lock (fun () ->
       t.is_closed <- true;
-      Condition.broadcast t.not_full;
       Condition.broadcast t.not_empty)
-
-let closed t = Mutex.protect t.lock (fun () -> t.is_closed)

@@ -47,10 +47,8 @@ type config = {
   listen : addr;
   jobs : int option;
   max_points : int;
-  lease : bool;
   lease_ttl : float;
   request_timeout : float;
-  queue_capacity : int;
 }
 
 let default_config ~store_dir ~listen =
@@ -59,10 +57,8 @@ let default_config ~store_dir ~listen =
     listen;
     jobs = None;
     max_points = 4096;
-    lease = true;
     lease_ttl = 60.;
     request_timeout = 30.;
-    queue_capacity = 256;
   }
 
 type conn = { fd : Unix.file_descr; thread : Thread.t option ref }
@@ -70,7 +66,7 @@ type conn = { fd : Unix.file_descr; thread : Thread.t option ref }
 type t = {
   cfg : config;
   store : Store.t;
-  lease : Lease.t option;
+  lease : Lease.t;
   inflight : Inflight.t;
   metrics : Metrics.t;
   listen_fd : Unix.file_descr;
@@ -118,12 +114,9 @@ let resolve st ~emit_point ~emit_abort pks =
   in
   let aborted p k e =
     Inflight.abort st.inflight ~key:k;
-    emit_abort p k
-      (match e with
-      | Pool.Draining -> "server compute pool is draining (shutdown)"
-      | e -> "chunk computation failed: " ^ Printexc.to_string e)
+    emit_abort p k ("chunk computation failed: " ^ Printexc.to_string e)
   in
-  Sweep.resolve ?jobs:st.cfg.jobs ?lease:st.lease ~simulate ~order ~settled
+  Sweep.resolve ?jobs:st.cfg.jobs ~lease:st.lease ~simulate ~order ~settled
     ~aborted ~store:st.store pks
 
 (* Resolve a keyed, deduplicated point list against the store, the
@@ -235,13 +228,15 @@ let handle_query st fd (req : Http.request) =
       else begin
         Metrics.incr_queries st.metrics;
         let keyed = Sweep.keyed points in
-        let queue = Bqueue.create ~capacity:st.cfg.queue_capacity in
+        let queue = Bqueue.create () in
         let emit ev = ignore (Bqueue.push queue (Protocol.event_line ev)) in
-        (* The producer resolves points and feeds the bounded queue;
-           this thread writes chunks. The producer always runs to
-           completion — even after the client vanishes — because it
-           owns inflight claims other threads may be waiting on
-           (pushes to a closed queue just fall away). *)
+        (* The producer resolves points and feeds the queue; this thread
+           writes chunks. The producer always runs to completion — even
+           after the client vanishes — because it owns inflight claims
+           other threads may be waiting on (pushes to a closed queue
+           just fall away). It is joined on every exit, so once this
+           connection's thread ends, its query has no pool job or
+           publication left. *)
         let producer =
           Thread.create
             (fun () ->
@@ -251,18 +246,22 @@ let handle_query st fd (req : Http.request) =
                   emit (Protocol.Summary (process st ~emit keyed))))
             ()
         in
-        (try
-           Http.respond_chunked_start fd;
-           let rec drain () =
-             match Bqueue.pop queue with
-             | Some line ->
-                 Http.write_chunk fd line;
-                 drain ()
-             | None -> Http.write_chunk_end fd
-           in
-           drain ()
-         with Unix.Unix_error _ | Sys_error _ -> Bqueue.close queue);
-        Thread.join producer
+        Fun.protect
+          ~finally:(fun () ->
+            Bqueue.close queue;
+            Thread.join producer)
+          (fun () ->
+            try
+              Http.respond_chunked_start fd;
+              let rec drain () =
+                match Bqueue.pop queue with
+                | Some line ->
+                    Http.write_chunk fd line;
+                    drain ()
+                | None -> Http.write_chunk_end fd
+              in
+              drain ()
+            with Unix.Unix_error _ | Sys_error _ -> ())
       end
 
 let handle_point st fd (req : Http.request) =
@@ -315,8 +314,8 @@ let dispatch st fd (req : Http.request) =
 let handle_conn st fd =
   let reader = Http.reader ~timeout:st.cfg.request_timeout fd in
   (* Deadline both directions: a client that stops *reading* a chunked
-     stream must fail the write (closing the event queue and unblocking
-     any pool workers pushing into it) rather than wedge this thread in
+     stream must fail the write (closing the event queue, which drops
+     the rest of the query's events) rather than wedge this thread in
      write(2) forever. *)
   Http.set_send_timeout fd st.cfg.request_timeout;
   let rec loop () =
@@ -379,17 +378,11 @@ let accept_loop st =
 
 let start cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* A previous server's [stop] drains the process-wide pool; a new
-     server (the test suites start several) reopens it. *)
-  if Pool.draining () then Pool.resume ();
   let store = Store.open_ cfg.store_dir in
   let lease =
-    if cfg.lease then
-      Some
-        (Lease.create ~ttl:cfg.lease_ttl
-           ~dir:(Lease.default_dir ~store_root:cfg.store_dir)
-           ())
-    else None
+    Lease.create ~ttl:cfg.lease_ttl
+      ~dir:(Lease.default_dir ~store_root:cfg.store_dir)
+      ()
   in
   let domain =
     match cfg.listen with Unix_sock _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
@@ -465,7 +458,6 @@ let stop t =
     List.iter
       (fun c -> match !(c.thread) with Some th -> Thread.join th | None -> ())
       conns;
-    Pool.drain ();
     Store.refresh_manifest t.store
   end
 

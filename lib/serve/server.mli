@@ -2,7 +2,7 @@
 
     A {!start}ed server owns one listening socket (Unix-domain or TCP),
     one open result store, one in-process {!Inflight} dedup table, and
-    (optionally) a cross-process {!Mfu_explore.Lease} handle. Each
+    one cross-process {!Mfu_explore.Lease} handle. Each
     accepted connection is served by its own thread, speaking
     keep-alive HTTP/1.1 with bounded parsing and read deadlines.
 
@@ -33,9 +33,11 @@
     for the keys other threads own, and sends its summary after every
     publication has run.
 
-    Back-pressure: events traverse a bounded {!Bqueue} per client; a
-    slow reader blocks the producer at [queue_capacity] buffered
-    events instead of growing the heap. *)
+    Slow readers: events traverse a {!Bqueue} per client, which never
+    blocks its pusher, so a client that stops reading holds up no other
+    query's publication. It buffers at most the admission cap plus one
+    event lines, until the connection's send deadline
+    ([request_timeout]) fails the write and closes the queue. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -54,23 +56,20 @@ type config = {
   listen : addr;
   jobs : int option;  (** pool workers; [None] = pool default *)
   max_points : int;  (** admission cap per query *)
-  lease : bool;  (** cross-process work claims next to the store *)
-  lease_ttl : float;
-  request_timeout : float;  (** per-read socket deadline, seconds *)
-  queue_capacity : int;  (** per-client buffered events *)
+  lease_ttl : float;  (** lifetime of a cross-process work claim *)
+  request_timeout : float;  (** per-read and per-write socket deadline *)
 }
 
 val default_config : store_dir:string -> listen:addr -> config
-(** [max_points = 4096], [lease = true],
-    [lease_ttl = 60.], [request_timeout = 30.],
-    [queue_capacity = 256]. *)
+(** [max_points = 4096], [lease_ttl = 60.], [request_timeout = 30.]
+    (seconds). *)
 
 type t
 
 val start : config -> t
-(** Bind, listen, and spawn the accept thread. Also re-enables the
-    process-wide pool if a previous {!stop} drained it, and ignores
-    [SIGPIPE] (connection writes surface as [EPIPE] instead).
+(** Open the store and its lease directory, bind, listen, and spawn
+    the accept thread. Also ignores [SIGPIPE] (connection writes
+    surface as [EPIPE] instead).
     @raise Unix.Unix_error if the address cannot be bound. *)
 
 val bound_addr : t -> addr
@@ -87,8 +86,10 @@ val inflight_table : t -> Inflight.t
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, let in-flight requests finish
-    (idle keep-alive connections are shut down), then drain the domain
-    pool and refresh the store manifest. Idempotent. *)
+    (idle keep-alive connections are shut down), and join every
+    connection thread — each joins its query's producer, which returns
+    only after its pool jobs and publications have run — then refresh
+    the store manifest. The process-wide pool stays usable. Idempotent. *)
 
 val run : config -> unit
 (** {!start}, then block until [SIGTERM]/[SIGINT], then {!stop} —

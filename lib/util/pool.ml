@@ -39,51 +39,10 @@ let set_jobs j = Atomic.set override (Option.map clamp j)
 let current_jobs () =
   match Atomic.get override with Some n -> n | None -> default_jobs ()
 
-exception Draining
-
-(* Graceful-shutdown bookkeeping. [inflight] counts [try_map] calls that
-   are currently executing (from any thread or domain); [draining] is the
-   latched shutdown flag. The submission protocol increments [inflight]
-   {e before} checking the flag, and [drain] sets the flag {e before}
-   waiting for zero — so a map either observes the flag and rejects, or
-   its increment is visible to the waiter, which keeps waiting. No job
-   can slip through after [drain] returns. *)
+(* [try_map] calls currently executing, from any thread or domain. *)
 let inflight_count = Atomic.make 0
-let draining_flag = Atomic.make false
-let drain_mutex = Mutex.create ()
-let drain_cond = Condition.create ()
 
 let inflight () = Atomic.get inflight_count
-let draining () = Atomic.get draining_flag
-
-let enter () =
-  Atomic.incr inflight_count;
-  if Atomic.get draining_flag then begin
-    (* Undo and wake the drainer in case it is watching our increment. *)
-    if Atomic.fetch_and_add inflight_count (-1) = 1 then begin
-      Mutex.lock drain_mutex;
-      Condition.broadcast drain_cond;
-      Mutex.unlock drain_mutex
-    end;
-    raise Draining
-  end
-
-let leave () =
-  if Atomic.fetch_and_add inflight_count (-1) = 1 then begin
-    Mutex.lock drain_mutex;
-    Condition.broadcast drain_cond;
-    Mutex.unlock drain_mutex
-  end
-
-let drain () =
-  Atomic.set draining_flag true;
-  Mutex.lock drain_mutex;
-  while Atomic.get inflight_count > 0 do
-    Condition.wait drain_cond drain_mutex
-  done;
-  Mutex.unlock drain_mutex
-
-let resume () = Atomic.set draining_flag false
 
 let sequential f arr =
   Array.map (fun x -> try Ok (f x) with e -> Error e) arr
@@ -139,10 +98,10 @@ let try_map ?jobs ?chunk f xs =
     | Some _ -> invalid_arg "Pool.try_map: chunk < 1"
     | None -> auto_chunk ~jobs (Array.length arr)
   in
-  enter ();
+  Atomic.incr inflight_count;
   let out =
     Fun.protect
-      ~finally:(fun () -> leave ())
+      ~finally:(fun () -> Atomic.decr inflight_count)
       (fun () ->
         if jobs <= 1 then sequential f arr else parallel ~jobs ~chunk f arr)
   in

@@ -40,25 +40,6 @@ val set_jobs : int option -> unit
 val current_jobs : unit -> int
 (** The worker count the next [map] without [?jobs] will use. *)
 
-exception Draining
-(** Raised by {!map} and {!try_map} once {!drain} has been called. *)
-
-val drain : unit -> unit
-(** Graceful shutdown: latch a draining flag so every subsequent {!map} or
-    {!try_map} raises {!Draining}, then block until all in-flight calls
-    have finished. After [drain] returns, no pool job is running and none
-    can start. Idempotent — a second (or concurrent) call simply waits for
-    the same quiescence; it never deadlocks or double-releases anything.
-    Used by the serve daemon's SIGTERM handler. *)
-
-val draining : unit -> bool
-(** Whether {!drain} has been called (and not undone by {!resume}). *)
-
-val resume : unit -> unit
-(** Re-enable job submission after {!drain} — a server normally exits
-    once drained, so this mainly lets tests restore the process-wide
-    state they share with other suites. *)
-
 val inflight : unit -> int
 (** Number of {!map}/{!try_map} calls currently executing — the pool
     occupancy figure the serve daemon's [/stats] endpoint reports. *)

@@ -36,7 +36,11 @@ let rec rm_rf path =
 
 let with_store f =
   let dir = temp_store_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f (Store.open_ dir))
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf dir;
+      rm_rf (dir ^ ".leases"))
+    (fun () -> f (Store.open_ dir))
 
 let read_file path =
   let ic = open_in path in
@@ -1415,15 +1419,11 @@ let test_corrupt_packed_record_counts_quarantined () =
                ~listen:(Server.Tcp ("127.0.0.1", 0)))
             with
             jobs = Some 1;
-            lease = false;
           }
       in
       let summary =
         Fun.protect
-          ~finally:(fun () ->
-            Server.stop t;
-            (* [stop] drains the process-wide pool; later sweeps need it *)
-            Mfu_util.Pool.resume ())
+          ~finally:(fun () -> Server.stop t)
           (fun () ->
             let c = Client.connect ~timeout:30. (Server.bound_addr t) in
             Fun.protect

@@ -380,17 +380,12 @@ let via_server =
                ~listen:(Server.Tcp ("127.0.0.1", 0)))
             with
             jobs = Some 1;
-            lease = true;
             lease_ttl = 60.;
           }
         in
         let t = Server.start cfg in
-        (* [stop] drains the process-wide pool, which the sweep cases
-           below need again. *)
         Fun.protect
-          ~finally:(fun () ->
-            Server.stop t;
-            Mfu_util.Pool.resume ())
+          ~finally:(fun () -> Server.stop t)
           (fun () ->
             let c = Client.connect ~timeout:30. (Server.bound_addr t) in
             Fun.protect

@@ -92,47 +92,17 @@ let test_parse_jobs () =
           Alcotest.failf "parse_jobs %S should be an error, got Ok %d" bad n)
     [ ""; " "; "zero"; "0"; "-1"; "2.5"; "3j" ]
 
-(* Drain must latch (new maps rejected), wait for in-flight work, and be
-   idempotent — the contract the serve daemon's SIGTERM handler relies
-   on. [resume] restores the process-wide state for the other suites. *)
-let test_drain_rejects_and_is_idempotent () =
-  Fun.protect ~finally:Pool.resume (fun () ->
-      Alcotest.(check bool) "not draining initially" false (Pool.draining ());
-      Pool.drain ();
-      Alcotest.(check bool) "draining latched" true (Pool.draining ());
-      (match Pool.map ~jobs:2 f [ 1; 2; 3 ] with
-      | _ -> Alcotest.fail "map should be rejected while draining"
-      | exception Pool.Draining -> ());
-      (match Pool.try_map ~jobs:1 f [ 1 ] with
-      | _ -> Alcotest.fail "try_map should be rejected while draining"
-      | exception Pool.Draining -> ());
-      (* Idempotent: a second drain with nothing in flight returns. *)
-      Pool.drain ();
-      Alcotest.(check int) "nothing in flight" 0 (Pool.inflight ()));
-  Alcotest.(check bool) "resume restores" false (Pool.draining ());
-  Alcotest.(check (list int)) "maps run again" [ f 9 ] (Pool.map ~jobs:2 f [ 9 ])
-
-let test_drain_waits_for_inflight () =
-  Fun.protect ~finally:Pool.resume (fun () ->
-      let started = Atomic.make false in
-      let finished = Atomic.make false in
-      let slow x =
-        Atomic.set started true;
-        Thread.delay 0.05;
-        Atomic.set finished true;
-        x + 1
-      in
-      let worker =
-        Thread.create (fun () -> Pool.map ~jobs:1 slow [ 1 ]) ()
-      in
-      while not (Atomic.get started) do
-        Thread.yield ()
-      done;
-      Pool.drain ();
-      (* drain may only return once the in-flight job has completed. *)
-      Alcotest.(check bool) "drain waited" true (Atomic.get finished);
-      Alcotest.(check int) "quiescent" 0 (Pool.inflight ());
-      Thread.join worker)
+(* [inflight] counts the maps running now, the occupancy the serve
+   daemon's /stats reports, and falls back to zero when they return or
+   raise. *)
+let test_inflight () =
+  Alcotest.(check int) "idle" 0 (Pool.inflight ());
+  let seen = Pool.map ~jobs:2 (fun _ -> Pool.inflight ()) [ 1; 2; 3 ] in
+  Alcotest.(check (list int)) "one map running" [ 1; 1; 1 ] seen;
+  (match Pool.map ~jobs:1 (fun _ -> failwith "boom") [ 1 ] with
+  | _ -> Alcotest.fail "map should re-raise"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "idle again" 0 (Pool.inflight ())
 
 let test_oversubscribed () =
   (* More workers than elements and than cores: still complete and ordered. *)
@@ -152,10 +122,8 @@ let () =
             test_env_invalid_values_fall_back;
           Alcotest.test_case "parse_jobs" `Quick test_parse_jobs;
           Alcotest.test_case "oversubscription" `Quick test_oversubscribed;
-          Alcotest.test_case "drain rejects and is idempotent" `Quick
-            test_drain_rejects_and_is_idempotent;
-          Alcotest.test_case "drain waits for in-flight jobs" `Quick
-            test_drain_waits_for_inflight;
+          Alcotest.test_case "inflight counts running maps" `Quick
+            test_inflight;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

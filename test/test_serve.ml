@@ -2,7 +2,8 @@
    compute and stream, warm queries are pure store hits, concurrent
    clients asking for the same miss trigger exactly one simulation
    (the in-flight dedup contract), oversized specs are rejected at
-   admission, and the bounded per-client queue applies back-pressure.
+   admission, a client that stops reading holds up no other query, and
+   a stopped server leaves the process's domain pool usable.
 
    Servers listen on 127.0.0.1 with port 0 (or a Unix-domain socket in
    a temp dir) so tests never collide. *)
@@ -52,7 +53,6 @@ let with_server ?(configure = fun c -> c) f =
                ~listen:(Server.Tcp ("127.0.0.1", 0)))
             with
             jobs = Some 2;
-            lease = false;
             request_timeout = 5.;
           }
       in
@@ -435,12 +435,11 @@ let test_stats_compute_by_family () =
 
 (* The writer domain stores a computed point before it streams it: the
    loose file of every computed event exists by the time the client
-   reads the event. Leases on, so the release runs in the same
-   closure. *)
+   reads the event. The lease release runs in the same closure. *)
 let test_streamed_point_is_on_disk () =
   let spec = "units=1-2;size=10;bus=nbus;config=m11br5;loops=1,3,5,7,11" in
   with_server
-    ~configure:(fun c -> { c with Server.jobs = Some 1; lease = true })
+    ~configure:(fun c -> { c with Server.jobs = Some 1 })
     (fun t ->
       with_client t (fun c ->
           let computed = ref 0 and missing = ref [] in
@@ -505,7 +504,6 @@ let test_unix_socket () =
              ~listen:(Server.Unix_sock sock))
           with
           jobs = Some 1;
-          lease = false;
         }
       in
       let t = Server.start cfg in
@@ -520,6 +518,96 @@ let test_unix_socket () =
                 s.Protocol.computed));
       Alcotest.(check bool) "socket file removed on stop" false
         (Sys.file_exists sock))
+
+(* A client that posts a large cold query and never reads its stream
+   holds up no other query: its events pile up in its own queue while
+   the writer domain goes on publishing every other query's points. A
+   one-point cold query finishes well inside the stalled client's write
+   deadline. *)
+let test_slow_reader_holds_up_no_one () =
+  let slow_spec =
+    "policy=inorder,ooo;stations=1-8;bus=nbus,1bus;config=all;loops=all"
+  in
+  let slow_points = List.length (points_of slow_spec) in
+  let deadline = 3. in
+  let dir = temp_dir () in
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cfg =
+        {
+          (Server.default_config
+             ~store_dir:(Filename.concat dir "store")
+             ~listen:(Server.Unix_sock (Filename.concat dir "serve.sock")))
+          with
+          jobs = Some 1;
+          request_timeout = deadline;
+        }
+      in
+      let t = Server.start cfg in
+      Fun.protect
+        ~finally:(fun () -> Server.stop t)
+        (fun () ->
+          let a = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          (* Closing the stalled client ends its stream, so [stop] only
+             waits for its remaining points. *)
+          Fun.protect
+            ~finally:(fun () -> Unix.close a)
+            (fun () ->
+              Unix.connect a (Server.sockaddr_of (Server.bound_addr t));
+              Http.write_request a ~meth:"POST" ~path:"/v1/query"
+                ~body:(Protocol.query_body ~spec:slow_spec);
+              (* Wait until the stalled query has handed half its points
+                 to the writer, far more events than its socket buffer
+                 holds: the next query's point publishes behind them. *)
+              let simulated c =
+                match Client.stats c with
+                | Error e -> Alcotest.failf "stats failed: %s" e
+                | Ok doc -> (
+                    match Json.member "compute_by_family" doc with
+                    | Some (Json.Obj families) ->
+                        List.fold_left
+                          (fun n (_, f) ->
+                            match
+                              Option.bind (Json.member "points" f) Json.to_int
+                            with
+                            | Some k -> n + k
+                            | None -> n)
+                          0 families
+                    | _ -> 0)
+              in
+              with_client t (fun c ->
+                  let give_up = Unix.gettimeofday () +. 30. in
+                  while simulated c < slow_points / 2 do
+                    if Unix.gettimeofday () > give_up then
+                      Alcotest.fail "the stalled query stopped simulating";
+                    Thread.delay 0.01
+                  done);
+              let t0 = Unix.gettimeofday () in
+              let s = with_client t (fun c -> query_ok c ~spec:spec_1pt) in
+              let took = Unix.gettimeofday () -. t0 in
+              Alcotest.(check int) "other query computed" 1 s.Protocol.computed;
+              if took >= deadline /. 2. then
+                Alcotest.failf
+                  "one-point query took %.2f s behind a stalled reader \
+                   (write deadline %.0f s)"
+                  took deadline)))
+
+(* Stopping a server leaves the process's domain pool usable: a later
+   sweep in the same process computes its points. *)
+let test_sweep_after_stop () =
+  with_server (fun t ->
+      with_client t (fun c -> ignore (query_ok c ~spec:spec_1pt)));
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let results, stats =
+        Sweep.run ~jobs:2 ~store:(Store.open_ dir) (points_of spec_2pts)
+      in
+      Alcotest.(check int) "both points computed" 2 stats.Sweep.computed;
+      Alcotest.(check int) "both results returned" 2 (List.length results))
 
 (* Serving must leave the store byte-identical to a plain sweep of the
    same spec — the CI smoke job enforces this on table7; here the same
@@ -605,8 +693,6 @@ let test_serve_from_packed_store () =
         | Ok a -> Axes.enumerate a
         | Error e -> Alcotest.fail e
       in
-      (* an earlier test's Server.stop may have drained the pool *)
-      Mfu_util.Pool.resume ();
       let _ = Sweep.run ~jobs:1 ~store points in
       let c = Store.compact store in
       Alcotest.(check int) "both points packed" 2 c.Store.folded;
@@ -616,7 +702,6 @@ let test_serve_from_packed_store () =
              ~listen:(Server.Tcp ("127.0.0.1", 0)))
           with
           jobs = Some 2;
-          lease = false;
           request_timeout = 5.;
         }
       in
@@ -685,7 +770,6 @@ let test_connect_retry () =
                    ~store_dir:(Filename.concat dir "store") ~listen:addr)
                 with
                 jobs = Some 1;
-                lease = false;
                 request_timeout = 5.;
               }
             in
@@ -704,48 +788,34 @@ let test_connect_retry () =
               Alcotest.(check bool) "healthy once the bind lands" true
                 (Client.healthz c))))
 
-(* The bounded queue under pressure: with capacity 2, a producer's
-   third push blocks until the consumer pops, and closing releases
-   everyone. *)
-let test_bqueue_backpressure () =
-  let q = Bqueue.create ~capacity:2 in
-  let pushed = Atomic.make 0 in
-  let producer =
-    Thread.create
-      (fun () ->
-        for i = 1 to 4 do
-          if Bqueue.push q i then Atomic.incr pushed
-        done)
-      ()
-  in
-  let deadline = Unix.gettimeofday () +. 5. in
-  while Atomic.get pushed < 2 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
+(* The event queue is FIFO, and a push never blocks: the writer domain
+   pushes every query's events. *)
+let test_bqueue_fifo () =
+  let q = Bqueue.create () in
+  for i = 1 to 4 do
+    Alcotest.(check bool) "push lands" true (Bqueue.push q i)
   done;
-  Thread.delay 0.05;
-  Alcotest.(check int) "producer blocked at capacity" 2 (Atomic.get pushed);
   Alcotest.(check (option int)) "fifo pop" (Some 1) (Bqueue.pop q);
   Alcotest.(check (option int)) "fifo pop" (Some 2) (Bqueue.pop q);
   Alcotest.(check (option int)) "fifo pop" (Some 3) (Bqueue.pop q);
   Alcotest.(check (option int)) "fifo pop" (Some 4) (Bqueue.pop q);
-  Thread.join producer;
-  Alcotest.(check int) "all pushes landed" 4 (Atomic.get pushed);
   Bqueue.close q;
   Alcotest.(check (option int)) "closed and drained" None (Bqueue.pop q);
   Alcotest.(check bool) "push after close is dropped" false (Bqueue.push q 9)
 
-let test_bqueue_close_releases_producer () =
-  let q = Bqueue.create ~capacity:1 in
-  Alcotest.(check bool) "first push fits" true (Bqueue.push q 1);
-  let result = ref None in
-  let producer =
-    Thread.create (fun () -> result := Some (Bqueue.push q 2)) ()
-  in
+(* Closing lets the consumer drain what is buffered, then ends it; a
+   consumer blocked on an empty queue is woken by the close. *)
+let test_bqueue_close_drains () =
+  let q = Bqueue.create () in
+  let result = ref (Some 0) in
+  let consumer = Thread.create (fun () -> result := Bqueue.pop q) () in
   Thread.delay 0.05;
   Bqueue.close q;
-  Thread.join producer;
-  Alcotest.(check (option bool)) "blocked push released as dropped"
-    (Some false) !result;
+  Thread.join consumer;
+  Alcotest.(check (option int)) "blocked pop released by close" None !result;
+  let q = Bqueue.create () in
+  Alcotest.(check bool) "push lands" true (Bqueue.push q 1);
+  Bqueue.close q;
   Alcotest.(check (option int)) "buffered item still drains" (Some 1)
     (Bqueue.pop q);
   Alcotest.(check (option int)) "then closed" None (Bqueue.pop q)
@@ -946,10 +1016,9 @@ let () =
     [
       ( "building blocks",
         [
-          Alcotest.test_case "bqueue back-pressure" `Quick
-            test_bqueue_backpressure;
-          Alcotest.test_case "bqueue close releases producer" `Quick
-            test_bqueue_close_releases_producer;
+          Alcotest.test_case "bqueue fifo" `Quick test_bqueue_fifo;
+          Alcotest.test_case "bqueue close drains buffered items" `Quick
+            test_bqueue_close_drains;
           Alcotest.test_case "inflight dedup table" `Quick test_inflight_unit;
           Alcotest.test_case "protocol round-trip" `Quick
             test_protocol_roundtrip;
@@ -988,6 +1057,10 @@ let () =
           Alcotest.test_case "failed publication aborts its points" `Quick
             test_publication_failure_aborts;
           Alcotest.test_case "unix-domain socket" `Quick test_unix_socket;
+          Alcotest.test_case "slow reader holds up no other query" `Quick
+            test_slow_reader_holds_up_no_one;
+          Alcotest.test_case "sweep after stop computes" `Quick
+            test_sweep_after_stop;
           Alcotest.test_case "store bytes match a plain sweep" `Quick
             test_store_bytes_match_sweep;
           Alcotest.test_case "multi-chunk store bytes match a plain sweep"
