@@ -1,9 +1,9 @@
 (* The sweep-as-a-service daemon: serve a result store over mfu-serve/v1.
 
    All operational chatter goes to stderr; the process runs until
-   SIGTERM/SIGINT, then stops gracefully (in-flight requests finish,
-   their computed points are published, the store manifest is
-   refreshed). A server always claims the points it computes with
+   SIGTERM/SIGINT, then stops gracefully (streams in progress end,
+   their queries' computed points are published, the store manifest
+   is refreshed). A server always claims the points it computes with
    cross-process leases next to the store. *)
 
 module Server = Mfu_serve.Server

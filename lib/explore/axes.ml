@@ -344,6 +344,26 @@ let enumerate axes =
 
 let ( let* ) = Result.bind
 
+(* An axis lists at most this many values: a spec arrives over the
+   network, and a range or a run of [all]s must not make the parser
+   allocate without bound. *)
+let max_axis_values = 65_536
+
+(* The values of the comma-separated parts of [s], in order, each part
+   giving a list of values through [part_values]. *)
+let axis_values field part_values s =
+  let rec go acc n = function
+    | [] -> Ok (List.rev acc)
+    | part :: rest ->
+        let* xs = part_values part in
+        let n = n + List.length xs in
+        if n > max_axis_values then
+          Error
+            (Printf.sprintf "%s: more than %d values" field max_axis_values)
+        else go (List.rev_append xs acc) n rest
+  in
+  go [] 0 (String.split_on_char ',' s)
+
 let int_list_of_string field s =
   let range part =
     match String.index_opt part '-' with
@@ -353,33 +373,27 @@ let int_list_of_string field s =
           int_of_string_opt (String.sub part (i + 1) (String.length part - i - 1))
         in
         (match (lo, hi) with
-        | Some lo, Some hi when lo <= hi -> Ok (List.init (hi - lo + 1) (fun k -> lo + k))
+        | Some lo, Some hi
+          when lo <= hi && hi - lo >= 0 && hi - lo < max_axis_values ->
+            Ok (List.init (hi - lo + 1) (fun k -> lo + k))
         | _ -> Error (Printf.sprintf "%s: bad range %S" field part))
     | _ -> (
         match int_of_string_opt part with
         | Some n -> Ok [ n ]
         | None -> Error (Printf.sprintf "%s: bad integer %S" field part))
   in
-  List.fold_left
-    (fun acc part ->
-      let* acc = acc in
-      let* xs = range (String.trim part) in
-      Ok (acc @ xs))
-    (Ok [])
-    (String.split_on_char ',' s)
+  axis_values field (fun part -> range (String.trim part)) s
 
 let keyword_list ~field ~table ~all s =
-  List.fold_left
-    (fun acc part ->
-      let* acc = acc in
+  axis_values field
+    (fun part ->
       let part = String.trim (String.lowercase_ascii part) in
-      if part = "all" then Ok (acc @ all)
+      if part = "all" then Ok all
       else
         match List.assoc_opt part table with
-        | Some v -> Ok (acc @ [ v ])
+        | Some v -> Ok [ v ]
         | None -> Error (Printf.sprintf "%s: unknown value %S" field part))
-    (Ok [])
-    (String.split_on_char ',' s)
+    s
 
 let org_table =
   [
@@ -417,13 +431,9 @@ let branch_of_string field part =
   | s -> Error (Printf.sprintf "%s: unknown value %S" field s)
 
 let branch_list field s =
-  List.fold_left
-    (fun acc part ->
-      let* acc = acc in
-      let* b = branch_of_string field part in
-      Ok (acc @ [ b ]))
-    (Ok [])
-    (String.split_on_char ',' s)
+  axis_values field
+    (fun part -> Result.map (fun b -> [ b ]) (branch_of_string field part))
+    s
 
 let loops_of_string field s =
   match String.trim (String.lowercase_ascii s) with

@@ -176,7 +176,8 @@ val of_string : string -> (t, string) result
     v}
 
     Unnamed axes take the {!empty} defaults ([config=all], [loops=all]
-    being the most useful ones). Unknown axes or values are errors. *)
+    being the most useful ones). Unknown axes or values are errors, and
+    so is an axis listing more than 65536 values. *)
 
 val to_string : t -> string
 (** Canonical spec form; [of_string (to_string t)] succeeds. *)

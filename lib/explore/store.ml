@@ -9,14 +9,18 @@ let pack_idx_magic = "mfu-pack-idx/v1\n"
 (* ------------------------------------------------------------------ *)
 (* In-memory index                                                    *)
 
-(* One live packed record: where its verbatim payload lives inside
-   segments/<seq>.pack, plus the result once a read has digest-verified,
+(* A segment with the whole segments/<seq>.pack this handle loaded (or
+   wrote): segments are immutable, so the bytes outlive the file. *)
+type seg = { seq : int; pack : string; mutable records : int }
+
+(* One live packed record: where its verbatim payload lies in its
+   segment's bytes, plus the result once a read has digest-verified,
    validated and decoded it. The open indexes a record from its segment's
-   sidecar without reading it; the first lookup reads and checks it and
-   keeps the result, so every later hit costs no syscall. *)
+   sidecar without checking it; the first lookup checks it and keeps the
+   result. *)
 type packed = {
-  seg : int;
-  off : int;  (* offset of the record header in the pack file *)
+  seg : seg;
+  off : int;  (* offset of the record header in the pack *)
   len : int;  (* bytes from the header to the next record or EOF *)
   payload_bytes : int;  (* from the header, for {!stats} *)
   mutable result : Sim_types.result option;  (* [None] until validated *)
@@ -120,8 +124,6 @@ module Dtbl = struct
 
   let iter f t = Array.iter (function Some e -> f e | None -> ()) t.ents
 end
-
-type seg = { seq : int; file_bytes : int; mutable records : int }
 
 type index = {
   tbl : Dtbl.t;
@@ -372,10 +374,11 @@ let record_frame pack off ~limit =
     then None
     else Some (klen, plen)
 
-(* Parse and digest-check the record at [off]: the MD5 is taken over
-   the key and payload where they lie, and compared in place. *)
-let record_read pack off =
-  match record_frame pack off ~limit:(String.length pack) with
+(* Parse and digest-check the record at [off], which must end by
+   [limit]: the MD5 is taken over the key and payload where they lie,
+   and compared in place. *)
+let record_read pack off ~limit =
+  match record_frame pack off ~limit with
   | None -> Error "record frame out of bounds"
   | Some (klen, plen) ->
       let body = off + 8 in
@@ -460,7 +463,7 @@ let idx_parse ~pack_len text =
 (* ------------------------------------------------------------------ *)
 (* Open-time scan                                                     *)
 
-let insert_packed t ~seg_meta e p =
+let insert_packed t e p =
   (match e.packed with
   | Some _ ->
       (* A later record (or later segment) supersedes an earlier one;
@@ -468,15 +471,16 @@ let insert_packed t ~seg_meta e p =
       t.idx.replay_dead <- t.idx.replay_dead + 1
   | None -> ());
   e.packed <- Some p;
-  seg_meta.records <- seg_meta.records + 1
+  p.seg.records <- p.seg.records + 1
 
 let record_name ~seq ~off = Printf.sprintf "pack-%08d-%d.record" seq off
 
-(* Load segments/<seq>.pack into the index. With a valid idx sidecar
-   this costs what the index costs: each digest the sidecar lists is
-   filed at its offset, the record running to the next listed offset or
-   EOF, with the payload size its header gives ({!stats} reports it) —
-   no MD5 and no JSON: {!lookup} validates a record on its first read.
+(* Load segments/<seq>.pack, bytes kept, into the index. With a valid
+   idx sidecar this costs what the index costs: each digest the sidecar
+   lists is filed at its offset, the record running to the next listed
+   offset or EOF, with the payload size its header gives ({!stats}
+   reports it) — no MD5 and no JSON: {!lookup} validates a record on its
+   first read.
    A segment without a usable sidecar is scanned sequentially instead,
    each record digest-verified, validated and decoded on the way; a
    failing record is copied to quarantine/ and skipped, the unframeable
@@ -496,11 +500,11 @@ let load_segment t seq =
       (try Sys.remove path with Sys_error _ -> ())
   | Some pack ->
       let pack_len = String.length pack in
-      let seg_meta = { seq; file_bytes = pack_len; records = 0 } in
+      let seg_meta = { seq; pack; records = 0 } in
       let insert ~digest ~off ~len ~payload_bytes result =
-        insert_packed t ~seg_meta
+        insert_packed t
           (Dtbl.upsert t.idx.tbl digest)
-          { seg = seq; off; len; payload_bytes; result }
+          { seg = seg_meta; off; len; payload_bytes; result }
       in
       (match
          Option.bind
@@ -526,7 +530,7 @@ let load_segment t seq =
           let off = ref (String.length pack_magic) in
           let stop = ref false in
           while (not !stop) && !off < pack_len do
-            match record_read pack !off with
+            match record_read pack !off ~limit:pack_len with
             | Ok (key, payload, reclen) ->
                 Atomic.incr t.packed_reads;
                 let digest = Digest.string key in
@@ -720,7 +724,8 @@ let stats_locked t =
     loose_entries = !loose;
     packed_entries = !packed;
     segment_count = List.length t.idx.segs;
-    segment_bytes = List.fold_left (fun a s -> a + s.file_bytes) 0 t.idx.segs;
+    segment_bytes =
+      List.fold_left (fun a s -> a + String.length s.pack) 0 t.idx.segs;
     shadowed_records = !shadow_pairs + t.idx.replay_dead;
     foreign_files = t.idx.foreign;
     quarantined_count = List.length (quarantined t);
@@ -847,85 +852,52 @@ let read_loose ?key t path ~digest =
           quarantine t path;
           `Invalid)
 
-(* [len] bytes of [path] from [off], fewer at EOF: one open, one seek
-   and as many reads as the span needs. *)
-let read_span path ~off ~len =
-  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error _ -> `Vanished
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          try
-            ignore (Unix.lseek fd off Unix.SEEK_SET);
-            `Bytes (read_upto fd len)
-          with Unix.Unix_error _ -> `Bytes "")
-
-(* Packed record [p], read and given every check a loose read gets: its
-   trailer MD5, a framing key equal to [key] (hashing to [digest] for
-   compaction, which knows the record by digest alone) and the entry's
-   validation against that key. A record failing any of them is copied
-   to quarantine/. [`Vanished]: the segment file is gone — another
-   process's full compaction or unpack deleted it. *)
+(* Packed record [p], from its segment's bytes, given every check a
+   loose read gets: its trailer MD5, a framing key equal to [key]
+   (hashing to [digest] for compaction, which knows the record by digest
+   alone) and the entry's validation against that key. A record failing
+   any of them is copied to quarantine/. *)
 let read_packed ?key t p ~digest =
-  match read_span (segment_pack_path t ~seq:p.seg) ~off:p.off ~len:p.len with
-  | `Vanished -> `Vanished
-  | `Bytes span -> (
-      Atomic.incr t.packed_reads;
-      let checked =
-        Result.bind (record_read span 0) (fun (framing, payload, _) ->
-            if
-              match key with
-              | Some key -> String.equal framing key
-              | None -> String.equal (Digest.string framing) digest
-            then
-              Result.map
-                (fun (_, result) -> (framing, payload, result))
-                (validate ~key:framing ~digest payload)
-            else Error "framing key does not match")
-      in
-      match checked with
-      | Ok v -> `Valid v
-      | Error _ ->
-          quarantine_bytes t ~name:(record_name ~seq:p.seg ~off:p.off) span;
-          `Invalid)
-
-(* [e] stops pointing at record [p], unless something newer already
-   replaced it. *)
-let drop_packed_locked e p =
-  match e.packed with Some q when q == p -> e.packed <- None | _ -> ()
+  Atomic.incr t.packed_reads;
+  let checked =
+    Result.bind (record_read p.seg.pack p.off ~limit:(p.off + p.len))
+      (fun (framing, payload, _) ->
+        if
+          match key with
+          | Some key -> String.equal framing key
+          | None -> String.equal (Digest.string framing) digest
+        then
+          Result.map
+            (fun (_, result) -> (framing, payload, result))
+            (validate ~key:framing ~digest payload)
+        else Error "framing key does not match")
+  in
+  match checked with
+  | Ok v -> Some v
+  | Error _ ->
+      quarantine_bytes t
+        ~name:(record_name ~seq:p.seg.seq ~off:p.off)
+        (String.sub p.seg.pack p.off p.len);
+      None
 
 (* The result of [e]'s packed record, validated on its first read and
-   kept. A record that fails leaves the index and answers [`Corrupt]
-   this once. When its segment has
-   vanished, the handle folds in the segments it has not seen — the
-   compaction that deleted it published the record anew — and tries the
-   key's newer record, as a lookup does for a vanished loose file. Each
-   retry follows a record of a newly loaded, higher segment, so the
-   retries end. *)
-let rec packed_result t ~key e =
+   kept. A record that fails leaves the index (unless something newer
+   replaced it meanwhile) and answers [`Corrupt] this once. *)
+let packed_result t ~key e =
   match Mutex.protect t.lock (fun () -> e.packed) with
   | None -> `Absent
   | Some { result = Some r; _ } -> `Hit r
   | Some p -> (
       match read_packed ~key t p ~digest:e.digest with
-      | `Valid (_, _, r) ->
+      | Some (_, _, r) ->
           Mutex.protect t.lock (fun () -> p.result <- Some r);
           `Hit r
-      | `Invalid ->
-          Mutex.protect t.lock (fun () -> drop_packed_locked e p);
-          `Corrupt
-      | `Vanished ->
-          let moved =
-            Mutex.protect t.lock (fun () ->
-                rescan_segments_locked t;
-                match e.packed with
-                | Some q when q != p -> true
-                | _ ->
-                    drop_packed_locked e p;
-                    false)
-          in
-          if moved then packed_result t ~key e else `Absent)
+      | None ->
+          Mutex.protect t.lock (fun () ->
+              match e.packed with
+              | Some q when q == p -> e.packed <- None
+              | _ -> ());
+          `Corrupt)
 
 let lookup t ~key =
   let raw = Digest.string key in
@@ -1094,8 +1066,7 @@ let compact_locked ?(full = false) ?crash t =
   if not worthwhile then no_compaction
   else begin
     (* In full mode, carry the live packed records forward too, each
-       read and validated (a record that fails is quarantined, one whose
-       segment vanished is left to the compaction that deleted it). *)
+       read and validated (a record that fails is quarantined). *)
     let rewrite_items =
       if not full then []
       else begin
@@ -1105,14 +1076,14 @@ let compact_locked ?(full = false) ?crash t =
             match (e.loose, e.packed) with
             | No_file, Some p -> (
                 match read_packed t p ~digest:e.digest with
-                | `Valid (key, payload, result) ->
+                | Some (key, payload, result) ->
                     acc := (e, p, key, payload, result) :: !acc
-                | `Invalid | `Vanished -> e.packed <- None)
+                | None -> e.packed <- None)
             | _ -> ())
           t.idx.tbl;
         List.sort
           (fun (_, a, _, _, _) (_, b, _, _, _) ->
-            compare (a.seg, a.off) (b.seg, b.off))
+            compare (a.seg.seq, a.off) (b.seg.seq, b.off))
           !acc
       end
     in
@@ -1182,12 +1153,12 @@ let compact_locked ?(full = false) ?crash t =
           with Sys_error _ -> ())
         old_segs;
     (* Update the in-memory view to match. *)
-    let seg_meta = { seq; file_bytes = String.length pack_text; records = 0 } in
+    let seg_meta = { seq; pack = pack_text; records = 0 } in
     if full then begin
       (* Segments a concurrent compactor published while we claimed a
          number stay; everything we rewrote goes. *)
-      let superseded n = List.exists (fun s -> s.seq = n) old_segs in
-      t.idx.segs <- List.filter (fun s -> not (superseded s.seq)) t.idx.segs;
+      let superseded s = List.memq s old_segs in
+      t.idx.segs <- List.filter (fun s -> not (superseded s)) t.idx.segs;
       t.idx.replay_dead <- 0;
       Dtbl.iter
         (fun e ->
@@ -1197,19 +1168,14 @@ let compact_locked ?(full = false) ?crash t =
         t.idx.tbl
     end;
     let install e ~off ~key ~payload result =
-      (match e.packed with
-      | Some _ -> t.idx.replay_dead <- t.idx.replay_dead + 1
-      | None -> ());
-      e.packed <-
-        Some
-          {
-            seg = seq;
-            off;
-            len = record_length ~key ~payload;
-            payload_bytes = String.length payload;
-            result = Some result;
-          };
-      seg_meta.records <- seg_meta.records + 1
+      insert_packed t e
+        {
+          seg = seg_meta;
+          off;
+          len = record_length ~key ~payload;
+          payload_bytes = String.length payload;
+          result = Some result;
+        }
     in
     List.iter
       (fun (e, result, off, key, payload) ->
@@ -1251,7 +1217,7 @@ let unpack t =
             match (e.loose, e.packed) with
             | No_file, Some p -> (
                 match read_packed t p ~digest:e.digest with
-                | `Valid (key, payload, result) ->
+                | Some (key, payload, result) ->
                     write_atomically t
                       ~temp_name:(digest_of_key key ^ ".json.tmp")
                       ~dest:(loose_path t (Digest.to_hex e.digest))
@@ -1260,7 +1226,7 @@ let unpack t =
                     e.loose_bytes <- String.length payload;
                     e.packed <- None;
                     incr restored
-                | `Invalid | `Vanished -> e.packed <- None)
+                | None -> e.packed <- None)
             | _, Some _ -> e.packed <- None
             | _, None -> ())
           t.idx.tbl;

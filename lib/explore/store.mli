@@ -30,15 +30,19 @@
     {!open_} builds an in-memory index over both worlds, from names and
     sidecars alone: a segment record is filed by the digest and offset
     its [.idx] sidecar lists, a loose entry by its file name — no
-    syscall and no decode per entry. Either is read and validated the
-    first time this handle looks it up, so entries published (or
-    corrupted) by other processes before that stay visible without
-    reopening, and damage to a packed record is found at its first
-    read, as for a loose entry. After that read, and from the start for
-    an entry this handle {!put}, the handle answers the key from memory
-    until a loose file is quarantined, found gone, or folded by
-    {!compact}; damage done to a file later is caught by the next
-    {!compact} or by any other handle's read. A loose file shadows a
+    decode per entry. The handle keeps each segment's pack bytes, which
+    the open reads whole, and takes packed records from them: packed
+    damage is seen as of the open, and a segment another process's full
+    compaction or unpack deletes stays readable (segments are
+    immutable). Either kind of entry is validated the first time this
+    handle looks it up, so loose entries published (or corrupted) by
+    other processes before that stay visible without reopening, and
+    damage to a packed record is found at its first read, as for a
+    loose entry. After that read, and from the start for an entry this
+    handle {!put}, the handle answers the key from memory until a loose
+    file is quarantined, found gone, or folded by {!compact}; damage
+    done to a file later is caught by the next {!compact} or by any
+    other handle's read. A loose file shadows a
     packed record of the same digest, and within segments a higher
     sequence number wins, so a crash between segment publication and
     loose-file deletion leaves harmless duplicates, never losses.
@@ -71,7 +75,8 @@ val open_ : string -> t
     build the in-memory index: read each segment's sidecar and pack,
     filing every record by digest and offset with the payload size its
     header gives, then list the [objects/] shard directories for loose
-    entry names. No record is validated here: {!lookup} validates one
+    entry names. The handle keeps each pack's bytes for its packed
+    reads. No record is validated here: {!lookup} validates one
     on its first read. A segment whose sidecar is missing or damaged is
     scanned sequentially instead, each record validated and decoded,
     corrupt ones quarantined, and the sidecar rebuilt. The listing is
@@ -123,10 +128,11 @@ val lookup :
     keeps the result. [`Corrupt] means a loose entry or a packed record
     existed but failed validation and has been quarantined, and no
     other copy answers (the caller should recompute, exactly as for
-    [`Miss]); a later lookup of the key answers [`Miss]. When a loose file
-    or an unread record's segment vanishes underneath the handle —
-    another process compacted — new segments are folded in and the
-    read is answered from them. *)
+    [`Miss]); a later lookup of the key answers [`Miss]. A packed record
+    answers from the bytes this handle loaded, even after its segment
+    is deleted. When a loose file vanishes underneath the handle —
+    another process compacted — new segments are folded in and the read
+    is answered from them. *)
 
 val find : t -> key:string -> Mfu_sim.Sim_types.result option
 (** [lookup] with [`Corrupt] collapsed to [None]. *)

@@ -445,14 +445,15 @@ let stop t =
     (match t.bound with
     | Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Tcp _ -> ());
-    (* In-flight requests finish; idle keep-alive reads see EOF. *)
+    (* Both directions: idle reads see EOF, and a write blocked on a
+       client that stopped reading fails now, not at its deadline. *)
     let conns =
       Mutex.protect t.conns_lock (fun () ->
           Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [])
     in
     List.iter
       (fun c ->
-        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
+        try Unix.shutdown c.fd Unix.SHUTDOWN_ALL
         with Unix.Unix_error _ -> ())
       conns;
     List.iter

@@ -85,11 +85,13 @@ val inflight_table : t -> Inflight.t
     waiters, then publish) instead of racing a fast simulation. *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop accepting, let in-flight requests finish
-    (idle keep-alive connections are shut down), and join every
-    connection thread — each joins its query's producer, which returns
-    only after its pool jobs and publications have run — then refresh
-    the store manifest. The process-wide pool stays usable. Idempotent. *)
+(** Graceful shutdown: stop accepting, shut every connection down in
+    both directions, and join every connection thread — each joins its
+    query's producer, which returns only after its pool jobs and
+    publications have run — then refresh the store manifest. A stream
+    in progress ends at stop while its producer finishes, so every point
+    its query computes is still published. The process-wide pool stays
+    usable. Idempotent. *)
 
 val run : config -> unit
 (** {!start}, then block until [SIGTERM]/[SIGINT], then {!stop} —

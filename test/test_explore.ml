@@ -153,6 +153,25 @@ let test_spec_parsing () =
       "branch=bimodal:0"; "units";
     ]
 
+(* A spec is network input: no range or list of values may make the
+   parser allocate without bound or overflow. *)
+let test_spec_values_bounded () =
+  let parses spec =
+    match Axes.of_string spec with Ok _ -> true | Error _ -> false
+  in
+  Alcotest.(check bool) "65536 values parse" true (parses "units=1-65536");
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (Printf.sprintf "%S is an error" spec) false
+        (parses spec))
+    [
+      "units=0-65536";
+      "units=0-4611686018427387903";
+      "size=1-4611686018427387902";
+      "scale=1-40000,1-40000";
+      "config=" ^ String.concat "," (List.init 20_000 (fun _ -> "all"));
+    ]
+
 (* -- keys -------------------------------------------------------------------- *)
 
 let test_keys_distinguish () =
@@ -1009,8 +1028,9 @@ let test_packed_first_read_race () =
       Alcotest.(check int) "no further read" reads (Store.packed_reads reader))
 
 (* A record a handle has not read yet stays readable when another handle
-   deletes its segment: after a full compaction the handle finds the
-   record's copy in the new segment, after an unpack its loose file. *)
+   deletes its segment: the handle answers it from the segment bytes it
+   loaded at open, after a full compaction and after an unpack alike. A
+   key the handle never saw is found in the new segment. *)
 let test_unread_record_outlives_its_segment () =
   with_store (fun store ->
       let n = 5 in
@@ -1037,6 +1057,32 @@ let test_unread_record_outlives_its_segment () =
    checksum redone) files each of the two records under the other's key.
    The first read finds the framing key is not the key looked up: both
    records are quarantined and neither is served under the wrong key. *)
+(* A handle reads its packed records from the bytes its open loaded:
+   with every segment file deleted before the first lookup, each record
+   still hits, is validated once and is not quarantined. *)
+let test_packed_reads_need_no_segment_file () =
+  with_store (fun store ->
+      let n = 6 in
+      populate store (n / 2);
+      ignore (Store.compact store);
+      List.iter
+        (fun i -> Store.put store ~key:(pack_key i) (pack_result i))
+        (List.init (n - (n / 2)) (fun i -> (n / 2) + i));
+      ignore (Store.compact store);
+      let reopened = Store.open_ (Store.root store) in
+      Alcotest.(check int) "two segments" 2
+        (Store.stats reopened).Store.segment_count;
+      List.iter
+        (fun seq ->
+          Sys.remove (Store.segment_pack_path store ~seq);
+          Sys.remove (Store.segment_idx_path store ~seq))
+        [ 1; 2 ];
+      check_all_hit ~msg:"answered from the loaded segment bytes" reopened n;
+      Alcotest.(check (list string)) "nothing quarantined" []
+        (Store.quarantined reopened);
+      Alcotest.(check int) "each record read once" n
+        (Store.packed_reads reopened))
+
 let test_sidecar_naming_wrong_record () =
   with_store (fun store ->
       let n = 4 in
@@ -1603,6 +1649,8 @@ let () =
             test_enumerate_drops_invalid_ruu;
           Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
           Alcotest.test_case "spec parsing" `Quick test_spec_parsing;
+          Alcotest.test_case "spec values bounded" `Quick
+            test_spec_values_bounded;
           Alcotest.test_case "keys distinguish" `Quick test_keys_distinguish;
           Alcotest.test_case "scale axis" `Quick test_scale_axis;
           Alcotest.test_case "family key labels" `Quick test_family_key;
@@ -1663,6 +1711,8 @@ let () =
             test_sidecar_naming_wrong_record;
           Alcotest.test_case "unread record outlives its segment" `Quick
             test_unread_record_outlives_its_segment;
+          Alcotest.test_case "packed reads need no segment file" `Quick
+            test_packed_reads_need_no_segment_file;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 27 |])
             segment_fuzz;

@@ -125,6 +125,87 @@ let test_limits_dominate_simulators () =
         (ruu <= Limits.actual lim +. 0.01))
     (Mfu_loops.Livermore.all ())
 
+(* The paper's limits are sound bounds on every machine, checked apart
+   from any differential oracle: no run finishes before its busiest
+   functional unit, and no run that does not predict branches finishes
+   before the branch-gated critical path. RUU [Oracle] runs may beat that
+   path (the pseudo-dataflow limit waits for every branch), so they get
+   the resource bound only. One configuration and one bus per loop,
+   rotated; every machine with fast-forward on and off. *)
+let test_limits_bound_every_machine () =
+  let open Mfu_sim in
+  let configs = Array.of_list Config.all in
+  let buses = Sim_types.[| N_bus; One_bus; X_bar |] in
+  List.iter
+    (fun (l : Mfu_loops.Livermore.loop) ->
+      let trace = Mfu_loops.Livermore.trace l in
+      let config = configs.((l.number - 1) mod Array.length configs) in
+      let bus = buses.((l.number - 1) mod Array.length buses) in
+      let resource = Limits.resource_time ~config trace in
+      let path = Limits.critical_path ~config trace in
+      let machines =
+        List.map
+          (fun org ->
+            ( Single_issue.organization_to_string org,
+              false,
+              fun ~accel -> Single_issue.simulate ~accel ~config org trace ))
+          Single_issue.all_organizations
+        @ List.map
+            (fun scheme ->
+              ( Dep_single.scheme_to_string scheme,
+                false,
+                fun ~accel -> Dep_single.simulate ~accel ~config scheme trace
+              ))
+            [ Dep_single.Scoreboard; Dep_single.Tomasulo ]
+        @ List.concat_map
+            (fun policy ->
+              List.map
+                (fun stations ->
+                  ( Printf.sprintf "buffer %s/%d"
+                      (Buffer_issue.policy_to_string policy)
+                      stations,
+                    false,
+                    fun ~accel ->
+                      Buffer_issue.simulate ~accel ~config ~policy ~stations
+                        ~bus trace ))
+                [ 1; 8 ])
+            [ Buffer_issue.In_order; Buffer_issue.Out_of_order ]
+        @ List.concat_map
+            (fun branches ->
+              List.concat_map
+                (fun issue_units ->
+                  List.map
+                    (fun ruu_size ->
+                      ( Printf.sprintf "ruu %s %dx%d"
+                          (Ruu.branch_handling_to_string branches)
+                          issue_units ruu_size,
+                        branches <> Ruu.Stall,
+                        fun ~accel ->
+                          Ruu.simulate ~accel ~branches ~config ~issue_units
+                            ~ruu_size ~bus trace ))
+                    [ 10; 100 ])
+                [ 1; 4 ])
+            [ Ruu.Stall; Ruu.Oracle ]
+      in
+      List.iter
+        (fun (name, predicts, run) ->
+          List.iter
+            (fun accel ->
+              let cycles = (run ~accel).Sim_types.cycles in
+              let what =
+                Printf.sprintf "LL%d/%s %s (accel %b)" l.number
+                  (Config.name config) name accel
+              in
+              if cycles < resource then
+                Alcotest.failf "%s: %d cycles, resource time %d" what cycles
+                  resource;
+              if (not predicts) && cycles < path then
+                Alcotest.failf "%s: %d cycles, critical path %d" what cycles
+                  path)
+            [ true; false ])
+        machines)
+    (Mfu_loops.Livermore.all ())
+
 let test_branch_time_affects_limit () =
   let trace = Mfu_loops.Livermore.trace (Mfu_loops.Livermore.loop 5) in
   let br5 = (Limits.analyze ~config:Config.m11br5 trace).Limits.pseudo_dataflow in
@@ -155,6 +236,8 @@ let () =
           Alcotest.test_case "invariants" `Slow test_loop_invariants;
           Alcotest.test_case "limits dominate simulators" `Slow
             test_limits_dominate_simulators;
+          Alcotest.test_case "limits bound every machine" `Quick
+            test_limits_bound_every_machine;
           Alcotest.test_case "branch time matters" `Quick
             test_branch_time_affects_limit;
         ] );

@@ -519,17 +519,16 @@ let test_unix_socket () =
       Alcotest.(check bool) "socket file removed on stop" false
         (Sys.file_exists sock))
 
-(* A client that posts a large cold query and never reads its stream
-   holds up no other query: its events pile up in its own queue while
-   the writer domain goes on publishing every other query's points. A
-   one-point cold query finishes well inside the stalled client's write
-   deadline. *)
-let test_slow_reader_holds_up_no_one () =
-  let slow_spec =
-    "policy=inorder,ooo;stations=1-8;bus=nbus,1bus;config=all;loops=all"
-  in
+let slow_spec =
+  "policy=inorder,ooo;stations=1-8;bus=nbus,1bus;config=all;loops=all"
+
+(* A server over a fresh store at one job, with a client [a] that posted
+   [slow_spec] as a cold query and never reads its stream. [f] runs
+   once the stalled query has handed half its points to the writer,
+   far more events than its socket buffer holds, with [a] still
+   connected. *)
+let with_stalled_reader ~deadline f =
   let slow_points = List.length (points_of slow_spec) in
-  let deadline = 3. in
   let dir = temp_dir () in
   Unix.mkdir dir 0o755;
   Fun.protect
@@ -550,17 +549,14 @@ let test_slow_reader_holds_up_no_one () =
         ~finally:(fun () -> Server.stop t)
         (fun () ->
           let a = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          (* Closing the stalled client ends its stream, so [stop] only
-             waits for its remaining points. *)
+          (* [a] is closed after [f]; a [stop] ends its stream either
+             way and waits only for the query's remaining points. *)
           Fun.protect
             ~finally:(fun () -> Unix.close a)
             (fun () ->
               Unix.connect a (Server.sockaddr_of (Server.bound_addr t));
               Http.write_request a ~meth:"POST" ~path:"/v1/query"
                 ~body:(Protocol.query_body ~spec:slow_spec);
-              (* Wait until the stalled query has handed half its points
-                 to the writer, far more events than its socket buffer
-                 holds: the next query's point publishes behind them. *)
               let simulated c =
                 match Client.stats c with
                 | Error e -> Alcotest.failf "stats failed: %s" e
@@ -584,15 +580,77 @@ let test_slow_reader_holds_up_no_one () =
                       Alcotest.fail "the stalled query stopped simulating";
                     Thread.delay 0.01
                   done);
-              let t0 = Unix.gettimeofday () in
-              let s = with_client t (fun c -> query_ok c ~spec:spec_1pt) in
-              let took = Unix.gettimeofday () -. t0 in
-              Alcotest.(check int) "other query computed" 1 s.Protocol.computed;
-              if took >= deadline /. 2. then
-                Alcotest.failf
-                  "one-point query took %.2f s behind a stalled reader \
-                   (write deadline %.0f s)"
-                  took deadline)))
+              f t)))
+
+(* A client that posts a large cold query and never reads its stream
+   holds up no other query: its events pile up in its own queue while
+   the writer domain goes on publishing every other query's points. A
+   one-point cold query finishes well inside the stalled client's write
+   deadline. *)
+let test_slow_reader_holds_up_no_one () =
+  let deadline = 3. in
+  with_stalled_reader ~deadline (fun t ->
+      let t0 = Unix.gettimeofday () in
+      let s = with_client t (fun c -> query_ok c ~spec:spec_1pt) in
+      let took = Unix.gettimeofday () -. t0 in
+      Alcotest.(check int) "other query computed" 1 s.Protocol.computed;
+      if took >= deadline /. 2. then
+        Alcotest.failf
+          "one-point query took %.2f s behind a stalled reader (write \
+           deadline %.0f s)"
+          took deadline)
+
+(* A stop with the stalled client still connected ends its stream at
+   once instead of waiting out the blocked write's deadline, and still
+   publishes every point of the stalled query. *)
+let test_stop_with_stalled_reader () =
+  let deadline = 3. in
+  with_stalled_reader ~deadline (fun t ->
+      let t0 = Unix.gettimeofday () in
+      Server.stop t;
+      let took = Unix.gettimeofday () -. t0 in
+      if took >= deadline /. 2. then
+        Alcotest.failf
+          "stop took %.2f s behind a stalled reader (write deadline %.0f s)"
+          took deadline;
+      Alcotest.(check int) "every point of the stalled query published"
+        (List.length (points_of slow_spec))
+        (Store.entry_count (Server.store t)))
+
+(* Query bodies are network input: byte mutations of valid bodies, and
+   of the specs inside them, must come back from
+   [Protocol.spec_of_query_body] and then [Axes.of_string] as [Ok] or
+   [Error], never raise. A mutated spec is never enumerated: it may name
+   millions of points. *)
+let prop_query_body_fuzz =
+  let specs =
+    [
+      spec_1pt;
+      spec_2pts;
+      slow_spec;
+      "table7";
+      "paper-ruu";
+      "org=cray,simple; dep=all; policy=ooo; stations=1-8; units=1-4; \
+       size=10,50; bus=nbus,1bus,xbar; branch=stall,oracle,static,bimodal:256; \
+       config=m11br5; loops=scalar; scale=1,100";
+    ]
+  in
+  let gen =
+    let open QCheck.Gen in
+    frequency [ (1, oneofl specs); (3, Bytefuzz.mutated specs) ]
+    >>= fun spec ->
+    let body = Protocol.query_body ~spec in
+    frequency [ (1, return body); (2, Bytefuzz.mutated [ body ]) ]
+  in
+  QCheck.Test.make ~name:"mutated query bodies never raise" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun body ->
+      match
+        Result.map Axes.of_string (Protocol.spec_of_query_body body)
+      with
+      | Ok (Ok _ | Error _) | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 (* Stopping a server leaves the process's domain pool usable: a later
    sweep in the same process computes its points. *)
@@ -1020,6 +1078,9 @@ let () =
           Alcotest.test_case "bqueue close drains buffered items" `Quick
             test_bqueue_close_drains;
           Alcotest.test_case "inflight dedup table" `Quick test_inflight_unit;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 30 |])
+            prop_query_body_fuzz;
           Alcotest.test_case "protocol round-trip" `Quick
             test_protocol_roundtrip;
           Alcotest.test_case "summary with cache_hits decodes" `Quick
@@ -1059,6 +1120,8 @@ let () =
           Alcotest.test_case "unix-domain socket" `Quick test_unix_socket;
           Alcotest.test_case "slow reader holds up no other query" `Quick
             test_slow_reader_holds_up_no_one;
+          Alcotest.test_case "stop does not wait on a stalled reader" `Quick
+            test_stop_with_stalled_reader;
           Alcotest.test_case "sweep after stop computes" `Quick
             test_sweep_after_stop;
           Alcotest.test_case "store bytes match a plain sweep" `Quick

@@ -97,6 +97,25 @@ let prop_matches_oracle =
     ~count:500 arb_trace (fun t ->
       Trace_io.to_string t = Mfu_oracle.Trace_io.to_string t)
 
+(* Trace files are disk input: byte mutations of valid trace texts must
+   parse to [Ok] or [Error], never raise. *)
+let prop_fuzz_never_raises =
+  QCheck.Test.make ~name:"of_string of mutated traces never raises"
+    ~count:1500
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         list_size (0 -- 12) gen_entry >>= fun entries ->
+         Bytefuzz.mutated
+           [
+             Trace_io.to_string sample;
+             Trace_io.to_string (Array.of_list entries);
+           ]))
+    (fun text ->
+      match Trace_io.of_string text with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let test_edge_integers_match_oracle () =
   let entry ~kind n =
     {
@@ -376,5 +395,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_random_roundtrip; prop_matches_oracle ] );
+          [ prop_random_roundtrip; prop_matches_oracle ]
+        @ [
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| 31 |])
+              prop_fuzz_never_raises;
+          ] );
     ]
