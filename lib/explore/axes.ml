@@ -340,6 +340,39 @@ let enumerate axes =
   in
   List.sort_uniq compare points
 
+(* [a * b] and [a + b] for non-negative counts, saturating at [max_int]. *)
+let sat_mul a b =
+  if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
+
+let sat_add a b = if a > max_int - b then max_int else a + b
+
+let count axes =
+  let distinct xs = List.sort_uniq compare xs in
+  let n xs = List.length (distinct xs) in
+  (* RUU (units, size) pairs with [size >= units], as {!machines} keeps
+     them: both axes ascending and deduplicated, so one merge pass. *)
+  let ruu_pairs =
+    let sizes = Array.of_list (distinct axes.sizes) in
+    let rec go i acc = function
+      | [] -> acc
+      | u :: us when i < Array.length sizes && sizes.(i) < u ->
+          go (i + 1) acc (u :: us)
+      | _ :: us -> go i (acc + Array.length sizes - i) us
+    in
+    go 0 0 (distinct axes.units)
+  in
+  let machines =
+    List.fold_left sat_add 0
+      [
+        n axes.orgs;
+        n axes.schemes;
+        sat_mul (n axes.policies) (sat_mul (n axes.stations) (n axes.buses));
+        sat_mul ruu_pairs (sat_mul (n axes.buses) (n axes.branches));
+      ]
+  in
+  List.fold_left sat_mul machines
+    [ n axes.configs; n axes.loops; n axes.scales ]
+
 (* -- spec parsing ------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind

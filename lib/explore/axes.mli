@@ -162,6 +162,12 @@ val enumerate : t -> point list
     order. RUU points with [ruu_size < issue_units] are dropped as
     invalid rather than raised. *)
 
+val count : t -> int
+(** [List.length (enumerate axes)], computed from the axis lengths
+    without building a point, saturating at [max_int]: duplicate axis
+    values count once and RUU pairs with [ruu_size < issue_units] not at
+    all. A server checks a spec's size with it before enumerating. *)
+
 val of_string : string -> (t, string) result
 (** Parse a command-line axes spec.
 

@@ -51,82 +51,21 @@ type ent = {
 let has_loose e = match e.loose with No_file -> false | Unread | Known _ -> true
 let ent_live e = has_loose e || e.packed <> None
 
-(* Open-addressing table keyed by key digest ({!Mfu_util.Int_table}
-   style: linear probing over a power-of-two array, load kept under
-   1/2). The probe key is the digest's first 63 bits; the stored digest
-   string confirms identity, so an MD5-prefix collision merely lengthens
-   a probe chain. Slots are never removed — an entry with neither a
-   loose file nor a packed record reads as absent — so probe chains need
-   no tombstones. *)
-module Dtbl = struct
-  type t = {
-    mutable hashes : int array;  (* -1 = free *)
-    mutable ents : ent option array;
-    mutable size : int;
-    mutable mask : int;
-  }
+(* The index, keyed by the 16 raw bytes of a key's MD5 and hashed by
+   their first 8: the digest is already uniform, so a warm lookup costs
+   the one MD5 it takes to name the key, then one hash and one probe.
+   Entries are never removed — one with neither a loose file nor a
+   packed record reads as absent. Nothing reads the table's order:
+   {!compact} writes its records in digest order. *)
+module Digest_tbl = Hashtbl.Make (struct
+  type t = string
 
-  let hash_of digest = Int64.to_int (String.get_int64_le digest 0) land max_int
-
-  let create () =
-    {
-      hashes = Array.make 1024 (-1);
-      ents = Array.make 1024 None;
-      size = 0;
-      mask = 1023;
-    }
-
-  let find_slot t h digest =
-    let i = ref (h land t.mask) in
-    let r = ref (-1) in
-    while !r < 0 do
-      match t.ents.(!i) with
-      | None -> r := !i
-      | Some e when t.hashes.(!i) = h && String.equal e.digest digest ->
-          r := !i
-      | Some _ -> i := (!i + 1) land t.mask
-    done;
-    !r
-
-  let grow t =
-    let old = t.ents in
-    let cap = 2 * (t.mask + 1) in
-    t.hashes <- Array.make cap (-1);
-    t.ents <- Array.make cap None;
-    t.mask <- cap - 1;
-    t.size <- 0;
-    Array.iter
-      (function
-        | None -> ()
-        | Some e ->
-            let h = hash_of e.digest in
-            let i = find_slot t h e.digest in
-            t.hashes.(i) <- h;
-            t.ents.(i) <- Some e;
-            t.size <- t.size + 1)
-      old
-
-  let find t digest = t.ents.(find_slot t (hash_of digest) digest)
-
-  (* The entry for [digest], inserting an empty one if absent. *)
-  let upsert t digest =
-    if 2 * (t.size + 1) > t.mask + 1 then grow t;
-    let h = hash_of digest in
-    let i = find_slot t h digest in
-    match t.ents.(i) with
-    | Some e -> e
-    | None ->
-        let e = { digest; loose = No_file; loose_bytes = -1; packed = None } in
-        t.hashes.(i) <- h;
-        t.ents.(i) <- Some e;
-        t.size <- t.size + 1;
-        e
-
-  let iter f t = Array.iter (function Some e -> f e | None -> ()) t.ents
-end
+  let equal = String.equal
+  let hash digest = Int64.to_int (String.get_int64_le digest 0) land max_int
+end)
 
 type index = {
-  tbl : Dtbl.t;
+  tbl : ent Digest_tbl.t;
   mutable segs : seg list;  (* ascending seq *)
   mutable max_seq : int;
   mutable replay_dead : int;  (* packed records superseded by later ones *)
@@ -143,6 +82,15 @@ type t = {
 }
 
 let root t = t.root
+
+(* The entry for [digest], inserting an empty one if absent. *)
+let upsert t digest =
+  match Digest_tbl.find_opt t.idx.tbl digest with
+  | Some e -> e
+  | None ->
+      let e = { digest; loose = No_file; loose_bytes = -1; packed = None } in
+      Digest_tbl.add t.idx.tbl digest e;
+      e
 
 let mkdir_p path =
   let rec go path =
@@ -503,7 +451,7 @@ let load_segment t seq =
       let seg_meta = { seq; pack; records = 0 } in
       let insert ~digest ~off ~len ~payload_bytes result =
         insert_packed t
-          (Dtbl.upsert t.idx.tbl digest)
+          (upsert t digest)
           { seg = seg_meta; off; len; payload_bytes; result }
       in
       (match
@@ -640,7 +588,7 @@ let scan_loose t =
             Array.iter
               (fun f ->
                 match entry_name_digest ~shard f with
-                | Some digest -> (Dtbl.upsert t.idx.tbl digest).loose <- Unread
+                | Some digest -> (upsert t digest).loose <- Unread
                 | None -> t.idx.foreign <- t.idx.foreign + 1)
               files)
       (Sys.readdir dir)
@@ -675,8 +623,8 @@ type stats = {
    it moved to are folded in, as a lookup would. *)
 let size_loose_locked t =
   let vanished = ref false in
-  Dtbl.iter
-    (fun e ->
+  Digest_tbl.iter
+    (fun _ e ->
       if has_loose e && e.loose_bytes < 0 then
         match Unix.stat (loose_path t (Digest.to_hex e.digest)) with
         | { Unix.st_kind = Unix.S_REG; st_size; _ } -> e.loose_bytes <- st_size
@@ -700,8 +648,8 @@ let stats_locked t =
   let loose = ref 0 in
   let packed = ref 0 in
   let shadow_pairs = ref 0 in
-  Dtbl.iter
-    (fun e ->
+  Digest_tbl.iter
+    (fun _ e ->
       if ent_live e then begin
         incr entries;
         fanout.(Char.code e.digest.[0]) <- fanout.(Char.code e.digest.[0]) + 1;
@@ -739,7 +687,7 @@ let stats t = Mutex.protect t.lock (fun () -> stats_locked t)
 let entry_count t =
   Mutex.protect t.lock (fun () ->
       let n = ref 0 in
-      Dtbl.iter (fun e -> if ent_live e then incr n) t.idx.tbl;
+      Digest_tbl.iter (fun _ e -> if ent_live e then incr n) t.idx.tbl;
       !n)
 
 let manifest_json ~entries ~segments =
@@ -753,10 +701,12 @@ let manifest_json ~entries ~segments =
     ]
 
 (* Written only when its bytes change: a warm sweep, which ends here,
-   leaves the file as it found it. *)
+   leaves the file as it found it. The segments are counted on disk, not
+   in the index: a handle keeps serving segments another process has
+   since deleted, and the manifest must not name them. *)
 let refresh_manifest t =
   let entries = entry_count t in
-  let segments = Mutex.protect t.lock (fun () -> List.length t.idx.segs) in
+  let segments = List.length (seg_seqs_on_disk t) in
   let text = Json.to_string (manifest_json ~entries ~segments) ^ "\n" in
   if read_file_opt (manifest_path t) <> Some text then
     write_atomically t ~temp_name:"MANIFEST.json.tmp" ~dest:(manifest_path t)
@@ -772,7 +722,7 @@ let open_ root_path =
       lock = Mutex.create ();
       idx =
         {
-          tbl = Dtbl.create ();
+          tbl = Digest_tbl.create 1024;
           segs = [];
           max_seq = 0;
           replay_dead = 0;
@@ -823,7 +773,7 @@ let put ?(meta = []) t ~key result =
     ~temp_name:(digest ^ ".json.tmp")
     ~dest:(entry_path t ~key) text;
   Mutex.protect t.lock (fun () ->
-      let e = Dtbl.upsert t.idx.tbl (Digest.string key) in
+      let e = upsert t (Digest.string key) in
       e.loose <- Known result;
       e.loose_bytes <- String.length text)
 
@@ -901,14 +851,18 @@ let packed_result t ~key e =
 
 let lookup t ~key =
   let raw = Digest.string key in
-  let ent = Mutex.protect t.lock (fun () -> Dtbl.find t.idx.tbl raw) in
+  let ent =
+    Mutex.protect t.lock (fun () -> Digest_tbl.find_opt t.idx.tbl raw)
+  in
   (* hex digest and loose path are only materialized on the slow
      branches: the warm packed hit below must stay one hash and one
      table probe, nothing else *)
   (* The key's packed record, else [otherwise]; a record that fails
      its first read answers [`Corrupt]. *)
   let packed_or otherwise =
-    match Mutex.protect t.lock (fun () -> Dtbl.find t.idx.tbl raw) with
+    match
+      Mutex.protect t.lock (fun () -> Digest_tbl.find_opt t.idx.tbl raw)
+    with
     | Some e -> (
         match packed_result t ~key e with
         | (`Hit _ | `Corrupt) as v -> v
@@ -924,7 +878,7 @@ let lookup t ~key =
     match read_loose ~key t (loose_path t hex) ~digest:raw with
     | `Valid (text, _, result) ->
         Mutex.protect t.lock (fun () ->
-            let e = Dtbl.upsert t.idx.tbl raw in
+            let e = upsert t raw in
             match e.loose with
             | No_file ->
                 e.loose <- Known result;
@@ -1012,10 +966,24 @@ let no_compaction =
 
 type crash_point = Crash_before_publish | Crash_after_publish
 
+(* One record of the segment being written: a loose entry to fold
+   ([path] names its file, deleted behind the barrier) or, with [full],
+   a live packed record carried forward ([path] is [None]). *)
+type item = {
+  ent : ent;
+  path : string option;
+  key : string;
+  payload : string;
+  result : Sim_types.result;
+}
+
 (* Fold every loose entry (re-validated on the way in) into one new
    segment; with [full], live records of existing segments are
    rewritten into it too and the old segments deleted, so shadowed
-   records are dropped and the store converges to a single pack.
+   records are dropped and the store converges to a single pack. The
+   records go in ascending digest order, so a segment's .pack and .idx
+   depend only on the records it holds — not on the order their entries
+   were written, listed by readdir or filed in the index.
 
    Publish order is the crash-safety argument: the pack is staged in
    tmp/ and fsynced, its sequence number is claimed by hard-linking the
@@ -1035,30 +1003,31 @@ type crash_point = Crash_before_publish | Crash_after_publish
    the two interesting points. *)
 let compact_locked ?(full = false) ?crash t =
   let live_loose = ref [] in
-  Dtbl.iter
-    (fun e -> if has_loose e then live_loose := e :: !live_loose)
+  Digest_tbl.iter
+    (fun _ e -> if has_loose e then live_loose := e :: !live_loose)
     t.idx.tbl;
   (* Gather loose entries, re-validating: only bytes that pass the same
      checks a read applies are worth making durable. A loose file that
      fails is quarantined here instead of at its next read. *)
-  let loose_items =
+  let folded =
     List.filter_map
       (fun e ->
         let path = loose_path t (Digest.to_hex e.digest) in
         match read_loose t path ~digest:e.digest with
-        | `Valid (payload, key, result) -> Some (e, path, key, payload, result)
+        | `Valid (payload, key, result) ->
+            Some { ent = e; path = Some path; key; payload; result }
         | `Foreign ->
             demote_foreign_locked t e;
             None
         | `Invalid | `Vanished ->
             e.loose <- No_file;
             None)
-      (List.rev !live_loose)
+      !live_loose
   in
   let old_segs = t.idx.segs in
   let old_records = List.fold_left (fun a s -> a + s.records) 0 old_segs in
   let worthwhile =
-    loose_items <> []
+    folded <> []
     || full
        && old_segs <> []
        && (List.length old_segs > 1 || t.idx.replay_dead > 0)
@@ -1066,50 +1035,36 @@ let compact_locked ?(full = false) ?crash t =
   if not worthwhile then no_compaction
   else begin
     (* In full mode, carry the live packed records forward too, each
-       read and validated (a record that fails is quarantined). *)
-    let rewrite_items =
-      if not full then []
-      else begin
-        let acc = ref [] in
-        Dtbl.iter
-          (fun e ->
-            match (e.loose, e.packed) with
-            | No_file, Some p -> (
-                match read_packed t p ~digest:e.digest with
-                | Some (key, payload, result) ->
-                    acc := (e, p, key, payload, result) :: !acc
-                | None -> e.packed <- None)
-            | _ -> ())
-          t.idx.tbl;
-        List.sort
-          (fun (_, a, _, _, _) (_, b, _, _, _) ->
-            compare (a.seg.seq, a.off) (b.seg.seq, b.off))
-          !acc
-      end
+       read and validated (a record that fails is quarantined). A
+       carried record has no loose file, so no digest is written twice. *)
+    let rewritten = ref [] in
+    if full then
+      Digest_tbl.iter
+        (fun _ e ->
+          match (e.loose, e.packed) with
+          | No_file, Some p -> (
+              match read_packed t p ~digest:e.digest with
+              | Some (key, payload, result) ->
+                  rewritten :=
+                    { ent = e; path = None; key; payload; result }
+                    :: !rewritten
+              | None -> e.packed <- None)
+          | _ -> ())
+        t.idx.tbl;
+    let items =
+      List.sort
+        (fun a b -> String.compare a.ent.digest b.ent.digest)
+        (List.rev_append folded !rewritten)
     in
     let buf = Buffer.create 65536 in
     Buffer.add_string buf pack_magic;
-    let idx_entries = ref [] in
-    let add ~key ~payload =
-      let off = Buffer.length buf in
-      record_append buf ~key ~payload;
-      idx_entries := (Digest.string key, off) :: !idx_entries;
-      off
-    in
-    (* Rewritten survivors first, then the fresher loose entries:
-       replay order within the segment keeps later records winning,
-       matching the loose-shadows-packed rule. *)
-    let rewrite_offs =
+    let placed =
       List.map
-        (fun (e, _, key, payload, result) ->
-          (e, result, add ~key ~payload, key, payload))
-        rewrite_items
-    in
-    let loose_offs =
-      List.map
-        (fun (e, path, key, payload, result) ->
-          (e, path, result, add ~key ~payload, key, payload))
-        loose_items
+        (fun it ->
+          let off = Buffer.length buf in
+          record_append buf ~key:it.key ~payload:it.payload;
+          (it, off))
+        items
     in
     let pack_text = Buffer.contents buf in
     let staged = stage ~fsync:true t ~temp_name:"pack.tmp" pack_text in
@@ -1129,7 +1084,7 @@ let compact_locked ?(full = false) ?crash t =
     write_atomically ~fsync:true t
       ~temp_name:(Printf.sprintf "%08d.idx.tmp" seq)
       ~dest:(segment_idx_path t ~seq)
-      (idx_render (List.rev !idx_entries));
+      (idx_render (List.map (fun (it, off) -> (it.ent.digest, off)) placed));
     (match crash with
     | Some Crash_after_publish ->
         (* Simulated kill -9 after the segment is durable but before
@@ -1140,10 +1095,13 @@ let compact_locked ?(full = false) ?crash t =
     (* Deletion barrier: the segment and sidecar are on disk. *)
     let reclaimed = ref 0 in
     List.iter
-      (fun (_, path, _, _, _, payload) ->
-        reclaimed := !reclaimed + String.length payload;
-        try Sys.remove path with Sys_error _ -> ())
-      loose_offs;
+      (fun it ->
+        Option.iter
+          (fun path ->
+            reclaimed := !reclaimed + String.length it.payload;
+            try Sys.remove path with Sys_error _ -> ())
+          it.path)
+      items;
     if full then
       List.iter
         (fun s ->
@@ -1160,40 +1118,33 @@ let compact_locked ?(full = false) ?crash t =
       let superseded s = List.memq s old_segs in
       t.idx.segs <- List.filter (fun s -> not (superseded s)) t.idx.segs;
       t.idx.replay_dead <- 0;
-      Dtbl.iter
-        (fun e ->
+      Digest_tbl.iter
+        (fun _ e ->
           match e.packed with
           | Some p when superseded p.seg -> e.packed <- None
           | _ -> ())
         t.idx.tbl
     end;
-    let install e ~off ~key ~payload result =
-      insert_packed t e
-        {
-          seg = seg_meta;
-          off;
-          len = record_length ~key ~payload;
-          payload_bytes = String.length payload;
-          result = Some result;
-        }
-    in
     List.iter
-      (fun (e, result, off, key, payload) ->
-        install e ~off ~key ~payload result)
-      rewrite_offs;
-    List.iter
-      (fun (e, _path, result, off, key, payload) ->
-        install e ~off ~key ~payload result;
-        e.loose <- No_file)
-      loose_offs;
+      (fun (it, off) ->
+        insert_packed t it.ent
+          {
+            seg = seg_meta;
+            off;
+            len = record_length ~key:it.key ~payload:it.payload;
+            payload_bytes = String.length it.payload;
+            result = Some it.result;
+          };
+        if it.path <> None then it.ent.loose <- No_file)
+      placed;
     t.idx.segs <- t.idx.segs @ [ seg_meta ];
     t.idx.max_seq <- seq;
     t.idx.seg_stamp <- seg_dir_stamp t;
     {
-      folded = List.length loose_offs;
-      rewritten = List.length rewrite_offs;
+      folded = List.length folded;
+      rewritten = List.length !rewritten;
       dropped =
-        (if full then max 0 (old_records - List.length rewrite_offs) else 0);
+        (if full then max 0 (old_records - List.length !rewritten) else 0);
       segment = Some seq;
       pack_bytes = String.length pack_text;
       reclaimed_bytes = !reclaimed;
@@ -1212,8 +1163,8 @@ let unpack t =
   let restored =
     Mutex.protect t.lock (fun () ->
         let restored = ref 0 in
-        Dtbl.iter
-          (fun e ->
+        Digest_tbl.iter
+          (fun _ e ->
             match (e.loose, e.packed) with
             | No_file, Some p -> (
                 match read_packed t p ~digest:e.digest with

@@ -226,8 +226,13 @@ val compact : ?full:bool -> ?crash:crash_point -> t -> compaction
     and the next one tried, so concurrent compactors lose nothing
     either. With [full], live records of
     existing segments are read, validated and rewritten into the new
-    one and the old segments deleted, dropping shadowed records. Returns
-    {!no_compaction} when there is nothing worth writing. *)
+    one and the old segments deleted, dropping shadowed records.
+    Records are written in ascending key-digest order, loose and
+    rewritten alike, so a segment's [.pack] and [.idx] bytes depend only
+    on the records it holds: the same entries compact to the same files
+    whatever order they were written in, listed by the directory or
+    filed in the index. Returns {!no_compaction} when there is nothing
+    worth writing. *)
 
 val unpack : t -> int
 (** Inverse of {!compact}: validate every live packed record and write
@@ -240,7 +245,10 @@ val unpack : t -> int
 val refresh_manifest : t -> unit
 (** Rewrite [MANIFEST.json] (atomically) to reflect the current entry
     and segment counts, when its bytes differ from the current ones: a
-    sweep that changed nothing leaves the file untouched. The manifest
+    sweep that changed nothing leaves the file untouched. Entries are
+    this handle's live ones; segments are the [segments/*.pack] files on
+    disk (one directory listing), so a segment another process deleted
+    is not counted even while this handle still serves its records. The manifest
     is advisory — resume decisions always come from the entries
     themselves — so a manifest left stale or damaged by a crash is
     repaired here, never trusted. *)

@@ -205,18 +205,20 @@ let respond_error st fd status msg =
   Metrics.incr_errors st.metrics;
   Http.respond ~status fd (Protocol.error_body msg)
 
+(* A spec's axes and its point count, which {!Axes.count} takes from
+   the axis lengths: a handler checks the count before it enumerates,
+   so a spec naming more points than memory holds builds none of them. *)
 let parse_spec spec =
   match Axes.of_string spec with
   | Error e -> Error (Printf.sprintf "bad axes spec: %s" e)
-  | Ok axes -> Ok (Axes.enumerate axes)
+  | Ok axes -> Ok (axes, Axes.count axes)
 
 let handle_query st fd (req : Http.request) =
   match
     Result.bind (Protocol.spec_of_query_body req.Http.body) parse_spec
   with
   | Error e -> respond_error st fd 400 e
-  | Ok points ->
-      let total = List.length points in
+  | Ok (axes, total) ->
       if total > st.cfg.max_points then begin
         Metrics.add_rejected_points st.metrics total;
         respond_error st fd 413
@@ -227,7 +229,7 @@ let handle_query st fd (req : Http.request) =
       end
       else begin
         Metrics.incr_queries st.metrics;
-        let keyed = Sweep.keyed points in
+        let keyed = Sweep.keyed (Axes.enumerate axes) in
         let queue = Bqueue.create () in
         let emit ev = ignore (Bqueue.push queue (Protocol.event_line ev)) in
         (* The producer resolves points and feeds the queue; this thread
@@ -270,24 +272,25 @@ let handle_point st fd (req : Http.request) =
   | Some spec -> (
       match parse_spec spec with
       | Error e -> respond_error st fd 400 e
-      | Ok [ point ] -> (
+      | Ok (axes, 1) -> (
           Metrics.incr_queries st.metrics;
           (* The reply is the one event [process] emitted for the point:
              its result and the source of whatever path settled it. *)
           let settled = ref None in
           let emit ev = settled := Some ev in
-          ignore (process st ~emit (Sweep.keyed [ point ]) : Protocol.summary);
+          ignore
+            (process st ~emit (Sweep.keyed (Axes.enumerate axes))
+              : Protocol.summary);
           match !settled with
           | Some (Protocol.Point _ as ev) ->
               Http.respond fd
                 (Json.to_string ~indent:0 (Protocol.event_to_json ev))
           | Some (Protocol.Aborted _ | Protocol.Summary _) | None ->
               respond_error st fd 500 "point failed to resolve")
-      | Ok points ->
+      | Ok (_, total) ->
           respond_error st fd 400
             (Printf.sprintf
-               "spec must enumerate exactly one point, enumerates %d"
-               (List.length points)))
+               "spec must enumerate exactly one point, enumerates %d" total))
 
 let handle_stats st fd =
   let doc =

@@ -11,9 +11,11 @@
       every point the spec enumerates and stream one newline-delimited
       JSON ["point"] event per result {e as it lands}, closing with a
       ["summary"] event. Specs enumerating more than [max_points]
-      points are rejected up front with [413] and a precise error.
+      points are rejected up front with [413] and a precise error,
+      counted by {!Mfu_explore.Axes.count} before any point is built.
     - [GET /v1/point?spec=...] — the spec must enumerate exactly one
-      point; replies with that single point document.
+      point (counted the same way); replies with that single point
+      document.
     - [GET /stats] — live counters (see {!Metrics}).
     - [GET /healthz] — liveness probe.
 

@@ -119,6 +119,73 @@ let test_enumerate_drops_invalid_ruu () =
   Alcotest.(check int) "ruu smaller than issue width dropped" 0
     (List.length (Axes.enumerate axes))
 
+(* [Axes.count] is the length of [Axes.enumerate] without the points:
+   random small specs with duplicate values, RUU sizes below the unit
+   count and every machine family. *)
+let prop_count_matches_enumerate =
+  let open QCheck.Gen in
+  let some xs = list_size (0 -- 4) (oneofl xs) in
+  let ints = list_size (0 -- 5) (0 -- 6) in
+  let gen =
+    let* orgs =
+      some
+        Mfu_sim.Single_issue.[ Simple; Serial_memory; Non_segmented; Cray_like ]
+    in
+    let* schemes = some Mfu_sim.Dep_single.[ Scoreboard; Tomasulo ] in
+    let* policies = some Mfu_sim.Buffer_issue.[ In_order; Out_of_order ] in
+    let* stations = ints in
+    let* units = ints in
+    let* sizes = ints in
+    let* buses = some Sim_types.[ N_bus; One_bus; X_bar ] in
+    let* branches =
+      some Mfu_sim.Ruu.[ Stall; Oracle; Static_taken; Bimodal 4; Bimodal 8 ]
+    in
+    let* configs = some Config.all in
+    let* loops = list_size (0 -- 3) (1 -- 14) in
+    let* scales = list_size (0 -- 2) (1 -- 3) in
+    return
+      {
+        Axes.orgs;
+        schemes;
+        policies;
+        stations;
+        units;
+        sizes;
+        buses;
+        branches;
+        configs;
+        loops;
+        scales;
+      }
+  in
+  QCheck.Test.make ~name:"count is the length of enumerate" ~count:500
+    (QCheck.make ~print:Axes.to_string gen)
+    (fun axes -> Axes.count axes = List.length (Axes.enumerate axes))
+
+(* Sizes far past what [enumerate] could build are counted exactly, and
+   past [max_int] saturate. *)
+let test_count_large_specs () =
+  let count spec =
+    match Axes.of_string spec with
+    | Ok axes -> Axes.count axes
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "table7" 960 (count "table7");
+  Alcotest.(check int) "16 units x 64 sizes, three buses" 151_872
+    (count "units=1-16;size=1-64;bus=nbus,1bus,xbar;config=all;loops=all");
+  Alcotest.(check int) "60000 x 60000 pairs" (60_000 * 60_001 / 2 * 56)
+    (count "units=1-60000;size=1-60000;config=all;loops=all");
+  let wide = List.init 65_536 succ in
+  Alcotest.(check int) "saturates" max_int
+    (Axes.count
+       {
+         Axes.table7 with
+         units = wide;
+         sizes = wide;
+         loops = wide;
+         scales = wide;
+       })
+
 let test_spec_roundtrip () =
   List.iter
     (fun axes ->
@@ -670,6 +737,57 @@ let test_two_compactors_keep_both () =
       Alcotest.(check int) "no staging residue" 0
         (Store.sweep_tmp ~older_than:0. fresh))
 
+(* A compacted segment depends only on the records it holds. The same
+   300 entries, put in opposite orders and compacted by the handles that
+   wrote them, or compacted by a fresh handle that found them by
+   directory listing, give the same .pack and .idx bytes; so do full
+   compactions of two two-segment stores that split the entries
+   differently. *)
+let test_pack_depends_only_on_records () =
+  let n = 300 in
+  let keys = List.init n Fun.id in
+  let put_all store order =
+    List.iter (fun i -> Store.put store ~key:(pack_key i) (pack_result i)) order
+  in
+  let segment store ~seq =
+    ( read_file (Store.segment_pack_path store ~seq),
+      read_file (Store.segment_idx_path store ~seq) )
+  in
+  let check what (pack, idx) (pack', idx') =
+    Alcotest.(check bool)
+      (what ^ ": same .pack") true (String.equal pack pack');
+    Alcotest.(check bool) (what ^ ": same .idx") true (String.equal idx idx')
+  in
+  let compacted order =
+    with_store (fun store ->
+        put_all store order;
+        ignore (Store.compact store);
+        segment store ~seq:1)
+  in
+  let want = compacted keys in
+  check "opposite order" want (compacted (List.rev keys));
+  check "fresh handle" want
+    (with_store (fun store ->
+         put_all store keys;
+         let fresh = Store.open_ (Store.root store) in
+         ignore (Store.compact fresh);
+         segment fresh ~seq:1));
+  let evens, odds = List.partition (fun i -> i mod 2 = 0) keys in
+  let full_compacted first second =
+    with_store (fun store ->
+        put_all store first;
+        ignore (Store.compact store);
+        put_all store second;
+        ignore (Store.compact store);
+        let c = Store.compact ~full:true store in
+        Alcotest.(check int) "full: every record rewritten" n
+          c.Store.rewritten;
+        segment store ~seq:3)
+  in
+  check "full, evens first" want (full_compacted evens odds);
+  check "full, odds first, reversed" want
+    (full_compacted (List.rev odds) (List.rev evens))
+
 let test_corrupt_segment_record () =
   with_store (fun store ->
       let n = 5 in
@@ -895,6 +1013,32 @@ let test_manifest_written_when_changed () =
       Store.refresh_manifest warm;
       Alcotest.(check string) "missing manifest rewritten" text
         (read_file manifest))
+
+(* The manifest counts the segments on disk, not the ones a handle
+   still serves: after another handle unpacks the store, the first
+   handle's refresh names no segment. *)
+let test_manifest_counts_segments_on_disk () =
+  with_store (fun store ->
+      populate store 3;
+      ignore (Store.compact store);
+      let server = Store.open_ (Store.root store) in
+      Alcotest.(check int) "unpacked" 3
+        (Store.unpack (Store.open_ (Store.root store)));
+      check_all_hit ~msg:"the first handle still serves" server 3;
+      Store.refresh_manifest server;
+      let manifest =
+        match
+          Mfu_util.Json.of_string
+            (read_file (Filename.concat (Store.root store) "MANIFEST.json"))
+        with
+        | Ok json -> json
+        | Error e -> Alcotest.fail e
+      in
+      let field name =
+        Option.bind (Mfu_util.Json.member name manifest) Mfu_util.Json.to_int
+      in
+      Alcotest.(check (option int)) "segments" (Some 0) (field "segments");
+      Alcotest.(check (option int)) "entries" (Some 3) (field "entries"))
 
 (* A packed record whose framing and MD5 are intact but whose entry
    names another key is no entry of its framing key: quarantined at
@@ -1647,6 +1791,11 @@ let () =
           Alcotest.test_case "dedup" `Quick test_enumerate_dedups;
           Alcotest.test_case "invalid ruu dropped" `Quick
             test_enumerate_drops_invalid_ruu;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 33 |])
+            prop_count_matches_enumerate;
+          Alcotest.test_case "count of large specs" `Quick
+            test_count_large_specs;
           Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
           Alcotest.test_case "spec parsing" `Quick test_spec_parsing;
           Alcotest.test_case "spec values bounded" `Quick
@@ -1686,6 +1835,10 @@ let () =
             test_compact_crash_after_publish;
           Alcotest.test_case "reader survives concurrent compaction" `Quick
             test_reader_during_compaction;
+          Alcotest.test_case "pack depends only on its records" `Quick
+            test_pack_depends_only_on_records;
+          Alcotest.test_case "manifest counts segments on disk" `Quick
+            test_manifest_counts_segments_on_disk;
           Alcotest.test_case "two compactors keep both entries" `Quick
             test_two_compactors_keep_both;
           Alcotest.test_case "corrupt record quarantined, rest served" `Quick

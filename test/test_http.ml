@@ -134,6 +134,73 @@ let prop_query_roundtrip =
           | Ok req -> req.Http.query = pairs
           | Error _ -> false))
 
+(* The request front against byte mutations of valid requests: a GET
+   with a query string, a POST with a body, a keep-alive pair and a body
+   near [max_body]. Each text is written to a pipe whose write end is
+   then closed, and [read_request] is called until it returns an error;
+   it must return, never raise. *)
+let fuzz_max_body = 4096
+
+let request_text ?body ~meth ~path () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close rd)
+    (fun () ->
+      Http.write_request ?body wr ~meth ~path;
+      Unix.close wr;
+      In_channel.input_all (Unix.in_channel_of_descr rd))
+
+let fuzz_requests =
+  let get =
+    request_text ~meth:"GET"
+      ~path:("/v1/point?" ^ Http.query_string [ ("spec", "units=1;size=10") ])
+      ()
+  in
+  [
+    get;
+    request_text ~meth:"POST" ~path:"/v1/query"
+      ~body:"{\"spec\": \"table7\"}" ();
+    get ^ request_text ~meth:"GET" ~path:"/stats" ();
+    request_text ~meth:"POST" ~path:"/v1/query"
+      ~body:(String.make (fuzz_max_body - 3) 'x')
+      ();
+  ]
+
+(* Every request [text] holds, read from a pipe until the first error. *)
+let read_all_requests text =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close rd)
+    (fun () ->
+      ignore (Unix.write_substring wr text 0 (String.length text));
+      Unix.close wr;
+      let r = Http.reader rd in
+      let rec go acc =
+        match Http.read_request ~max_body:fuzz_max_body r with
+        | Ok req -> go (req :: acc)
+        | Error _ -> List.rev acc
+      in
+      go [])
+
+let test_fuzz_seeds_parse () =
+  Alcotest.(check (list int))
+    "requests per seed text" [ 1; 1; 2; 1 ]
+    (List.map
+       (fun text -> List.length (read_all_requests text))
+       fuzz_requests)
+
+let prop_request_fuzz =
+  QCheck.Test.make ~name:"mutated requests never raise" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [ (1, oneofl fuzz_requests); (4, Bytefuzz.mutated fuzz_requests) ]))
+    (fun text ->
+      match read_all_requests text with
+      | _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Alcotest.run "http"
     [
@@ -147,8 +214,14 @@ let () =
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "closed" `Quick test_closed;
+          Alcotest.test_case "fuzz seeds parse" `Quick test_fuzz_seeds_parse;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_percent_roundtrip; prop_query_roundtrip ] );
+          [ prop_percent_roundtrip; prop_query_roundtrip ]
+        @ [
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| 33 |])
+              prop_request_fuzz;
+          ] );
     ]

@@ -330,6 +330,32 @@ let test_oversized_spec_rejected () =
           let s = query_ok c ~spec:spec_1pt in
           Alcotest.(check int) "still serving" 1 s.Protocol.total))
 
+(* A spec is counted before it is enumerated: /v1/query (413) and
+   /v1/point (400) reject one naming 151 872 points without building
+   them, so this process allocates a bounded amount doing so (the server
+   threads run in this domain). Enumerating those points alone takes
+   tens of millions of words. *)
+let test_spec_counted_before_enumeration () =
+  let spec = "units=1-16;size=1-64;bus=nbus,1bus,xbar;config=all;loops=all" in
+  with_server (fun t ->
+      with_client t (fun c ->
+          let before = Gc.minor_words () in
+          (match Client.query c ~spec with
+          | Ok _ -> Alcotest.fail "151872-point query must be rejected"
+          | Error e ->
+              Alcotest.(check bool) "query: 413 names the count" true
+                (contains ~sub:"HTTP 413" e && contains ~sub:"151872" e));
+          (match Client.point c ~spec with
+          | Ok _ -> Alcotest.fail "151872-point spec is no point"
+          | Error e ->
+              Alcotest.(check bool) "point: 400 names the count" true
+                (contains ~sub:"HTTP 400" e
+                && contains ~sub:"enumerates 151872" e));
+          let words = Gc.minor_words () -. before in
+          Alcotest.(check bool)
+            (Printf.sprintf "%.0f minor words, under 10^6" words)
+            true (words < 1e6)))
+
 let test_point_endpoint () =
   with_server (fun t ->
       with_client t (fun c ->
@@ -1109,6 +1135,8 @@ let () =
             test_oversized_spec_rejected;
           Alcotest.test_case "single-point endpoint" `Quick
             test_point_endpoint;
+          Alcotest.test_case "spec counted before enumeration" `Quick
+            test_spec_counted_before_enumeration;
           Alcotest.test_case "bad spec is 400" `Quick test_bad_spec_is_400;
           Alcotest.test_case "stats endpoint" `Quick test_stats_endpoint;
           Alcotest.test_case "stats compute by family" `Quick
